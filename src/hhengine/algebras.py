@@ -22,9 +22,10 @@ what keeps the larger composite kernels affordable.
 
 from __future__ import annotations
 
-from .errors import AlgebraMismatch, CyclicQuiver, NotAGroup
+from .errors import AlgebraMismatch, CyclicQuiver, InvariantViolation, NotAGroup
 from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver, _clear_denominators,
-                     nullspace_basis, quotient_basis, scalar)
+                     block_diag, linear_combination, nullspace_basis,
+                     quotient_basis, scalar)
 
 
 def _vec(entries):
@@ -47,7 +48,6 @@ class Algebra:
         self.idempotents = tuple(_vec(u) for u in (idempotents or [unit]))
         self._right_mult = None
         self._gens = None
-        self._radical = None
         self._piece_cache = {}
         self._dual_piece_cache = {}
         if check:
@@ -66,34 +66,22 @@ class Algebra:
         return tuple(out)
 
     def left_mult_matrix(self, vec):
-        out = Matrix.zero(self.dim, self.dim)
-        acc = [Q0] * (self.dim * self.dim)
-        for i, c in enumerate(vec):
-            if c:
-                for idx, x in enumerate(self.left_mult[i].data):
-                    if x:
-                        acc[idx] += c * x
-        return Matrix(self.dim, self.dim, acc)
+        return linear_combination(zip(vec, self.left_mult), self.dim, self.dim)
 
     @property
     def right_mult(self):
         """R_j with column i = b_i b_j."""
         if self._right_mult is None:
-            rm = []
-            for j in range(self.dim):
-                cols = [self.left_mult[i].column(j) for i in range(self.dim)]
-                rm.append(Matrix.from_columns(cols, self.dim))
-            self._right_mult = tuple(rm)
+            n = self.dim
+            entries = [{} for _ in range(n)]
+            for i, lm in enumerate(self.left_mult):
+                for r, j, x in lm.items():
+                    entries[j][r * n + i] = x
+            self._right_mult = tuple(Matrix.sparse(n, n, e) for e in entries)
         return self._right_mult
 
     def right_mult_matrix(self, vec):
-        acc = [Q0] * (self.dim * self.dim)
-        for j, c in enumerate(vec):
-            if c:
-                for idx, x in enumerate(self.right_mult[j].data):
-                    if x:
-                        acc[idx] += c * x
-        return Matrix(self.dim, self.dim, acc)
+        return linear_combination(zip(vec, self.right_mult), self.dim, self.dim)
 
     def _check(self):
         iu = self.left_mult_matrix(self.unit)
@@ -118,7 +106,7 @@ class Algebra:
     def __repr__(self):
         return f"Algebra({self.label}, dim={self.dim})"
 
-    # -- generators, radical ------------------------------------------------
+    # -- generators ------------------------------------------------------------
 
     def generators(self):
         """A small generating list of basis-element indices (greedy, pruned)."""
@@ -153,32 +141,6 @@ class Algebra:
 
     def generator_vectors(self):
         return tuple(_unit_vector(self.dim, i) for i in self.generators())
-
-    def radical_basis(self):
-        """Basis columns of rad(A) via the trace form (valid in char 0)."""
-        if self._radical is None:
-            gram = []
-            lm = self.left_mult
-            for i in range(self.dim):
-                row = []
-                for j in range(self.dim):
-                    t = Q0
-                    a, b = lm[i], lm[j]
-                    for k in range(self.dim):
-                        arow = a.row(k)
-                        for l, x in enumerate(arow):
-                            if x:
-                                y = b[l, k]
-                                if y:
-                                    t += x * y
-                    row.append(t)
-                gram.append(row)
-            self._radical = nullspace_basis(Matrix.from_rows(gram))
-        return self._radical
-
-    @property
-    def is_semisimple(self):
-        return self.radical_basis().cols == 0
 
     # -- cyclic pieces R.u and u.R (cached per idempotent index) -------------
 
@@ -248,10 +210,8 @@ def group_algebra(cayley_table, label=None):
     for i in range(n):
         if not any(t[i][j] == identity and t[j][i] == identity for j in range(n)):
             raise NotAGroup(("no inverse", i))
-    lm = []
-    for i in range(n):
-        cols = [_unit_vector(n, t[i][j]) for j in range(n)]
-        lm.append(Matrix.from_columns(cols, n))
+    lm = [Matrix.from_column_maps([{t[i][j]: Q1} for j in range(n)], n)
+          for i in range(n)]
     return Algebra(lm, _unit_vector(n, identity),
                    label=label or f"kG({n})", check=False)
 
@@ -290,13 +250,11 @@ def path_algebra(vertices, arrows, label=None):
         cur = nxt
     index = {(p, s): i for i, (p, s, _) in enumerate(all_paths)}
     n = len(all_paths)
-    zero = tuple([Q0] * n)
     lm = []
     for pi, si, ti in all_paths:
-        cols = []
-        for pj, sj, tj in all_paths:
-            cols.append(_unit_vector(n, index[pj + pi, sj]) if si == tj else zero)
-        lm.append(Matrix.from_columns(cols, n))
+        cols = [{index[pj + pi, sj]: Q1} if si == tj else {}
+                for pj, sj, tj in all_paths]
+        lm.append(Matrix.from_column_maps(cols, n))
     unit = [Q0] * n
     for i, (p, _, _) in enumerate(all_paths):
         if p == ():
@@ -314,14 +272,9 @@ def matrix_algebra(n, label=None):
     lm = []
     for i in range(n):
         for j in range(n):
-            cols = []
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        cols.append(_unit_vector(dim, idx(i, l)))
-                    else:
-                        cols.append(tuple([Q0] * dim))
-            lm.append(Matrix.from_columns(cols, dim))
+            cols = [{idx(i, l): Q1} if j == k else {}
+                    for k in range(n) for l in range(n)]
+            lm.append(Matrix.from_column_maps(cols, dim))
     unit = [Q0] * dim
     for i in range(n):
         unit[idx(i, i)] = Q1
@@ -421,22 +374,10 @@ class Bimodule:
         return f"Bimodule({self.label}, {self.left.label}|{self.right.label}, dim={self.dim})"
 
     def act_left(self, vec):
-        acc = [Q0] * (self.dim * self.dim)
-        for i, c in enumerate(vec):
-            if c:
-                for idx, x in enumerate(self.left_action[i].data):
-                    if x:
-                        acc[idx] += c * x
-        return Matrix(self.dim, self.dim, acc)
+        return linear_combination(zip(vec, self.left_action), self.dim, self.dim)
 
     def act_right(self, vec):
-        acc = [Q0] * (self.dim * self.dim)
-        for j, c in enumerate(vec):
-            if c:
-                for idx, x in enumerate(self.right_action[j].data):
-                    if x:
-                        acc[idx] += c * x
-        return Matrix(self.dim, self.dim, acc)
+        return linear_combination(zip(vec, self.right_action), self.dim, self.dim)
 
     @property
     def env(self):
@@ -447,16 +388,10 @@ class Bimodule:
     def act_env(self, vec):
         """Action of an element of env = left (x) right^op."""
         nb = self.right.dim
-        acc = Matrix.zero(self.dim, self.dim)
-        data = [Q0] * (self.dim * self.dim)
-        for idx, c in enumerate(vec):
-            if c:
-                i, j = divmod(idx, nb)
-                m = self.left_action[i] * self.right_action[j]
-                for k, x in enumerate(m.data):
-                    if x:
-                        data[k] += c * x
-        return Matrix(self.dim, self.dim, data)
+        la, ra = self.left_action, self.right_action
+        terms = ((c, la[idx // nb] * ra[idx % nb])
+                 for idx, c in enumerate(vec) if c)
+        return linear_combination(terms, self.dim, self.dim)
 
     def env_generator_actions(self):
         if self._env_gen_acts is None:
@@ -495,12 +430,12 @@ def free_bimodule(left, right, rank=1, label=None):
         ev = tuple(x * y for k, x in enumerate(_unit_vector(left.dim, i))
                    for y in right.unit)
         m = env.left_mult_matrix(ev)
-        la.append(_block_diag([m] * rank))
+        la.append(block_diag([m] * rank))
     for j in range(right.dim):
         ev = tuple(x * y for x in left.unit
                    for l, y in enumerate(_unit_vector(right.dim, j)))
         m = env.left_mult_matrix(ev)
-        ra.append(_block_diag([m] * rank))
+        ra.append(block_diag([m] * rank))
     return Bimodule(left, right, dim, la, ra,
                     label=label or f"free({left.label}|{right.label})^{rank}",
                     check=False)
@@ -524,23 +459,6 @@ def module_as_bimodule(a: Algebra, action, label="E"):
     pt = point_algebra()
     return Bimodule(a, pt, dim, list(action), [Matrix.identity(dim)],
                     label=label, check=True)
-
-
-def _block_diag(blocks):
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    flat = [Q0] * (rows * cols)
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            base = (r0 + i) * cols + c0
-            for j in range(b.cols):
-                v = b[i, j]
-                if v:
-                    flat[base + j] = v
-        r0 += b.rows
-        c0 += b.cols
-    return Matrix(rows, cols, flat)
 
 
 # -- module spans, generators, covers, sections ------------------------------
@@ -629,17 +547,13 @@ class Cover:
         return f
 
     def _piece_block(self, env_vec):
-        env = self.module.env
+        lmat = self.module.env.left_mult_matrix(env_vec)
         blocks = []
         for uidx, gen, basis, solver in self.pieces:
-            lmat = env.left_mult_matrix(env_vec)
-            cols = []
-            for c in range(basis.cols):
-                img = lmat.apply(basis.column(c))
-                coords = solver.express({i: x for i, x in enumerate(img) if x})
-                cols.append(tuple(coords))
+            cols = [solver.express(lmat.apply_map(dict(basis.col_items(c))))
+                    for c in range(basis.cols)]
             blocks.append(Matrix.from_columns(cols, basis.cols))
-        return _block_diag(blocks)
+        return block_diag(blocks)
 
 
 def build_cover(m: Bimodule, gens=None):
@@ -671,49 +585,45 @@ def solve_section(m: Bimodule, cover: Cover):
     gen_acts_f = f.env_generator_actions()
     nm, nf = m.dim, f.dim
     ech = Echelon(nf * nm + 1)
-    rows = []
-
-    def unk(i, j):
-        return i * nm + j
-
     for gm, gf in zip(gen_acts_m, gen_acts_f):
         # s . gm - gf . s = 0, entry (i, j)
-        for i in range(nf):
-            grow = gf.row(i)
-            for j in range(nm):
-                row = {}
-                for k in range(nm):
-                    v = gm[k, j]
-                    if v:
-                        row[unk(i, k)] = row.get(unk(i, k), Q0) + v
-                for k, v in enumerate(grow):
-                    if v:
-                        row[unk(k, j)] = row.get(unk(k, j), Q0) - v
-                if row:
-                    rows.append(row)
-    idm = Matrix.identity(nm)
+        for row in _commutator_rows(gm, gf, nm, nf):
+            ech.insert(row)
     aug = nf * nm  # augmented rhs column, as in linalg.solve
     for i in range(nm):
-        erow = cover.ev.row(i)
+        erow = list(cover.ev.row_items(i))
         for j in range(nm):
-            row = {}
-            for k, v in enumerate(erow):
-                if v:
-                    row[unk(k, j)] = v
-            if idm[i, j]:
-                row[aug] = idm[i, j]
-            rows.append(row)
-    for row in rows:
-        ech.insert(row)
+            # (ev . s)[i, j] = identity[i, j]
+            row = {k * nm + j: v for k, v in erow}
+            if i == j:
+                row[aug] = Q1
+            ech.insert(row)
     if aug in ech.pivot_row:
         return None
-    data = [Q0] * (nf * nm)
-    for p, row in ech.pivot_row.items():
-        if p < aug:
-            data[p] = row.get(aug, Q0)
-    s = Matrix(nf, nm, data)
-    assert cover.ev * s == idm
+    s = Matrix.sparse(nf, nm, {p: row.get(aug, Q0)
+                               for p, row in ech.pivot_row.items() if p < aug})
+    if cover.ev * s != Matrix.identity(nm):
+        raise InvariantViolation(f"{m.label}: cover section witness failed")
     return s
+
+
+def _commutator_rows(am, an, nm, nn):
+    """Rows, over the unknowns f[i, k] at index i * nm + k, of the entries
+    (i, j) of f . am - an . f, in row-major (i, j) order; entries with no
+    term are left out."""
+    am_cols = [list(am.col_items(j)) for j in range(nm)]
+    out = []
+    for i in range(nn):
+        arow = list(an.row_items(i))
+        base = i * nm
+        for j in range(nm):
+            row = {base + k: v for k, v in am_cols[j]}
+            for k, v in arow:
+                key = k * nm + j
+                row[key] = row[key] - v if key in row else -v
+            if row:
+                out.append(row)
+    return out
 
 
 class ProjData:
@@ -733,10 +643,7 @@ class ProjData:
         out = []
         ranges = self.cover.piece_ranges()
         for (uidx, gen, basis, _), (lo, hi) in zip(self.cover.pieces, ranges):
-            rows = [self.section.row(r) for r in range(lo, hi)]
-            block = Matrix.from_rows(rows) if rows else Matrix.zero(0, self.section.cols)
-            phi = basis * block
-            out.append((gen, phi))
+            out.append((gen, basis * self.section.row_block(lo, hi)))
         return out
 
 
@@ -772,18 +679,11 @@ def sum_proj_data(ab: Bimodule, a: Bimodule, b: Bimodule):
         pieces.append((uidx, tuple(gen) + (Q0,) * b.dim, basis, solver))
     for uidx, gen, basis, solver in pdb.cover.pieces:
         pieces.append((uidx, (Q0,) * a.dim + tuple(gen), basis, solver))
-    za = Matrix.zero(a.dim, pdb.cover.ev.cols)
-    zb = Matrix.zero(b.dim, pda.cover.ev.cols)
-    ev = Matrix.from_rows(
-        [tuple(pda.cover.ev.row(i)) + tuple(za.row(i)) for i in range(a.dim)] +
-        [tuple(zb.row(i)) + tuple(pdb.cover.ev.row(i)) for i in range(b.dim)])
-    section = _block_diag([pda.section, pdb.section])
-    assert ev * section == Matrix.identity(ab.dim)
+    ev = block_diag([pda.cover.ev, pdb.cover.ev])
+    section = block_diag([pda.section, pdb.section])
+    if ev * section != Matrix.identity(ab.dim):
+        raise InvariantViolation(f"{ab.label}: direct sum witness failed")
     return ProjData(Cover(ab, pieces, ev), section)
-
-
-def attach_proj_data(m: Bimodule, cover: Cover, section: Matrix):
-    m._proj = ProjData(cover, section)
 
 
 # -- submodules and resolutions -------------------------------------------------
@@ -792,26 +692,22 @@ def attach_proj_data(m: Bimodule, cover: Cover, section: Matrix):
 def kernel_submodule(f: Matrix, m: Bimodule, label="K"):
     """(K, inclusion) for ker(f) with f a module map out of m."""
     z = nullspace_basis(f)
+    zcols = [dict(z.col_items(j)) for j in range(z.cols)]
     solver = SpanSolver(m.dim)
-    for j in range(z.cols):
-        solver.add({i: z[i, j] for i in range(z.rows) if z[i, j]})
-    la, ra = [], []
-    for k in range(m.left.dim):
+    for col in zcols:
+        solver.add(col)
+
+    def restrict(act):
         cols = []
-        for j in range(z.cols):
-            v = m.left_action[k].apply(z.column(j))
-            c = solver.express({i: x for i, x in enumerate(v) if x})
-            assert c is not None, "kernel not closed under the action"
-            cols.append(tuple(c))
-        la.append(Matrix.from_columns(cols, z.cols))
-    for k in range(m.right.dim):
-        cols = []
-        for j in range(z.cols):
-            v = m.right_action[k].apply(z.column(j))
-            c = solver.express({i: x for i, x in enumerate(v) if x})
-            assert c is not None, "kernel not closed under the action"
-            cols.append(tuple(c))
-        ra.append(Matrix.from_columns(cols, z.cols))
+        for col in zcols:
+            c = solver.express(act.apply_map(col))
+            if c is None:
+                raise InvariantViolation("kernel not closed under the action")
+            cols.append(c)
+        return Matrix.from_columns(cols, z.cols)
+
+    la = [restrict(act) for act in m.left_action]
+    ra = [restrict(act) for act in m.right_action]
     k = Bimodule(m.left, m.right, z.cols, la, ra, label=label, check=False)
     return k, z
 
@@ -823,7 +719,8 @@ def attach_self_cover(f: Bimodule, cover_pieces):
     for uidx, basis, solver in cover_pieces:
         u = f.env.idempotents[uidx]
         coords = solver.express({i: x for i, x in enumerate(u) if x})
-        assert coords is not None
+        if coords is None:
+            raise InvariantViolation("idempotent fell outside its cover piece")
         gen = [Q0] * f.dim
         for r, x in enumerate(coords):
             gen[off + r] = x
@@ -899,29 +796,13 @@ def hom_basis(m: Bimodule, n: Bimodule):
     gn = n.env_generator_actions()
     nm, nn = m.dim, n.dim
     ech = Echelon(nn * nm)
-
-    def unk(i, j):
-        return i * nm + j
-
     for am, an in zip(gm, gn):
-        for i in range(nn):
-            arow = an.row(i)
-            for j in range(nm):
-                row = {}
-                for k in range(nm):
-                    v = am[k, j]
-                    if v:
-                        row[unk(i, k)] = row.get(unk(i, k), Q0) + v
-                for k, v in enumerate(arow):
-                    if v:
-                        row[unk(k, j)] = row.get(unk(k, j), Q0) - v
-                if row:
-                    ech.insert(row)
-    basis = [Matrix(nn, nm, col) for col in
-             (ech.nullspace_columns() if nn * nm else [])]
+        for row in _commutator_rows(am, an, nm, nn):
+            ech.insert(row)
+    basis = [Matrix.sparse(nn, nm, v) for v in ech.nullspace_maps()]
     solver = SpanSolver(nn * nm)
     for b in basis:
-        solver.add({i: x for i, x in enumerate(b.data) if x})
+        solver.add(b.flat_items())
     _HOM_CACHE[key] = (basis, solver, m, n)
     return basis
 
@@ -930,7 +811,7 @@ def hom_coordinates(m: Bimodule, n: Bimodule, mat: Matrix):
     """Coordinates of a map in the hom_basis, or None if not a module map."""
     hom_basis(m, n)
     solver = _HOM_CACHE[(id(m), id(n))][1]
-    return solver.express({i: x for i, x in enumerate(mat.data) if x})
+    return solver.express(mat.flat_items())
 
 
 # -- tensor over the middle algebra, with derived projectivity data -----------
@@ -941,34 +822,43 @@ def _kron_vec(u, v):
 
 
 def _apply_left_factor(a: Matrix, vec, n):
-    """(A (x) I_n) applied to a vector indexed (i, j) -> i*n + j."""
-    m = a.cols
-    out = [Q0] * (a.rows * n)
-    for idx, x in enumerate(vec):
-        if x:
-            i, j = divmod(idx, n)
-            for k in range(a.rows):
-                c = a[k, i]
-                if c:
-                    out[k * n + j] += c * x
-    return tuple(out)
+    """(A (x) I_n) applied to a {index: value} vector indexed (i, j) -> i*n + j."""
+    out = {}
+    for idx, x in vec.items():
+        i, j = divmod(idx, n)
+        for k, c in a.col_items(i):
+            key = k * n + j
+            out[key] = out[key] + c * x if key in out else c * x
+    return out
 
 
 def _apply_right_factor(b: Matrix, vec, n):
-    """(I (x) B) applied to a vector indexed (i, j) -> i*n + j, n = b.cols."""
-    out = [Q0] * ((len(vec) // n) * b.rows)
-    for idx, x in enumerate(vec):
-        if x:
-            i, j = divmod(idx, n)
-            for k in range(b.rows):
-                c = b[k, j]
-                if c:
-                    out[i * b.rows + k] += c * x
-    return tuple(out)
+    """(I (x) B) applied to a {index: value} vector indexed (i, j) -> i*n + j,
+    n = b.cols."""
+    out = {}
+    for idx, x in vec.items():
+        i, j = divmod(idx, n)
+        for k, c in b.col_items(j):
+            key = i * b.rows + k
+            out[key] = out[key] + c * x if key in out else c * x
+    return out
 
 
 def _piece_factor_indices(m: Bimodule, uidx):
     return divmod(uidx, len(m.right.idempotents))
+
+
+def _balance_relation(xi, yj, i, j, n):
+    """(X e_i) (x) e_j - e_i (x) (Y e_j) in raw coordinates (k, l) -> k*n + l,
+    from the nonzeros xi of column i of X and yj of column j of Y: with X
+    the right action of b on m and Y its left action on n, the relation
+    m.b (x) n = m (x) b.n on the pure tensor e_i (x) e_j.  Entries may
+    cancel to zero."""
+    col = {k * n + j: x for k, x in xi}
+    for l, y in yj:
+        key = i * n + l
+        col[key] = col[key] - y if key in col else -y
+    return col
 
 
 def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
@@ -982,40 +872,28 @@ def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
             f"tensor middle mismatch: {m.right.label} vs {n.left.label}")
     b = m.right
     raw = m.dim * n.dim
+    nd = n.dim
     cols = []
     for gi in b.generators():
         rm = m.right_action[gi]
         ln = n.left_action[gi]
+        ln_cols = [list(ln.col_items(j)) for j in range(nd)]
         for i in range(m.dim):
-            mi = rm.column(i)
-            for j in range(n.dim):
-                nj = ln.column(j)
-                col = [Q0] * raw
-                for k, x in enumerate(mi):
-                    if x:
-                        col[k * n.dim + j] += x
-                for l, y in enumerate(nj):
-                    if y:
-                        col[i * n.dim + l] -= y
-                if any(col):
-                    cols.append(tuple(col))
-    sub = Matrix.from_columns(cols, raw) if cols else Matrix.zero(raw, 0)
+            mi = list(rm.col_items(i))
+            for j in range(nd):
+                col = _balance_relation(mi, ln_cols[j], i, j, nd)
+                if any(col.values()):
+                    cols.append(col)
+    sub = Matrix.from_column_maps(cols, raw)
     proj, sect = quotient_basis(raw, sub)
     t_dim = proj.rows
-    la = []
-    for k in range(m.left.dim):
-        colsk = []
-        for c in range(t_dim):
-            v = _apply_left_factor(m.left_action[k], sect.column(c), n.dim)
-            colsk.append(proj.apply(v))
-        la.append(Matrix.from_columns(colsk, t_dim))
-    ra = []
-    for l in range(n.right.dim):
-        colsl = []
-        for c in range(t_dim):
-            v = _apply_right_factor(n.right_action[l], sect.column(c), n.dim)
-            colsl.append(proj.apply(v))
-        ra.append(Matrix.from_columns(colsl, t_dim))
+    sect_cols = [dict(sect.col_items(c)) for c in range(t_dim)]
+    la = [Matrix.from_column_maps(
+        [proj.apply_map(_apply_left_factor(act, v, nd)) for v in sect_cols], t_dim)
+        for act in m.left_action]
+    ra = [Matrix.from_column_maps(
+        [proj.apply_map(_apply_right_factor(act, v, nd)) for v in sect_cols], t_dim)
+        for act in n.right_action]
     t = Bimodule(m.left, n.right, t_dim, la, ra,
                  label=label or f"{m.label}(x){n.label}", check=False)
     t._proj = lambda: _tensor_proj_data(t, m, n, proj, sect)
@@ -1032,17 +910,10 @@ def _tensor_proj_data(t, m, n, proj, sect):
     env_t = t.env
     n_right_fam = len(n.right.idempotents)
     # per-factor piece data in enveloping coordinates
-    sm_blocks, sn_blocks = [], []
-    for (uidx, gen, basis, _), (lo, hi) in zip(pdm.cover.pieces,
-                                               pdm.cover.piece_ranges()):
-        rows = [pdm.section.row(r) for r in range(lo, hi)]
-        block = Matrix.from_rows(rows) if rows else Matrix.zero(0, m.dim)
-        sm_blocks.append((uidx, gen, basis * block))
-    for (vidx, gen, basis, _), (lo, hi) in zip(pdn.cover.pieces,
-                                               pdn.cover.piece_ranges()):
-        rows = [pdn.section.row(r) for r in range(lo, hi)]
-        block = Matrix.from_rows(rows) if rows else Matrix.zero(0, n.dim)
-        sn_blocks.append((vidx, gen, basis * block))
+    sm_blocks = [(uidx, gen, phi) for (uidx, _, _, _), (gen, phi)
+                 in zip(pdm.cover.pieces, pdm.coordinates())]
+    sn_blocks = [(vidx, gen, phi) for (vidx, _, _, _), (gen, phi)
+                 in zip(pdn.cover.pieces, pdn.coordinates())]
     # middle subspaces u_b B v_b and the new pieces
     pieces = []
     piece_meta = []  # (p, q, W solver, W basis, it)
@@ -1075,19 +946,17 @@ def _tensor_proj_data(t, m, n, proj, sect):
     for it, gen_t, basis_t, _ in pieces:
         rt_cache = {}
         for c in range(basis_t.cols):
-            z = basis_t.column(c)
-            acc = [Q0] * t.dim
-            for idx, coeff in enumerate(z):
-                if coeff:
-                    k, l = divmod(idx, t.right.dim)
-                    if l not in rt_cache:
-                        rt_cache[l] = t.right_action[l].apply(gen_t)
-                    v = t.left_action[k].apply(rt_cache[l])
-                    for r, x in enumerate(v):
-                        if x:
-                            acc[r] += coeff * x
-            ev_cols.append(tuple(acc))
-    ev = Matrix.from_columns(ev_cols, t.dim) if ev_cols else Matrix.zero(t.dim, 0)
+            acc = {}
+            for idx, coeff in basis_t.col_items(c):
+                k, l = divmod(idx, t.right.dim)
+                if l not in rt_cache:
+                    rt_cache[l] = t.right_action[l].apply(gen_t)
+                v = t.left_action[k].apply(rt_cache[l])
+                for r, x in enumerate(v):
+                    if x:
+                        acc[r] = acc[r] + coeff * x if r in acc else coeff * x
+            ev_cols.append(acc)
+    ev = Matrix.from_column_maps(ev_cols, t.dim)
     cover = Cover(t, pieces, ev)
     # section: walk raw tensors through s_n, absorb the middle, then s_m
     dim_f = ev.cols
@@ -1097,27 +966,18 @@ def _tensor_proj_data(t, m, n, proj, sect):
     m_bdim = m.right.dim
     sr_cache = {}
     for tau in range(t.dim):
-        rawv = sect.column(tau)
         etvecs = {}
         accum = {}
-        for idx, cval in enumerate(rawv):
-            if not cval:
-                continue
+        for idx, cval in sect.col_items(tau):
             i, j = divmod(idx, n.dim)
             for q, (vidx, h_q, s_q) in enumerate(sn_blocks):
-                zeta = s_q.column(j)
-                for en_idx, zval in enumerate(zeta):
-                    if not zval:
-                        continue
+                for en_idx, zval in s_q.col_items(j):
                     k, l = divmod(en_idx, n_adim)
                     for p, (uidx, g_p, s_p) in enumerate(sm_blocks):
                         key = (p, k)
                         if key not in sr_cache:
                             sr_cache[key] = s_p * m.right_action[k]
-                        xi = sr_cache[key].column(i)
-                        for em_idx, xval in enumerate(xi):
-                            if not xval:
-                                continue
+                        for em_idx, xval in sr_cache[key].col_items(i):
                             kp, lp = divmod(em_idx, m_bdim)
                             akey = (p, q, kp, l)
                             wv = accum.setdefault(akey, [Q0] * m_bdim)
@@ -1132,23 +992,26 @@ def _tensor_proj_data(t, m, n, proj, sect):
                 continue
             base, wsolver, wcount, it = piece_no[(p, q)]
             coeffs = wsolver.express({i: x for i, x in enumerate(wv) if x})
-            assert coeffs is not None, "tensor middle fell outside u.B.v"
+            if coeffs is None:
+                raise InvariantViolation("tensor middle fell outside u.B.v")
             for bi, gamma in enumerate(coeffs):
                 if gamma:
                     et = etvecs.setdefault(base + bi, {})
                     eidx = kp * n_adim + l
                     et[eidx] = et.get(eidx, Q0) + gamma
-        col = [Q0] * dim_f
+        col = {}
         for pc_idx, et in etvecs.items():
             it, gen_t, basis_t, solver_t = pieces[pc_idx]
             coords = solver_t.express(et)
-            assert coords is not None, "tensor section fell outside the piece"
+            if coords is None:
+                raise InvariantViolation("tensor section fell outside the piece")
             lo, hi = ranges[pc_idx]
             for r, x in enumerate(coords):
                 col[lo + r] = x
-        s_cols.append(tuple(col))
-    section = Matrix.from_columns(s_cols, dim_f) if dim_f else Matrix.zero(0, t.dim)
-    assert ev * section == Matrix.identity(t.dim), "tensor witness failed"
+        s_cols.append(col)
+    section = Matrix.from_column_maps(s_cols, dim_f)
+    if ev * section != Matrix.identity(t.dim):
+        raise InvariantViolation("tensor witness failed")
     return ProjData(cover, section)
 
 
@@ -1178,17 +1041,7 @@ class DualData:
         self.source = source
 
     def express(self, fmat: Matrix):
-        return self.solver.express({i: x for i, x in enumerate(fmat.data) if x})
-
-    def functional_of(self, coords):
-        acc = None
-        for c, f in zip(coords, self.functionals):
-            if c:
-                acc = f.scale(c) if acc is None else acc + f.scale(c)
-        if acc is None:
-            e = self.source.env.dim
-            return Matrix.zero(e, self.source.dim)
-        return acc
+        return self.solver.express(fmat.flat_items())
 
 
 def bimodule_dual(m: Bimodule, label=None):
@@ -1199,12 +1052,8 @@ def bimodule_dual(m: Bimodule, label=None):
         raise NotPerfect(f"{m.label} has no projectivity witness")
     env = m.env
     dl, dr = m.left.dim, m.right.dim
-    ranges = pd.cover.piece_ranges()
-    s_blocks = []
-    for (uidx, gen, basis, _), (lo, hi) in zip(pd.cover.pieces, ranges):
-        rows = [pd.section.row(r) for r in range(lo, hi)]
-        block = Matrix.from_rows(rows) if rows else Matrix.zero(0, m.dim)
-        s_blocks.append((uidx, gen, basis * block))
+    s_blocks = [(uidx, gen, phi) for (uidx, _, _, _), (gen, phi)
+                in zip(pd.cover.pieces, pd.coordinates())]
     candidates = []
     for uidx, gen, s_p in s_blocks:
         rbasis, _ = env.right_piece(uidx)
@@ -1216,7 +1065,7 @@ def bimodule_dual(m: Bimodule, label=None):
     basis_f = []
     solver = SpanSolver(env.dim * m.dim)
     for fmat in candidates:
-        row = {i: x for i, x in enumerate(fmat.data) if x}
+        row = fmat.flat_items()
         if row and ech.insert(_clear_denominators(dict(row))) is not None:
             basis_f.append(fmat)
             solver.add(row)
@@ -1252,7 +1101,8 @@ def _dual_proj_data(md, m, dd, s_blocks):
         itd = ir * n_left_fam + il
         basis_d, solver_d = envd.left_piece(itd)
         f0 = dd.express(s_p)
-        assert f0 is not None
+        if f0 is None:
+            raise InvariantViolation("dual generator escaped the dual basis")
         pieces.append((itd, tuple(f0), basis_d, solver_d))
     ev_cols = []
     for (itd, f0, basis_d, _), (uidx, gen, s_p) in zip(pieces, s_blocks):
@@ -1261,7 +1111,8 @@ def _dual_proj_data(md, m, dd, s_blocks):
             z = swap_env_coords(zp, dr, dl)  # back to L (x) R^op coords
             fmat = env.right_mult_matrix(z) * s_p
             col = dd.express(fmat)
-            assert col is not None
+            if col is None:
+                raise InvariantViolation("dual cover image escaped the dual basis")
             ev_cols.append(tuple(col))
     ev = Matrix.from_columns(ev_cols, md.dim) if ev_cols else Matrix.zero(md.dim, 0)
     cover = Cover(md, pieces, ev)
@@ -1275,12 +1126,14 @@ def _dual_proj_data(md, m, dd, s_blocks):
             z = f.apply(gen)
             zp = swap_env_coords(z, dl, dr)
             coords = solver_d.express({i: x for i, x in enumerate(zp) if x})
-            assert coords is not None, "dual section fell outside the piece"
+            if coords is None:
+                raise InvariantViolation("dual section fell outside the piece")
             for r, x in enumerate(coords):
                 col[lo + r] = x
         s_cols.append(tuple(col))
     section = Matrix.from_columns(s_cols, ev.cols) if ev.cols else Matrix.zero(0, md.dim)
-    assert ev * section == Matrix.identity(md.dim), "dual witness failed"
+    if ev * section != Matrix.identity(md.dim):
+        raise InvariantViolation("dual witness failed")
     return ProjData(cover, section)
 
 
@@ -1297,45 +1150,10 @@ def double_dual_comparison(m: Bimodule, md: Bimodule, mdd: Bimodule):
             fmat_cols.append(swap_env_coords(val, dl, dr))
         fmat = Matrix.from_columns(fmat_cols, md.env.dim)
         coords = ddd.express(fmat)
-        assert coords is not None, "double dual comparison escaped the basis"
+        if coords is None:
+            raise InvariantViolation("double dual comparison escaped the basis")
         cols.append(tuple(coords))
     return Matrix.from_columns(cols, mdd.dim)
-
-
-def left_coordinates(m: Bimodule):
-    """Pairs (y, g): x = sum g(x).y with g: m -> left-algebra left-linear."""
-    pd = proj_data(m)
-    if pd is None:
-        from .errors import NotPerfect
-        raise NotPerfect(f"{m.label} has no projectivity witness")
-    dl, dr = m.left.dim, m.right.dim
-    out = []
-    for (gen, phi) in pd.coordinates():
-        for l in range(dr):
-            y = m.right_action[l].apply(gen)
-            rows = [phi.row(k * dr + l) for k in range(dl)]
-            g = Matrix.from_rows(rows)
-            if any(y) or not g.is_zero():
-                out.append((y, g))
-    return out
-
-
-def right_coordinates(m: Bimodule):
-    """Pairs (y, g): x = sum y.g(x) with g: m -> right-algebra right-linear."""
-    pd = proj_data(m)
-    if pd is None:
-        from .errors import NotPerfect
-        raise NotPerfect(f"{m.label} has no projectivity witness")
-    dl, dr = m.left.dim, m.right.dim
-    out = []
-    for (gen, phi) in pd.coordinates():
-        for k in range(dl):
-            y = m.left_action[k].apply(gen)
-            rows = [phi.row(k * dr + l) for l in range(dr)]
-            g = Matrix.from_rows(rows)
-            if any(y) or not g.is_zero():
-                out.append((y, g))
-    return out
 
 
 # -- center and trace quotient ------------------------------------------------

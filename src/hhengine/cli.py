@@ -27,13 +27,16 @@ from . import diagrams as dg
 SCHEMA = "hhengine/workspace/1"
 REPORT_SCHEMA = "hhengine/report/1"
 
+# fields of kernel specs, class specs and tasks that name one kernel
+KERNEL_FIELDS = ("kernel", "phi", "psi", "outer", "inner", "left", "right")
+
 
 def _fr(x):
     return format_scalar(scalar(x))
 
 
 def _matrix_payload(m: Matrix):
-    return [[_fr(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[_fr(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def _parse_matrix(rows):
@@ -54,6 +57,7 @@ class Workspace:
         self.module_bimodules = {}
         self._pt = None
         try:
+            self._check_references()
             self._build()
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{path}: {e}") from e
@@ -69,6 +73,30 @@ class Workspace:
             else:
                 self._pt = kn.Space(alg.point_algebra(), "pt")
         return self._pt
+
+    def _check_references(self):
+        """Every kernel and class that a spec or a task names is defined."""
+        kernels = self.doc.get("kernels", {})
+        classes = self.doc.get("classes", {})
+        tasks = self.doc.get("tasks", [])
+        if not (isinstance(kernels, dict) and isinstance(classes, dict)
+                and isinstance(tasks, list)):
+            raise SchemaError("kernels and classes must be objects, tasks a list")
+        owners = ([(f"kernel {n!r}", s) for n, s in sorted(kernels.items())]
+                  + [(f"class {n!r}", s) for n, s in sorted(classes.items())]
+                  + [(f"task {t.get('id', k)!r}" if isinstance(t, dict)
+                      else f"task {k}", t)
+                     for k, t in enumerate(tasks)])
+        for owner, spec in owners:
+            if not isinstance(spec, dict):
+                raise SchemaError(f"{owner} is not an object")
+            refs = [("kernel", spec[f]) for f in KERNEL_FIELDS if f in spec]
+            refs += [("kernel", n) for n in spec.get("kernels", [])]
+            refs += [("class", n) for n in ([spec["class"]] if "class" in spec
+                                            else spec.get("classes", []))]
+            for kind, name in refs:
+                if name not in (kernels if kind == "kernel" else classes):
+                    raise SchemaError(f"{owner} names an undefined {kind} {name!r}")
 
     def _build(self):
         for name in sorted(self.doc.get("spaces", {})):

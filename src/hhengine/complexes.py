@@ -19,8 +19,8 @@ cohomological degree -i.
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, NotPerfect
-from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver,
-                     _clear_denominators, nullspace_basis, quotient_basis)
+from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver, _clear_denominators,
+                     block_diag, nullspace_basis, quotient_basis)
 from . import algebras as alg
 
 
@@ -167,13 +167,13 @@ def homology(c: Complex, n: int):
     dprev = c.differential(n - 1)
     z = nullspace_basis(dn)                      # C_n columns spanning ker
     # boundaries inside kernel coordinates
+    zcols = [dict(z.col_items(j)) for j in range(z.cols)]
     zsolver = SpanSolver(c.dim(n))
-    for j in range(z.cols):
-        zsolver.add({i: z[i, j] for i in range(z.rows) if z[i, j]})
+    for col in zcols:
+        zsolver.add(col)
     bcols = []
     for j in range(dprev.cols):
-        col = dprev.column(j)
-        coeffs = zsolver.express({i: x for i, x in enumerate(col) if x})
+        coeffs = zsolver.express(dict(dprev.col_items(j)))
         if coeffs is None:
             raise ValueError("boundary not a cycle; complex is corrupt")
         bcols.append(tuple(coeffs))
@@ -183,13 +183,12 @@ def homology(c: Complex, n: int):
     # projector on all of C_n: write each unit vector over (kernel basis +
     # a complement of the kernel); the complement part projects to 0
     ech = Echelon(c.dim(n))
-    for j in range(z.cols):
-        ech.insert(_clear_denominators(
-            {i: z[i, j] for i in range(z.rows) if z[i, j]}))
+    for col in zcols:
+        ech.insert(_clear_denominators(col))
     comp_rows = [i for i in range(c.dim(n)) if ech.insert({i: Q1}) is not None]
     solver = SpanSolver(c.dim(n))
-    for j in range(z.cols):
-        solver.add({i: z[i, j] for i in range(z.rows) if z[i, j]})
+    for col in zcols:
+        solver.add(col)
     for i in comp_rows:
         solver.add({i: Q1})
     proj_cols = []
@@ -238,8 +237,8 @@ def _sum_bimodule(a, b):
         return b
     if b is None:
         return a
-    la = [alg._block_diag([x, y]) for x, y in zip(a.left_action, b.left_action)]
-    ra = [alg._block_diag([x, y]) for x, y in zip(a.right_action, b.right_action)]
+    la = [block_diag([x, y]) for x, y in zip(a.left_action, b.left_action)]
+    ra = [block_diag([x, y]) for x, y in zip(a.right_action, b.right_action)]
     ab = alg.Bimodule(a.left, a.right, a.dim + b.dim, la, ra,
                       label=f"{a.label}(+){b.label}", check=False)
     ab._proj = lambda: alg.sum_proj_data(ab, a, b)
@@ -247,7 +246,7 @@ def _sum_bimodule(a, b):
 
 
 def _sum_matrix(x, y):
-    return alg._block_diag([x, y])
+    return block_diag([x, y])
 
 
 def cone(f: ChainMap):
@@ -270,23 +269,14 @@ def cone(f: ChainMap):
         c2, d1 = c.dim(n + 2), d.dim(n + 1)
         rows = c2 + d1
         cols = c1 + d0
-        m = [[Q0] * cols for _ in range(rows)]
-        dc = c.differential(n + 1)
-        for i in range(c2):
-            for j in range(c1):
-                if dc[i, j]:
-                    m[i][j] = -dc[i, j]
-        fc = f.component(n + 1)
-        for i in range(d1):
-            for j in range(c1):
-                if fc[i, j]:
-                    m[c2 + i][j] = fc[i, j]
-        dd = d.differential(n)
-        for i in range(d1):
-            for j in range(d0):
-                if dd[i, j]:
-                    m[c2 + i][c1 + j] = dd[i, j]
-        diffs[n] = Matrix.from_rows(m)
+        m = {}
+        for i, j, x in c.differential(n + 1).items():
+            m[i * cols + j] = -x
+        for i, j, x in f.component(n + 1).items():
+            m[(c2 + i) * cols + j] = x
+        for i, j, x in d.differential(n).items():
+            m[(c2 + i) * cols + c1 + j] = x
+        diffs[n] = Matrix.sparse(rows, cols, m)
     return Complex(terms, diffs, c.left, c.right, check=False)
 
 
@@ -361,7 +351,7 @@ class TensorComplex:
                 continue
             rows = terms[n + 1].dim
             cols = terms[n].dim
-            data = [[Q0] * cols for _ in range(rows)]
+            entries = {}
             for (i, j, off, size) in self.blocks[n]:
                 t, proj, sect = term_tensor(self.c.term(i), self.d.term(j))
                 # d_C part into block (i+1, j)
@@ -370,11 +360,10 @@ class TensorComplex:
                     t2, proj2, _ = term_tensor(self.c.term(i + 1), self.d.term(j))
                     dc = self.c.differential(i)
                     for col in range(size):
-                        v = alg._apply_left_factor(dc, sect.column(col), self.d.dim(j))
-                        w = proj2.apply(v)
-                        for r, x in enumerate(w):
-                            if x:
-                                data[tgt + r][off + col] += x
+                        v = alg._apply_left_factor(dc, dict(sect.col_items(col)),
+                                                   self.d.dim(j))
+                        _accumulate(entries, proj2.apply_map(v), tgt, cols,
+                                    off + col, Q1)
                 # d_D part into block (i, j+1), sign (-1)^i
                 tgt = self._find_block(n + 1, i, j + 1)
                 if tgt is not None and self.d.dim(j + 1):
@@ -382,12 +371,11 @@ class TensorComplex:
                     dd = self.d.differential(j)
                     sgn = Q1 if i % 2 == 0 else -Q1
                     for col in range(size):
-                        v = alg._apply_right_factor(dd, sect.column(col), self.d.dim(j))
-                        w = proj3.apply(v)
-                        for r, x in enumerate(w):
-                            if x:
-                                data[tgt + r][off + col] += sgn * x
-            diffs[n] = Matrix.from_rows([tuple(r) for r in data])
+                        v = alg._apply_right_factor(dd, dict(sect.col_items(col)),
+                                                    self.d.dim(j))
+                        _accumulate(entries, proj3.apply_map(v), tgt, cols,
+                                    off + col, sgn)
+            diffs[n] = Matrix.sparse(rows, cols, entries)
         self.complex = Complex(terms, diffs, c.left, d.right, check=False)
 
     def _find_block(self, n, i, j):
@@ -395,6 +383,19 @@ class TensorComplex:
             if bi == i and bj == j:
                 return off
         return None
+
+
+def _accumulate(entries, w, row_off, cols, col, sign):
+    """Add sign * w ({row: value}) into column `col` of a flat-indexed
+    {i * cols + j: value} matrix, rows shifted by row_off; True when some
+    nonzero value was added."""
+    wrote = False
+    for r, x in w.items():
+        if x:
+            key = (row_off + r) * cols + col
+            entries[key] = entries[key] + sign * x if key in entries else sign * x
+            wrote = True
+    return wrote
 
 
 def tensor_over(c: Complex, d: Complex):
@@ -414,7 +415,7 @@ def tensor_map(tc_src: TensorComplex, tc_tgt: TensorComplex, f: ChainMap, g: Cha
         cols = tc_src.complex.dim(n)
         if rows == 0 or cols == 0:
             continue
-        data = [[Q0] * cols for _ in range(rows)]
+        entries = {}
         wrote = False
         for (i, j, off, size) in blocklist:
             tgt_off = tc_tgt._find_block(n + kf + kg, i + kf, j + kg)
@@ -428,16 +429,14 @@ def tensor_map(tc_src: TensorComplex, tc_tgt: TensorComplex, f: ChainMap, g: Cha
             _, proj_t, _ = term_tensor(tc_tgt.c.term(i + kf), tc_tgt.d.term(j + kg))
             sgn = Q1 if (kg * i) % 2 == 0 else -Q1
             for col in range(size):
-                v = sect_s.column(col)
+                v = dict(sect_s.col_items(col))
                 v = alg._apply_left_factor(fi, v, tc_src.d.dim(j))
                 v = alg._apply_right_factor(gj, v, tc_src.d.dim(j))
-                w = proj_t.apply(v)
-                for r, x in enumerate(w):
-                    if x:
-                        data[tgt_off + r][off + col] += sgn * x
-                        wrote = True
+                if _accumulate(entries, proj_t.apply_map(v), tgt_off, cols,
+                               off + col, sgn):
+                    wrote = True
         if wrote:
-            comps[n] = Matrix.from_rows([tuple(r) for r in data])
+            comps[n] = Matrix.sparse(rows, cols, entries)
     return ChainMap(tc_src.complex, tc_tgt.complex, kf + kg, comps, check=False)
 
 
@@ -464,7 +463,7 @@ class HomComplex:
         self.blocks = {}      # n -> list of (i, [hom basis matrices])
         self.offsets = {}     # (n, i) -> offset of block in degree n
         self._dims = {}
-        for n in range(min(self._nrange()), max(self._nrange()) + 1):
+        for n in self._nrange():
             blocks = []
             off = 0
             for i in source.degrees():
@@ -495,10 +494,11 @@ class HomComplex:
         self.complex = Complex(terms, diffs, pt, pt, check=False)
 
     def _nrange(self):
-        s, t = self.source, self.target
-        lo = min(t.degrees()) - max(s.degrees())
-        hi = max(t.degrees()) - min(s.degrees())
-        return (lo, hi)
+        """Hom degrees that can be nonzero; none when either side is zero."""
+        s, t = self.source.degrees(), self.target.degrees()
+        if not s or not t:
+            return range(0)
+        return range(min(t) - max(s), max(t) - min(s) + 1)
 
     def _differential_of(self, comps, n):
         """(H1): D(f) = d_target . f - (-1)^n f . d_source, as components.
@@ -579,69 +579,29 @@ def nullhomotopy(f: ChainMap):
     src, tgt = f.source, f.target
     sgn = Q1 if k % 2 == 0 else -Q1
     # unknowns: coordinates over hom bases of Hom(src_n, tgt_{n+k-1})
-    hs = {}
-    offset = 0
-    for n in src.degrees():
-        if tgt.dim(n + k - 1) == 0:
-            continue
-        basis = alg.hom_basis(src.term(n), tgt.term(n + k - 1))
-        if basis:
-            hs[n] = (offset, basis)
-            offset += len(basis)
-    total = offset
-    ech = Echelon(total + 1)
-    aug = total
+    hvars = _HomVars(src, tgt, k - 1, 0)
     rows = []
     for n in src.degrees():
         tdim, sdim = tgt.dim(n + k), src.dim(n)
-        if tdim == 0 and f.component(n).is_zero():
+        fn = f.component(n)
+        if tdim == 0 and fn.is_zero():
             continue
         # equation at degree n: d h_n + sgn h_{n+1} d = f_n, entrywise
+        dh = hvars.products(n, post=tgt.differential(n + k - 1))
+        hd = hvars.products(n + 1, pre=src.differential(n))
         for a in range(tdim):
             for b in range(sdim):
-                row = {}
-                if n in hs:
-                    off, basis = hs[n]
-                    dmat = tgt.differential(n + k - 1)
-                    for t, bm in enumerate(basis):
-                        v = Q0
-                        for l in range(bm.rows):
-                            if dmat[a, l] and bm[l, b]:
-                                v += dmat[a, l] * bm[l, b]
-                        if v:
-                            row[off + t] = v
-                if (n + 1) in hs:
-                    off2, basis2 = hs[n + 1]
-                    smat = src.differential(n)
-                    for t, bm in enumerate(basis2):
-                        v = Q0
-                        for l in range(smat.rows):
-                            if bm[a, l] and smat[l, b]:
-                                v += bm[a, l] * smat[l, b]
-                        if v:
-                            row[off2 + t] = row.get(off2 + t, Q0) + sgn * v
-                rhs = f.component(n)[a, b] if f.source.dim(n) and f.target.dim(n + k) else Q0
+                row = _add_entry({}, dh, a, b)
+                _add_entry(row, hd, a, b, sgn)
+                rhs = fn[a, b]
                 if rhs:
-                    row[aug] = rhs
+                    row[hvars.end] = rhs
                 if row:
                     rows.append(row)
-    for row in rows:
-        ech.insert(row)
-    if aug in ech.pivot_row:
+    coeffs = _solve_rows(rows, hvars.end)
+    if coeffs is None:
         return None
-    coeffs = [Q0] * total
-    for p, row in ech.pivot_row.items():
-        if p < aug:
-            coeffs[p] = row.get(aug, Q0)
-    out = {}
-    for n, (off, basis) in hs.items():
-        m = Matrix.zero(tgt.dim(n + k - 1), src.dim(n))
-        for t, bm in enumerate(basis):
-            if coeffs[off + t]:
-                m = m + bm.scale(coeffs[off + t])
-        if not m.is_zero():
-            out[n] = m
-    return out
+    return hvars.extract(coeffs)
 
 
 def chain_maps_equal(f: ChainMap, g: ChainMap):
@@ -670,37 +630,21 @@ class _HomVars:
         self.tgt = tgt
         self.degree = degree
 
-    def entry_row(self, n, a, b, post=None, pre=None, sign=Q1, row=None):
-        """Accumulate coefficients of entry (a, b) of post . f_n . pre."""
-        if row is None:
-            row = {}
+    def products(self, n, post=None, pre=None):
+        """Nonzero entries of post . f_n . pre as linear forms in the
+        unknowns: {(a, b): [(unknown index, coefficient)]}."""
+        out = {}
         if n not in self.blocks:
-            return row
+            return out
         off, basis = self.blocks[n]
         for t, bm in enumerate(basis):
-            if pre is None and post is None:
-                v = bm[a, b]
-            elif post is None:
-                v = Q0
-                for l in range(pre.rows):
-                    if bm[a, l] and pre[l, b]:
-                        v += bm[a, l] * pre[l, b]
-            elif pre is None:
-                v = Q0
-                for l in range(bm.rows):
-                    if post[a, l] and bm[l, b]:
-                        v += post[a, l] * bm[l, b]
-            else:
-                v = Q0
-                for l in range(post.cols):
-                    if not post[a, l]:
-                        continue
-                    for l2 in range(pre.rows):
-                        if bm[l, l2] and pre[l2, b]:
-                            v += post[a, l] * bm[l, l2] * pre[l2, b]
-            if v:
-                row[off + t] = row.get(off + t, Q0) + sign * v
-        return row
+            if post is not None:
+                bm = post * bm
+            if pre is not None:
+                bm = bm * pre
+            for a, b, v in bm.items():
+                out.setdefault((a, b), []).append((off + t, v))
+        return out
 
     def extract(self, coeffs):
         comps = {}
@@ -712,6 +656,13 @@ class _HomVars:
             if not m.is_zero():
                 comps[n] = m
         return comps
+
+
+def _add_entry(row, products, a, b, sign=Q1):
+    """Add sign times the linear form of entry (a, b) of `products` to row."""
+    for u, v in products.get((a, b), ()):
+        row[u] = row.get(u, Q0) + sign * v
+    return row
 
 
 def _solve_rows(rows, total):
@@ -750,11 +701,12 @@ def lift_through(g: ChainMap, q: ChainMap):
         tdim = d.dim(n + k + 1)
         if tdim == 0 and (n + 1) not in fvars.blocks:
             continue
+        df = fvars.products(n, post=d.differential(n + k))
+        fd = fvars.products(n + 1, pre=c.differential(n))
         for a in range(tdim):
             for b in range(c.dim(n)):
-                row = fvars.entry_row(n, a, b, post=d.differential(n + k))
-                row = fvars.entry_row(n + 1, a, b, pre=c.differential(n),
-                                      sign=-sgn_f, row=row)
+                row = _add_entry({}, df, a, b)
+                _add_entry(row, fd, a, b, -sgn_f)
                 if row:
                     rows.append(row)
     # lift condition: q f_n - g_n = d_Z h_n + sgn_h h_{n+1} d_C
@@ -763,13 +715,14 @@ def lift_through(g: ChainMap, q: ChainMap):
         if tdim == 0:
             continue
         gn = g.component(n)
+        qf = fvars.products(n, post=q.component(n + k))
+        dh = hvars.products(n, post=z.differential(n + k - 1))
+        hd = hvars.products(n + 1, pre=c.differential(n))
         for a in range(tdim):
             for b in range(c.dim(n)):
-                row = fvars.entry_row(n, a, b, post=q.component(n + k))
-                row = hvars.entry_row(n, a, b, post=z.differential(n + k - 1),
-                                      sign=-Q1, row=row)
-                row = hvars.entry_row(n + 1, a, b, pre=c.differential(n),
-                                      sign=-sgn_h, row=row)
+                row = _add_entry({}, qf, a, b)
+                _add_entry(row, dh, a, b, -Q1)
+                _add_entry(row, hd, a, b, -sgn_h)
                 rhs = gn[a, b]
                 if rhs:
                     row[aug] = rhs
@@ -802,11 +755,12 @@ def colift_through(g: ChainMap, s: ChainMap):
         tdim = c.dim(n + k + 1)
         if tdim == 0 and (n + 1) not in fvars.blocks:
             continue
+        df = fvars.products(n, post=c.differential(n + k))
+        fd = fvars.products(n + 1, pre=d.differential(n))
         for a in range(tdim):
             for b in range(d.dim(n)):
-                row = fvars.entry_row(n, a, b, post=c.differential(n + k))
-                row = fvars.entry_row(n + 1, a, b, pre=d.differential(n),
-                                      sign=-sgn_f, row=row)
+                row = _add_entry({}, df, a, b)
+                _add_entry(row, fd, a, b, -sgn_f)
                 if row:
                     rows.append(row)
     # f s_n - g_n = d_C h_n + sgn h_{n+1} d_Z
@@ -815,13 +769,14 @@ def colift_through(g: ChainMap, s: ChainMap):
         if tdim == 0:
             continue
         gn = g.component(n)
+        fs = fvars.products(n, pre=s.component(n))
+        dh = hvars.products(n, post=c.differential(n + k - 1))
+        hd = hvars.products(n + 1, pre=z.differential(n))
         for a in range(tdim):
             for b in range(z.dim(n)):
-                row = fvars.entry_row(n, a, b, pre=s.component(n))
-                row = hvars.entry_row(n, a, b, post=c.differential(n + k - 1),
-                                      sign=-Q1, row=row)
-                row = hvars.entry_row(n + 1, a, b, pre=z.differential(n),
-                                      sign=-sgn_h, row=row)
+                row = _add_entry({}, fs, a, b)
+                _add_entry(row, dh, a, b, -Q1)
+                _add_entry(row, hd, a, b, -sgn_h)
                 rhs = gn[a, b]
                 if rhs:
                     row[aug] = rhs

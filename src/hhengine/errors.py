@@ -25,6 +25,11 @@ class ResolutionTooLong(EngineError):
     """Kernel still non-projective at max_length (non-smooth instance)."""
 
 
+class InvariantViolation(EngineError):
+    """An internal witness check failed: a computed section, coordinate or
+    closure does not satisfy the identity it was built to satisfy."""
+
+
 class SerreInverseFailed(EngineError):
     """No quasi-isomorphism witness for serre . anti_serre ~ identity."""
 

@@ -173,27 +173,14 @@ def hh_via_tor(space):
             ra = a.right_mult_matrix(gvec)
             for i in range(m.dim):
                 for j in range(a.dim):
-                    col = [Q0] * raw
-                    # (g . m) (x) n - m (x) (n . g)
-                    for k, x in enumerate(lm.column(i)):
-                        if x:
-                            col[k * a.dim + j] += x
-                    for l, y in enumerate(ra.column(j)):
-                        if y:
-                            col[i * a.dim + l] -= y
-                    if any(col):
-                        cols.append(tuple(col))
-                    col = [Q0] * raw
+                    # (g . m) (x) n - m (x) (n . g), then
                     # (m . g) (x) n - m (x) (g . n)
-                    for k, x in enumerate(rm.column(i)):
-                        if x:
-                            col[k * a.dim + j] += x
-                    for l, y in enumerate(la.column(j)):
-                        if y:
-                            col[i * a.dim + l] -= y
-                    if any(col):
-                        cols.append(tuple(col))
-        sub = Matrix.from_columns(cols, raw) if cols else Matrix.zero(raw, 0)
+                    for mg, gn in ((lm, ra), (rm, la)):
+                        col = alg._balance_relation(mg.col_items(i),
+                                                    gn.col_items(j), i, j, a.dim)
+                        if any(col.values()):
+                            cols.append(col)
+        sub = Matrix.from_column_maps(cols, raw)
         proj, sect = quotient_basis(raw, sub)
         pieces[n] = (proj, sect)
     pt = alg.point_algebra()
@@ -206,12 +193,10 @@ def hh_via_tor(space):
         projn1, _ = pieces[n + 1]
         projn, sectn = pieces[n]
         d = res.differential(n)
-        cols = []
-        for c in range(projn.rows):
-            v = sectn.column(c)
-            w = alg._apply_left_factor(d, v, a.dim)
-            cols.append(projn1.apply(w))
-        diffs[n] = Matrix.from_columns(cols, projn1.rows)
+        cols = [projn1.apply_map(alg._apply_left_factor(
+                    d, dict(sectn.col_items(c)), a.dim))
+                for c in range(projn.rows)]
+        diffs[n] = Matrix.from_column_maps(cols, projn1.rows)
     c = cx.Complex({n: t for n, t in terms.items() if t.dim},
                   {n: d for n, d in diffs.items()}, pt, pt, check=False)
     out = {}

@@ -1,16 +1,18 @@
 """Exact rational linear algebra.
 
-Everything in the engine reduces to dense matrices of `fractions.Fraction`
-plus one elimination kernel.  The elimination is fraction-free on scaled
-integer rows (Bareiss-style pivoting discipline) with a fixed deterministic
-pivot rule: the pivot of each row is its first nonzero entry in column
-order, and rows are processed in the order given.  Every basis produced
-downstream (nullspaces, quotients, homology bases, Hochschild bases) is a
-function of this rule only, so repeated runs agree bit for bit.
+Everything in the engine reduces to sparse matrices of `fractions.Fraction`
+in compressed-sparse-row form plus one elimination kernel.  The elimination
+is fraction-free on scaled integer rows (Bareiss-style pivoting discipline)
+with a fixed deterministic pivot rule: the pivot of each row is its first
+nonzero entry in column order, and rows are processed in the order given.
+Every basis produced downstream (nullspaces, quotients, homology bases,
+Hochschild bases) is a function of this rule only, so repeated runs agree
+bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -42,21 +44,55 @@ def format_scalar(x: Fraction) -> str:
 
 
 class Matrix:
-    """Immutable dense matrix over Q, row-major (with a lazy sparse view)."""
+    """Immutable sparse matrix over Q in compressed-sparse-row form.
 
-    __slots__ = ("rows", "cols", "data", "_cols_sparse")
+    Three flat tuples hold the nonzero entries: `_ptr` (rows + 1 offsets),
+    `_idx` (column indices, increasing within each row) and `_val` (the
+    nonzero Fractions).  No zero is ever stored, so two matrices are equal
+    exactly when their shapes and tuples are.
+
+    `Matrix(rows, cols, data)`, `from_rows` and `from_columns` take dense
+    entries; `sparse` and `from_column_maps` take only the nonzeros.  `data`
+    is the dense row-major view, computed on access; loops over entries use
+    `row_items`, `col_items` or `items` instead.  The transpose is built
+    once, on first use by `transpose`, `column`, `col_items` or `apply`.
+    """
+
+    __slots__ = ("rows", "cols", "_ptr", "_idx", "_val", "_t")
 
     def __init__(self, rows, cols, data):
-        data = tuple(scalar(x) for x in data)
+        data = [scalar(x) for x in data]
         if len(data) != rows * cols:
             raise ValueError(f"matrix data length {len(data)} != {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_cols_sparse", None)
+        ptr, idx, val = [0], [], []
+        for i in range(rows):
+            for j, x in enumerate(data[i * cols:(i + 1) * cols]):
+                if x:
+                    idx.append(j)
+                    val.append(x)
+            ptr.append(len(idx))
+        self._fill(rows, cols, ptr, idx, val)
+
+    def _fill(self, rows, cols, ptr, idx, val):
+        put = object.__setattr__
+        put(self, "rows", rows)
+        put(self, "cols", cols)
+        put(self, "_ptr", tuple(ptr))
+        put(self, "_idx", tuple(idx))
+        put(self, "_val", tuple(val))
+        put(self, "_t", None)
+
+    @classmethod
+    def _csr(cls, rows, cols, ptr, idx, val):
+        """Trusted constructor: sorted indices, nonzero Fraction values."""
+        m = object.__new__(cls)
+        m._fill(rows, cols, ptr, idx, val)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
+
+    # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def from_rows(rows_list):
@@ -70,140 +106,288 @@ class Matrix:
         return Matrix(rows, cols, flat)
 
     @staticmethod
-    def zero(rows, cols):
-        return Matrix(rows, cols, [Q0] * (rows * cols))
-
-    @staticmethod
-    def identity(n):
-        return Matrix(n, n, [Q1 if i == j else Q0 for i in range(n) for j in range(n)])
-
-    @staticmethod
     def from_columns(cols_list, rows):
         cols = len(cols_list)
         flat = [Q0] * (rows * cols)
         for j, col in enumerate(cols_list):
             if len(col) != rows:
                 raise ValueError("column length mismatch")
-            for i, x in enumerate(col):
-                flat[i * cols + j] = scalar(x)
+            flat[j::cols] = col
         return Matrix(rows, cols, flat)
+
+    @staticmethod
+    def from_column_maps(col_maps, rows):
+        """Matrix whose column j holds col_maps[j] ({row: Fraction}); zeros
+        are dropped."""
+        cols = len(col_maps)
+        return Matrix.sparse(rows, cols, {i * cols + j: x
+                                          for j, col in enumerate(col_maps)
+                                          for i, x in col.items()})
+
+    @staticmethod
+    def sparse(rows, cols, entries):
+        """Matrix from {i * cols + j: Fraction} (row-major flat indices);
+        zeros are dropped."""
+        ptr, idx, val = [0] * (rows + 1), [], []
+        for k in sorted(entries):
+            x = entries[k]
+            if x:
+                i, j = divmod(k, cols)
+                ptr[i + 1] += 1
+                idx.append(j)
+                val.append(x)
+        for i in range(rows):
+            ptr[i + 1] += ptr[i]
+        return Matrix._csr(rows, cols, ptr, idx, val)
+
+    @staticmethod
+    def zero(rows, cols):
+        return Matrix._csr(rows, cols, (0,) * (rows + 1), (), ())
+
+    @staticmethod
+    def identity(n):
+        return Matrix._csr(n, n, range(n + 1), range(n), (Q1,) * n)
+
+    # -- entries ----------------------------------------------------------------
+
+    @property
+    def data(self):
+        """Dense row-major tuple of all rows * cols entries."""
+        out = [Q0] * (self.rows * self.cols)
+        ptr, idx, val, cols = self._ptr, self._idx, self._val, self.cols
+        for i in range(self.rows):
+            base = i * cols
+            for k in range(ptr[i], ptr[i + 1]):
+                out[base + idx[k]] = val[k]
+        return tuple(out)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i * self.cols + j]
+        lo, hi = self._ptr[i], self._ptr[i + 1]
+        k = bisect_left(self._idx, j, lo, hi)
+        if k < hi and self._idx[k] == j:
+            return self._val[k]
+        return Q0
+
+    def row_items(self, i):
+        """(column, value) pairs of the nonzeros of row i, by column."""
+        lo, hi = self._ptr[i], self._ptr[i + 1]
+        return zip(self._idx[lo:hi], self._val[lo:hi])
+
+    def col_items(self, j):
+        """(row, value) pairs of the nonzeros of column j, by row."""
+        return self.transpose().row_items(j)
+
+    def items(self):
+        """(row, column, value) of every nonzero, row-major."""
+        ptr, idx, val = self._ptr, self._idx, self._val
+        for i in range(self.rows):
+            for k in range(ptr[i], ptr[i + 1]):
+                yield i, idx[k], val[k]
+
+    def flat_items(self):
+        """{i * cols + j: value} of every nonzero (row-major flat indices)."""
+        ptr, idx, cols = self._ptr, self._idx, self.cols
+        keys = [i * cols + idx[k] for i in range(self.rows)
+                for k in range(ptr[i], ptr[i + 1])]
+        return dict(zip(keys, self._val))
 
     def row(self, i):
-        return self.data[i * self.cols:(i + 1) * self.cols]
+        out = [Q0] * self.cols
+        for j, x in self.row_items(i):
+            out[j] = x
+        return tuple(out)
 
     def column(self, j):
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        out = [Q0] * self.rows
+        for i, x in self.col_items(j):
+            out[i] = x
+        return tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._ptr == other._ptr
+                and self._idx == other._idx and self._val == other._val)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self._ptr, self._idx, self._val))
 
     def __repr__(self):
         rs = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {rs})"
 
     def is_zero(self):
-        return all(x == 0 for x in self.data)
+        return not self._val
+
+    # -- arithmetic -------------------------------------------------------------
+
+    def _merge(self, other, sign):
+        ptr, idx, val = [0], [], []
+        for i in range(self.rows):
+            acc = dict(self.row_items(i))
+            for j, x in other.row_items(i):
+                if sign < 0:
+                    x = -x
+                acc[j] = acc[j] + x if j in acc else x
+            for j in sorted(acc):
+                x = acc[j]
+                if x:
+                    idx.append(j)
+                    val.append(x)
+            ptr.append(len(idx))
+        return Matrix._csr(self.rows, self.cols, ptr, idx, val)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.data, other.data)])
+        return self._merge(other, 1)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in -")
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.data, other.data)])
+        return self._merge(other, -1)
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.data])
+        return Matrix._csr(self.rows, self.cols, self._ptr, self._idx,
+                           [-a for a in self._val])
 
     def scale(self, c):
         c = scalar(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.data])
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix._csr(self.rows, self.cols, self._ptr, self._idx,
+                           [c * a for a in self._val])
 
     def __mul__(self, other):
-        """Matrix product, skipping zero entries (inputs are mostly sparse)."""
+        """Matrix product over the nonzeros of both factors."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in *: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, m, p = self.rows, self.cols, other.cols
-        out = [Q0] * (n * p)
-        a, b = self.data, other.data
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            base = i * p
-            for k, aik in enumerate(arow):
-                if aik:
-                    brow = b[k * p:(k + 1) * p]
-                    for j, bkj in enumerate(brow):
-                        if bkj:
-                            out[base + j] += aik * bkj
-        return Matrix(n, p, out)
-
-    def sparse_columns(self):
-        if self._cols_sparse is None:
-            cols = [[] for _ in range(self.cols)]
-            d = self.data
-            nc = self.cols
-            for idx, x in enumerate(d):
+        aptr, aidx, aval = self._ptr, self._idx, self._val
+        bptr, bidx, bval = other._ptr, other._idx, other._val
+        ptr, idx, val = [0], [], []
+        for i in range(self.rows):
+            acc = {}
+            for ka in range(aptr[i], aptr[i + 1]):
+                k, a = aidx[ka], aval[ka]
+                for kb in range(bptr[k], bptr[k + 1]):
+                    j = bidx[kb]
+                    p = a * bval[kb]
+                    acc[j] = acc[j] + p if j in acc else p
+            for j in sorted(acc):
+                x = acc[j]
                 if x:
-                    cols[idx % nc].append((idx // nc, x))
-            object.__setattr__(self, "_cols_sparse", tuple(tuple(c) for c in cols))
-        return self._cols_sparse
+                    idx.append(j)
+                    val.append(x)
+            ptr.append(len(idx))
+        return Matrix._csr(self.rows, other.cols, ptr, idx, val)
 
     def apply(self, vec):
         """Matrix times column vector (tuple in, tuple out)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [Q0] * self.rows
-        cols = self.sparse_columns()
-        for j, v in enumerate(vec):
-            if v:
-                for i, a in cols[j]:
-                    out[i] += a * v
+        for i, x in self.apply_map(dict(enumerate(vec))).items():
+            out[i] = x
         return tuple(out)
 
+    def apply_map(self, vec):
+        """Matrix times a {index: value} vector, as {row: value}; entries
+        that cancel to zero may remain."""
+        out = {}
+        t = self.transpose()
+        tptr, tidx, tval = t._ptr, t._idx, t._val
+        for j, v in vec.items():
+            if v:
+                for k in range(tptr[j], tptr[j + 1]):
+                    i = tidx[k]
+                    p = tval[k] * v
+                    out[i] = out[i] + p if i in out else p
+        return out
+
+    def row_block(self, lo, hi):
+        """The rows lo..hi-1 as a (hi - lo) x cols matrix."""
+        a, b = self._ptr[lo], self._ptr[hi]
+        return Matrix._csr(hi - lo, self.cols,
+                           [p - a for p in self._ptr[lo:hi + 1]],
+                           self._idx[a:b], self._val[a:b])
+
     def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [self.data[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        if self._t is None:
+            counts = [0] * (self.cols + 1)
+            for j in self._idx:
+                counts[j + 1] += 1
+            for j in range(self.cols):
+                counts[j + 1] += counts[j]
+            nxt = counts[:-1]
+            idx = [0] * len(self._idx)
+            val = [None] * len(self._val)
+            ptr, cidx, cval = self._ptr, self._idx, self._val
+            for i in range(self.rows):
+                for k in range(ptr[i], ptr[i + 1]):
+                    j = cidx[k]
+                    pos = nxt[j]
+                    nxt[j] = pos + 1
+                    idx[pos] = i
+                    val[pos] = cval[k]
+            object.__setattr__(self, "_t", Matrix._csr(self.cols, self.rows,
+                                                        counts, idx, val))
+        return self._t
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        flat = []
+        ptr, idx, val = [0], [], []
+        shift = self.cols
         for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return Matrix(self.rows, self.cols + other.cols, flat)
+            for j, x in self.row_items(i):
+                idx.append(j)
+                val.append(x)
+            for j, x in other.row_items(i):
+                idx.append(shift + j)
+                val.append(x)
+            ptr.append(len(idx))
+        return Matrix._csr(self.rows, self.cols + other.cols, ptr, idx, val)
 
     def kronecker(self, other):
         """Kronecker product, left factor major (index (i,k) |-> i*other.rows+k)."""
-        R, C = self.rows * other.rows, self.cols * other.cols
-        flat = [Q0] * (R * C)
+        ptr, idx, val = [0], [], []
+        oc = other.cols
         for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i * self.cols + j]
-                if not a:
-                    continue
-                for k in range(other.rows):
-                    base = (i * other.rows + k) * C + j * other.cols
-                    orow = other.row(k)
-                    for l, b in enumerate(orow):
-                        if b:
-                            flat[base + l] = a * b
-        return Matrix(R, C, flat)
+            arow = list(self.row_items(i))
+            for k in range(other.rows):
+                brow = list(other.row_items(k))
+                for j, a in arow:
+                    base = j * oc
+                    for l, b in brow:
+                        idx.append(base + l)
+                        val.append(a * b)
+                ptr.append(len(idx))
+        return Matrix._csr(self.rows * other.rows, self.cols * oc, ptr, idx, val)
+
+
+def linear_combination(terms, rows, cols):
+    """sum c * m over (c, m) in terms, all m of shape rows x cols."""
+    acc = {}
+    for c, m in terms:
+        if c:
+            for k, x in m.flat_items().items():
+                acc[k] = acc[k] + c * x if k in acc else c * x
+    return Matrix.sparse(rows, cols, acc)
+
+
+def block_diag(blocks):
+    ptr, idx, val = [0], [], []
+    c0 = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j, x in b.row_items(i):
+                idx.append(c0 + j)
+                val.append(x)
+            ptr.append(len(idx))
+        c0 += b.cols
+    return Matrix._csr(sum(b.rows for b in blocks), c0, ptr, idx, val)
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +422,25 @@ class Echelon:
         self.order = []       # pivot columns in insertion order
 
     def reduce(self, row):
-        """Fully reduce a dict row against the current echelon (copy-safe)."""
+        """Fully reduce a dict row against the current echelon (copy-safe).
+
+        Every stored row is zero on every other pivot column, so clearing one
+        pivot entry never touches another: one pass over the pivot columns
+        present in the row reduces it completely.
+        """
         row = dict(row)
-        # repeatedly kill the leading reducible entry; iterate in column order
-        while True:
-            hit = None
-            for j in sorted(row):
-                if j in self.pivot_row:
-                    hit = j
-                    break
-            if hit is None:
-                return row
-            c = row.pop(hit)
-            for k, v in self.pivot_row[hit].items():
-                if k == hit:
+        piv = self.pivot_row
+        for p in [j for j in row if j in piv]:
+            c = row.pop(p)
+            for k, v in piv[p].items():
+                if k == p:
                     continue
                 w = row.get(k, Q0) - c * v
                 if w:
                     row[k] = w
                 else:
                     row.pop(k, None)
+        return row
 
     def insert(self, row):
         """Reduce and insert; returns the new pivot column or None if dependent."""
@@ -290,26 +473,19 @@ class Echelon:
     def rank(self):
         return len(self.order)
 
-    def pivot_columns(self):
-        return sorted(self.pivot_row)
-
     def free_columns(self):
         piv = self.pivot_row
         return [j for j in range(self.ncols) if j not in piv]
 
-    def nullspace_columns(self):
-        """Kernel basis of the row space seen as a map Q^ncols -> rows."""
-        cols = []
-        piv = self.pivot_row
-        for f in self.free_columns():
-            v = [Q0] * self.ncols
-            v[f] = Q1
-            for p, row in piv.items():
-                c = row.get(f)
-                if c:
-                    v[p] = -c
-            cols.append(tuple(v))
-        return cols
+    def nullspace_maps(self):
+        """Kernel basis of the row space seen as a map Q^ncols -> rows, one
+        {coordinate: value} per free column, in free-column order."""
+        free = {f: {f: Q1} for f in self.free_columns()}
+        for p, row in self.pivot_row.items():
+            for f, c in row.items():
+                if f != p and c:
+                    free[f][p] = -c
+        return list(free.values())
 
     def residual(self, row):
         return {j: v for j, v in self.reduce(row).items() if v}
@@ -343,33 +519,20 @@ class SpanSolver:
         return coeffs
 
 
-def _matrix_rows_as_dicts(m: Matrix):
-    out = []
+def _row_echelon(m: Matrix):
+    ech = Echelon(m.cols)
     for i in range(m.rows):
-        row = {}
-        base = i * m.cols
-        for j in range(m.cols):
-            v = m.data[base + j]
-            if v:
-                row[j] = v
-        out.append(row)
-    return out
+        ech.insert(_clear_denominators(dict(m.row_items(i))))
+    return ech
 
 
 def rank(m: Matrix) -> int:
-    ech = Echelon(m.cols)
-    for row in _matrix_rows_as_dicts(m):
-        ech.insert(_clear_denominators(row))
-    return ech.rank
+    return _row_echelon(m).rank
 
 
 def nullspace_basis(m: Matrix) -> Matrix:
     """Columns form the canonical basis of {v : m v = 0}."""
-    ech = Echelon(m.cols)
-    for row in _matrix_rows_as_dicts(m):
-        ech.insert(_clear_denominators(row))
-    cols = ech.nullspace_columns()
-    return Matrix.from_columns(cols, m.cols)
+    return Matrix.from_column_maps(_row_echelon(m).nullspace_maps(), m.cols)
 
 
 def solve(m: Matrix, b) -> tuple:
@@ -379,12 +542,7 @@ def solve(m: Matrix, b) -> tuple:
     # eliminate on the transpose-augmented system: row-reduce [m | b] columns
     ech = Echelon(m.cols + 1)
     for i in range(m.rows):
-        row = {}
-        base = i * m.cols
-        for j in range(m.cols):
-            v = m.data[base + j]
-            if v:
-                row[j] = v
+        row = dict(m.row_items(i))
         bi = scalar(b[i])
         if bi:
             row[m.cols] = bi
@@ -397,14 +555,6 @@ def solve(m: Matrix, b) -> tuple:
     return tuple(x)
 
 
-def column_space_echelon(m: Matrix) -> Echelon:
-    ech = Echelon(m.rows)
-    for j in range(m.cols):
-        col = {i: m.data[i * m.cols + j] for i in range(m.rows) if m.data[i * m.cols + j]}
-        ech.insert(_clear_denominators(col))
-    return ech
-
-
 def quotient_basis(ambient_dim: int, subspace: Matrix):
     """Projector/section pair for Q^ambient / span(columns of subspace).
 
@@ -415,62 +565,18 @@ def quotient_basis(ambient_dim: int, subspace: Matrix):
         raise ValueError("subspace rows must equal ambient_dim")
     ech = Echelon(ambient_dim)
     for j in range(subspace.cols):
-        col = {i: subspace[i, j] for i in range(ambient_dim) if subspace[i, j]}
-        ech.insert(_clear_denominators(col))
+        ech.insert(_clear_denominators(dict(subspace.col_items(j))))
     free = ech.free_columns()
     qdim = len(free)
+    slot = {f: k for k, f in enumerate(free)}
     # section: unit vectors on the non-pivot coordinates
-    section = Matrix.from_columns(
-        [tuple(Q1 if i == f else Q0 for i in range(ambient_dim)) for f in free],
-        ambient_dim)
-    # projector row k reads off the free-coordinate k of the reduction
-    proj_rows = []
-    for k, f in enumerate(free):
-        proj_rows.append([Q0] * ambient_dim)
-        proj_rows[k][f] = Q1
+    section = Matrix.from_column_maps([{f: Q1} for f in free], ambient_dim)
+    # projector row k reads off the free-coordinate k of the reduction:
+    # the residual of e_p has free part -row[f]
+    proj = {k * ambient_dim + f: Q1 for k, f in enumerate(free)}
     for p, row in ech.pivot_row.items():
-        # residual of e_p has free part -row[f]
-        for k, f in enumerate(free):
-            c = row.get(f)
-            if c:
-                proj_rows[k][p] = -c
-    if proj_rows:
-        projector = Matrix.from_rows(proj_rows)
-    else:
-        projector = Matrix.zero(0, ambient_dim)
-    return projector, section
-
-
-def intersect_rowspaces(e1_rows, ncols, e2_rows):
-    """Basis (list of dict rows) of the intersection of two row spans."""
-    # standard kernel trick: rows of [A; B], kernel pairing
-    a = [dict(r) for r in e1_rows]
-    b = [dict(r) for r in e2_rows]
-    big = Echelon(len(a) + len(b))
-    # x in span(A) cap span(B): x = u A = -v B: (u, v) in kernel of stacked transpose
-    # build matrix with columns a-rows then b-rows, over coordinates 0..ncols
-    mat_cols = []
-    for r in a:
-        mat_cols.append(r)
-    for r in b:
-        mat_cols.append({j: -v for j, v in r.items()})
-    m = Matrix.zero(ncols, len(mat_cols)) if not mat_cols else Matrix.from_columns(
-        [tuple(c.get(i, Q0) for i in range(ncols)) for c in mat_cols], ncols)
-    ns = nullspace_basis(m)
-    out = []
-    seen = Echelon(ncols)
-    for j in range(ns.cols):
-        coeff = ns.column(j)
-        vec = {}
-        for idx, r in enumerate(a):
-            c = coeff[idx]
-            if c:
-                for k, v in r.items():
-                    w = vec.get(k, Q0) + c * v
-                    if w:
-                        vec[k] = w
-                    else:
-                        vec.pop(k, None)
-        if vec and seen.insert(dict(vec)) is not None:
-            out.append(vec)
-    return out
+        for f, c in row.items():
+            k = slot.get(f)
+            if k is not None:
+                proj[k * ambient_dim + p] = -c
+    return Matrix.sparse(qdim, ambient_dim, proj), section

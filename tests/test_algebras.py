@@ -1,5 +1,10 @@
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+
+import pytest
 
 from hhengine.errors import CyclicQuiver, NotAGroup
 from hhengine.linalg import Matrix, rank
@@ -169,3 +174,29 @@ def test_dual_data_spans_and_double_dual():
     ddual, _ = alg.bimodule_dual(d0)
     cmpm = alg.double_dual_comparison(p0, d0, ddual)
     assert cmpm == Matrix.identity(p0.dim)
+
+
+def test_witness_checks_fire_under_python_O():
+    # a doctored summand section must still be caught with asserts stripped
+    code = textwrap.dedent("""
+        import hhengine.algebras as alg
+        import hhengine.complexes as cx
+        from hhengine.errors import InvariantViolation
+        z2 = alg.group_algebra([[0, 1], [1, 0]])
+        reg = alg.regular_bimodule(z2)
+        pd = alg.proj_data(reg)
+        pd.section = pd.section.scale(2)
+        one = cx.single_term_complex(reg)
+        ab = cx.direct_sum(one, one).term(0)
+        try:
+            alg.proj_data(ab)
+        except InvariantViolation as e:
+            print("debug", __debug__, "raised", e)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(alg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("debug False raised")
+    assert "direct sum witness failed" in out.stdout

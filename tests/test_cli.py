@@ -98,6 +98,14 @@ def test_schema_error_on_bad_document():
     bad["spaces"]["pt"] = {"type": "mystery"}
     with pytest.raises(SchemaError):
         cli.Workspace(bad, "x")
+    bad = load_ws("pt")
+    bad["tasks"].append("hh-pt")
+    with pytest.raises(SchemaError, match="not an object"):
+        cli.Workspace(bad, "x")
+    bad = load_ws("pt")
+    bad["kernels"] = []
+    with pytest.raises(SchemaError, match="must be objects"):
+        cli.Workspace(bad, "x")
 
 
 def test_failing_task_sets_exit_status():
@@ -166,3 +174,47 @@ def test_explain_pushforward_with_class(tmp_path, capsys):
     assert cli.main(["explain", str(p), "push-one"]) == 0
     out = capsys.readouterr().out
     assert "gamma'" in out and "eps(" in out and "value" in out
+
+
+def test_partial_trace_over_a_zero_convolution_fails_per_task():
+    # the dual of triv convolved with sgn is the zero complex over BZ2, so
+    # there is no 2-morphism to trace
+    doc = load_ws("bz2")
+    doc["kernels"]["trivd"] = {"type": "dual-of", "kernel": "triv"}
+    doc["tasks"] = [{"id": "pt-zero", "op": "verify", "check": "partial-trace",
+                     "phi": "trivd", "psi": "sgn", "count": 1}]
+    report, ok = cli.run_workspace(doc, "bz2.json")
+    assert not ok
+    assert payloads(report)["pt-zero"] == (
+        "fail", {"error": "no 2-morphisms available for partial-trace"})
+
+
+@pytest.mark.parametrize("where, bad", [
+    ("task", {"id": "t", "op": "chern", "kernel": "nope"}),
+    ("task", {"id": "t", "op": "euler", "kernels": ["sgn", "nope"]}),
+    ("task", {"id": "t", "op": "verify", "check": "partial-trace",
+              "phi": "sgn", "psi": "nope"}),
+    ("task", {"id": "t", "op": "verify", "check": "functoriality",
+              "outer": "nope", "inner": "sgn"}),
+    ("task", {"id": "t", "op": "verify", "check": "adjointness",
+              "left": "sgn", "right": "nope"}),
+    ("task", {"id": "t", "op": "pushforward", "kernel": "sgn",
+              "class": "nope"}),
+    ("kernel", {"type": "dual-of", "kernel": "nope"}),
+    ("kernel", {"type": "convolution-of", "kernels": ["sgn", "nope"]}),
+    ("class", {"type": "chern-of", "kernel": "nope"}),
+])
+def test_unknown_references_are_schema_errors(tmp_path, capsys, where, bad):
+    doc = load_ws("bz2")
+    if where == "task":
+        doc["tasks"].append(bad)
+    elif where == "kernel":
+        doc["kernels"]["broken"] = bad
+    else:
+        doc["classes"]["broken"] = bad
+    with pytest.raises(SchemaError, match="nope"):
+        cli.Workspace(doc, "bz2.json")
+    p = tmp_path / "ws.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["run", str(p)]) == 2
+    assert "nope" in capsys.readouterr().err

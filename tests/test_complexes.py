@@ -84,6 +84,13 @@ def test_hom_complex_point_and_shift():
     assert h2.complex.degrees() == [1]
 
 
+def test_hom_complex_with_a_zero_side_is_zero():
+    q = vect_complex({0: 1}, {})
+    zero = vect_complex({}, {})
+    assert cx.hom_complex(zero, q).complex.degrees() == []
+    assert cx.hom_complex(q, zero).complex.degrees() == []
+
+
 def test_hom_complex_of_a2_identity_resolution():
     a2 = alg.path_algebra(2, [(0, 1)])
     c, _ = alg.projective_resolution(alg.regular_bimodule(a2))

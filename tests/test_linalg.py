@@ -88,3 +88,164 @@ def test_echelon_insert_reduces_fully():
     e.insert({1: Fraction(1), 2: Fraction(1)})
     # first pivot row must have been back-substituted
     assert e.pivot_row[0].get(1) is None
+
+
+# -- randomized comparison with a dense list-of-lists reference ----------------
+
+VALUES = [Fraction(v) for v in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-3, 4)]
+
+
+def rand_dense(rng, rows, cols, density=None):
+    density = rng.choice((0.0, 0.2, 0.5, 1.0)) if density is None else density
+    return [[rng.choice(VALUES) if rng.random() < density else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def shape(rng):
+    return rng.randrange(0, 5), rng.randrange(0, 5)
+
+
+def dense(mat):
+    """The reference's view of a Matrix, through the entry accessor only."""
+    return [[mat[i, j] for j in range(mat.cols)] for i in range(mat.rows)]
+
+
+def d_mul(a, b, inner):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+def d_transpose(a, rows, cols):
+    return [[a[i][j] for i in range(rows)] for j in range(cols)]
+
+
+def d_rref(rows, ncols):
+    """Reduced row echelon form; rows in order, pivot = first nonzero."""
+    out = []                        # (pivot column, row)
+    for r in rows:
+        r = list(r)
+        for p, pr in out:
+            c = r[p]
+            if c:
+                r = [x - c * y for x, y in zip(r, pr)]
+        piv = next((j for j in range(ncols) if r[j]), None)
+        if piv is None:
+            continue
+        r = [x / r[piv] for x in r]
+        out = [(p, [x - pr[piv] * y for x, y in zip(pr, r)]) for p, pr in out]
+        out.append((piv, r))
+    return dict(out)
+
+
+def test_matrix_operations_match_dense_reference():
+    rng = random.Random(11)
+    for _ in range(150):
+        r, c = shape(rng)
+        a = rand_dense(rng, r, c)
+        ma = Matrix.from_rows(a) if r else Matrix(0, c, [])
+        assert (ma.rows, ma.cols) == (r, c)
+        assert dense(ma) == a
+        assert ma.data == tuple(x for row in a for x in row)
+        assert all(ma.row(i) == tuple(a[i]) for i in range(r))
+        assert all(ma.column(j) == tuple(a[i][j] for i in range(r))
+                   for j in range(c))
+        assert ma == Matrix(r, c, ma.data)
+        assert ma == Matrix.from_columns([ma.column(j) for j in range(c)], r)
+        assert ma.is_zero() == all(not x for row in a for x in row)
+        mt = ma.transpose()
+        assert (mt.rows, mt.cols) == (c, r) and dense(mt) == d_transpose(a, r, c)
+        assert mt.transpose() == ma
+        # +, -, scale, == and hash
+        b = rand_dense(rng, r, c)
+        mb = Matrix(r, c, [x for row in b for x in row])
+        s = [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]
+        assert dense(ma + mb) == s
+        assert dense(ma - mb) == [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
+        assert ma + mb == mb + ma and hash(ma + mb) == hash(mb + ma)
+        assert (ma - ma).is_zero() and ma - ma == Matrix.zero(r, c)
+        k = rng.choice(VALUES + [Fraction(0)])
+        assert dense(ma.scale(k)) == [[k * x for x in row] for row in a]
+        assert dense(-ma) == [[-x for x in row] for row in a]
+        assert (ma == mb) == (a == b)
+        # apply
+        v = tuple(rng.choice(VALUES + [Fraction(0)] * 3) for _ in range(c))
+        assert ma.apply(v) == tuple(
+            sum((a[i][j] * v[j] for j in range(c)), Fraction(0)) for i in range(r))
+        # product with a random right factor, including empty inner sizes
+        p = rng.randrange(0, 5)
+        e = rand_dense(rng, c, p)
+        me = Matrix(c, p, [x for row in e for x in row])
+        prod = ma * me
+        assert (prod.rows, prod.cols) == (r, p)
+        assert dense(prod) == [[sum((a[i][t] * e[t][j] for t in range(c)), Fraction(0))
+                                for j in range(p)] for i in range(r)]
+        # hstack and kronecker
+        h = rand_dense(rng, r, p)
+        mh = Matrix(r, p, [x for row in h for x in row])
+        assert dense(ma.hstack(mh)) == [a[i] + h[i] for i in range(r)]
+        r2, c2 = shape(rng)
+        g = rand_dense(rng, r2, c2)
+        mg = Matrix(r2, c2, [x for row in g for x in row])
+        kr = ma.kronecker(mg)
+        assert (kr.rows, kr.cols) == (r * r2, c * c2)
+        assert dense(kr) == [[a[i][j] * g[k][l] for j in range(c) for l in range(c2)]
+                             for i in range(r) for k in range(r2)]
+
+
+def test_empty_shapes():
+    for r, c in ((0, 0), (0, 3), (3, 0)):
+        z = Matrix.zero(r, c)
+        assert z.data == () and z.is_zero() and z == Matrix(r, c, [])
+        assert z.transpose() == Matrix.zero(c, r)
+        assert z.apply((Fraction(1),) * c) == (Fraction(0),) * r
+        assert (z * Matrix.zero(c, 2)) == Matrix.zero(r, 2)
+        assert nullspace_basis(z) == Matrix.identity(c)
+    assert Matrix.from_rows([]) == Matrix.zero(0, 0)
+    assert Matrix.from_columns([], 3) == Matrix.zero(3, 0)
+
+
+def test_eliminations_match_dense_reference_bit_for_bit():
+    rng = random.Random(12)
+    for _ in range(150):
+        r, c = shape(rng)
+        a = rand_dense(rng, r, c)
+        ma = Matrix(r, c, [x for row in a for x in row])
+        # nullspace: one vector per free column of rref(a), in column order
+        piv = d_rref(a, c)
+        free = [j for j in range(c) if j not in piv]
+        want = []
+        for f in free:
+            vec = [Fraction(0)] * c
+            vec[f] = Fraction(1)
+            for p, row in piv.items():
+                vec[p] = -row[f]
+            want.append(vec)
+        ns = nullspace_basis(ma)
+        assert (ns.rows, ns.cols) == (c, len(free))
+        assert [list(ns.column(j)) for j in range(ns.cols)] == want
+        assert rank(ma) == len(piv)
+        # solve: the particular solution with every free unknown zero
+        b = [rng.choice(VALUES + [Fraction(0)]) for _ in range(r)]
+        aug = d_rref([a[i] + [b[i]] for i in range(r)], c + 1)
+        if c in aug:
+            with pytest.raises(Inconsistent):
+                solve(ma, b)
+        else:
+            x = [Fraction(0)] * c
+            for p, row in aug.items():
+                x[p] = row[c]
+            assert solve(ma, b) == tuple(x)
+        # quotient of Q^r by the column span of a
+        if r:
+            sub = d_rref(d_transpose(a, r, c), r)
+            qfree = [i for i in range(r) if i not in sub]
+            proj = [[Fraction(0)] * r for _ in qfree]
+            for k, f in enumerate(qfree):
+                proj[k][f] = Fraction(1)
+                for p, row in sub.items():
+                    proj[k][p] = -row[f]
+            sect = [[Fraction(1) if i == f else Fraction(0) for f in qfree]
+                    for i in range(r)]
+            pm, sm = quotient_basis(r, ma)
+            assert (pm.rows, pm.cols, sm.rows, sm.cols) == (len(qfree), r, r, len(qfree))
+            assert dense(pm) == proj and dense(sm) == sect
