@@ -28,6 +28,20 @@ from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver, _clear_denominators,
                      quotient_basis, scalar)
 
 
+def _memo(owner, key, build):
+    """build(), stored on owner under key and returned on every later call.
+
+    An entry lives exactly as long as its owner.  A key holds the other
+    objects it depends on, never their id(): the engine's objects hash by
+    identity, and holding them keeps an id from being reused by a different
+    object while the entry lives.
+    """
+    memo = owner.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def _vec(entries):
     return tuple(scalar(x) for x in entries)
 
@@ -48,8 +62,6 @@ class Algebra:
         self.idempotents = tuple(_vec(u) for u in (idempotents or [unit]))
         self._right_mult = None
         self._gens = None
-        self._piece_cache = {}
-        self._dual_piece_cache = {}
         if check:
             self._check()
 
@@ -142,37 +154,24 @@ class Algebra:
     def generator_vectors(self):
         return tuple(_unit_vector(self.dim, i) for i in self.generators())
 
-    # -- cyclic pieces R.u and u.R (cached per idempotent index) -------------
+    # -- cyclic pieces R.u and u.R --------------------------------------------
 
-    def left_piece(self, uidx):
-        """(basis matrix, coordinate solver) for A.u, u = idempotents[uidx]."""
-        if uidx not in self._piece_cache:
+    def piece(self, side, uidx):
+        """(basis matrix, coordinate solver) for A.u (side "left") or u.A
+        (side "right"), u = idempotents[uidx]."""
+        def build():
             u = self.idempotents[uidx]
             cols, solver = [], SpanSolver(self.dim)
             ech = Echelon(self.dim)
             for i in range(self.dim):
-                v = self.multiply(_unit_vector(self.dim, i), u)
+                e = _unit_vector(self.dim, i)
+                v = self.multiply(e, u) if side == "left" else self.multiply(u, e)
                 row = {k: x for k, x in enumerate(v) if x}
                 if ech.insert(_clear_denominators(dict(row))) is not None:
                     cols.append(v)
                     solver.add(row)
-            self._piece_cache[uidx] = (Matrix.from_columns(cols, self.dim), solver)
-        return self._piece_cache[uidx]
-
-    def right_piece(self, uidx):
-        """(basis matrix, coordinate solver) for u.A."""
-        if uidx not in self._dual_piece_cache:
-            u = self.idempotents[uidx]
-            cols, solver = [], SpanSolver(self.dim)
-            ech = Echelon(self.dim)
-            for i in range(self.dim):
-                v = self.multiply(u, _unit_vector(self.dim, i))
-                row = {k: x for k, x in enumerate(v) if x}
-                if ech.insert(_clear_denominators(dict(row))) is not None:
-                    cols.append(v)
-                    solver.add(row)
-            self._dual_piece_cache[uidx] = (Matrix.from_columns(cols, self.dim), solver)
-        return self._dual_piece_cache[uidx]
+            return Matrix.from_columns(cols, self.dim), solver
+        return _memo(self, (side, uidx), build)
 
 
 # -- constructors -----------------------------------------------------------
@@ -303,29 +302,11 @@ def tensor_product(a: Algebra, b: Algebra):
             idems.append(tuple(x * y for x in u for y in v))
     t = Algebra(lm, unit, label=f"{a.label}(x){b.label}",
                 idempotents=idems, check=False)
-    # generators g(x)1, 1(x)h are enough and much smaller than greedy's find
-    gens = []
-    for i in a.generators():
-        gi = _unit_vector(a.dim, i)
-        gens.append(tuple(x * y for x in gi for y in b.unit))
-    for j in b.generators():
-        hj = _unit_vector(b.dim, j)
-        gens.append(tuple(x * y for x in a.unit for y in hj))
-    t._tensor_gen_vectors = tuple(gens)
-    t._tensor_factors = (a, b)
     return t
 
 
 def enveloping(a: Algebra):
     return tensor_product(a, opposite(a))
-
-
-def algebra_generator_vectors(a: Algebra):
-    """Generator vectors; tensor products use the factorwise shortcut."""
-    shortcut = getattr(a, "_tensor_gen_vectors", None)
-    if shortcut is not None:
-        return shortcut
-    return a.generator_vectors()
 
 
 # -- bimodules ---------------------------------------------------------------
@@ -404,14 +385,12 @@ class Bimodule:
         return self._env_gen_acts
 
 
-_ENV_CACHE = {}
-
-
 def enveloping_of(left: Algebra, right: Algebra):
-    key = (id(left), id(right))
-    if key not in _ENV_CACHE:
-        _ENV_CACHE[key] = (tensor_product(left, opposite(right)), left, right)
-    return _ENV_CACHE[key][0]
+    """left (x) right^op, stored on the algebra that is not the shared point
+    algebra, so the singleton never holds an entry naming another algebra."""
+    owner = right if left is _POINT else left
+    return _memo(owner, ("env", left, right),
+                 lambda: tensor_product(left, opposite(right)))
 
 
 def point_bimodule(dim, label="V"):
@@ -569,7 +548,7 @@ def build_cover(m: Bimodule, gens=None):
             ug = m.act_env(u).apply(g)
             if not any(ug):
                 continue
-            basis, solver = env.left_piece(uidx)
+            basis, solver = env.piece("left", uidx)
             pieces.append((uidx, ug, basis, solver))
             for c in range(basis.cols):
                 ev_cols.append(m.act_env(basis.column(c)).apply(ug))
@@ -781,37 +760,35 @@ def projective_resolution(m: Bimodule, max_length=None):
 # -- hom spaces ---------------------------------------------------------------
 
 
-_HOM_CACHE = {}
+def _hom_system(m: Bimodule, n: Bimodule):
+    """(basis, coordinate solver) of the bimodule maps m -> n."""
+    def build():
+        if m.left is not n.left or m.right is not n.right:
+            raise AlgebraMismatch("hom between bimodules over different pairs")
+        gm = m.env_generator_actions()
+        gn = n.env_generator_actions()
+        nm, nn = m.dim, n.dim
+        ech = Echelon(nn * nm)
+        for am, an in zip(gm, gn):
+            for row in _commutator_rows(am, an, nm, nn):
+                ech.insert(row)
+        basis = [Matrix.sparse(nn, nm, v) for v in ech.nullspace_maps()]
+        solver = SpanSolver(nn * nm)
+        for b in basis:
+            solver.add(b.flat_items())
+        return basis, solver
+    return _memo(m, ("hom", n), build)
 
 
 def hom_basis(m: Bimodule, n: Bimodule):
     """Basis matrices of bimodule maps m -> n (same algebra pair required)."""
-    key = (id(m), id(n))
-    hit = _HOM_CACHE.get(key)
-    if hit is not None:
-        return hit[0]
-    if m.left is not n.left or m.right is not n.right:
-        raise AlgebraMismatch("hom between bimodules over different pairs")
-    gm = m.env_generator_actions()
-    gn = n.env_generator_actions()
-    nm, nn = m.dim, n.dim
-    ech = Echelon(nn * nm)
-    for am, an in zip(gm, gn):
-        for row in _commutator_rows(am, an, nm, nn):
-            ech.insert(row)
-    basis = [Matrix.sparse(nn, nm, v) for v in ech.nullspace_maps()]
-    solver = SpanSolver(nn * nm)
-    for b in basis:
-        solver.add(b.flat_items())
-    _HOM_CACHE[key] = (basis, solver, m, n)
-    return basis
+    return _hom_system(m, n)[0]
 
 
 def hom_coordinates(m: Bimodule, n: Bimodule, mat: Matrix):
     """Coordinates of a map in the hom_basis, or None if not a module map."""
     hom_basis(m, n)
-    solver = _HOM_CACHE[(id(m), id(n))][1]
-    return solver.express(mat.flat_items())
+    return _hom_system(m, n)[1].express(mat.flat_items())
 
 
 # -- tensor over the middle algebra, with derived projectivity data -----------
@@ -938,7 +915,7 @@ def _tensor_proj_data(t, m, n, proj, sect):
             for w in wcols:
                 gp_w = m.act_right(w).apply(g_p)
                 gen_t = proj.apply(_kron_vec_pair(gp_w, vb_hq))
-                basis_t, solver_t = env_t.left_piece(it)
+                basis_t, solver_t = env_t.piece("left", it)
                 pieces.append((it, tuple(gen_t), basis_t, solver_t))
             piece_meta.append((p, q, wsolver, len(wcols), it))
     # evaluation matrix
@@ -1056,7 +1033,7 @@ def bimodule_dual(m: Bimodule, label=None):
                 in zip(pd.cover.pieces, pd.coordinates())]
     candidates = []
     for uidx, gen, s_p in s_blocks:
-        rbasis, _ = env.right_piece(uidx)
+        rbasis, _ = env.piece("right", uidx)
         for c in range(rbasis.cols):
             w = rbasis.column(c)
             fmat = env.right_mult_matrix(w) * s_p
@@ -1099,7 +1076,7 @@ def _dual_proj_data(md, m, dd, s_blocks):
     for uidx, gen, s_p in s_blocks:
         il, ir = _piece_factor_indices(m, uidx)
         itd = ir * n_left_fam + il
-        basis_d, solver_d = envd.left_piece(itd)
+        basis_d, solver_d = envd.piece("left", itd)
         f0 = dd.express(s_p)
         if f0 is None:
             raise InvariantViolation("dual generator escaped the dual basis")

@@ -22,6 +22,7 @@ from .errors import AlgebraMismatch, NotPerfect
 from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver, _clear_denominators,
                      block_diag, nullspace_basis, quotient_basis)
 from . import algebras as alg
+from .algebras import _memo
 
 
 class Complex:
@@ -68,12 +69,6 @@ class Complex:
         if d is not None:
             return d
         return Matrix.zero(self.dim(n + 1), self.dim(n))
-
-    def total_dim(self):
-        return sum(t.dim for t in self.terms.values())
-
-    def euler_characteristic(self):
-        return sum((-1) ** (n % 2) * t.dim for n, t in self.terms.items())
 
     def __repr__(self):
         parts = ", ".join(f"{n}:{t.dim}" for n, t in sorted(self.terms.items()))
@@ -214,11 +209,6 @@ def shift(c: Complex, k: int):
     return Complex(terms, diffs, c.left, c.right, check=False)
 
 
-def shift_map(f: ChainMap, k: int, shifted_source, shifted_target):
-    comps = {n - k: m for n, m in f.components.items()}
-    return ChainMap(shifted_source, shifted_target, f.degree, comps, check=False)
-
-
 def direct_sum(c: Complex, d: Complex):
     if c.left is not d.left or c.right is not d.right:
         raise AlgebraMismatch("direct sum over different algebra pairs")
@@ -283,30 +273,14 @@ def cone(f: ChainMap):
 # -- tensor of complexes ---------------------------------------------------------
 
 
-_TERM_TENSOR_CACHE = {}
-
-
 def term_tensor(m, n):
-    key = (id(m), id(n))
-    hit = _TERM_TENSOR_CACHE.get(key)
-    if hit is None:
-        t, proj, sect = alg.bimodule_tensor(m, n)
-        hit = (t, proj, sect, m, n)
-        _TERM_TENSOR_CACHE[key] = hit
-    return hit[0], hit[1], hit[2]
-
-
-_TC_CACHE = {}
+    """(m (x)_B n, projection, section), built once per pair of terms."""
+    return _memo(m, ("tensor", n), lambda: alg.bimodule_tensor(m, n))
 
 
 def tc_of(c, d):
-    """Cached TensorComplex; object identity matters to every consumer."""
-    key = (id(c), id(d))
-    hit = _TC_CACHE.get(key)
-    if hit is None:
-        hit = (TensorComplex(c, d), c, d)
-        _TC_CACHE[key] = hit
-    return hit[0]
+    """Memoised TensorComplex; object identity matters to every consumer."""
+    return _memo(c, ("tc", d), lambda: TensorComplex(c, d))
 
 
 class TensorComplex:

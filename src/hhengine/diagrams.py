@@ -288,12 +288,6 @@ def boundary_of(t: kn.TwoMorphism, env: Environment):
     return describe(t.source), describe(t.target)
 
 
-def _serre_pair(space, order):
-    sk = space.serre_kernel(verify=False).factors[0]
-    anti = space.anti_serre_kernel().factors[0]
-    return (anti, sk) if order == "anti_first" else (sk, anti)
-
-
 def reconcile(src: kn.Kernel, tgt: kn.Kernel):
     """A canonical 2-morphism src => tgt built from Serre pair insertions
     and cancelations; None when the factor lists cannot be aligned."""

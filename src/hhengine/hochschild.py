@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SpaceMismatch
+from .errors import InvariantViolation, SpaceMismatch
 from .linalg import Matrix, Q0, Q1, quotient_basis, scalar
 from . import algebras as alg
+from .algebras import _memo
 from . import complexes as cx
 from . import kernels as kn
 
@@ -40,8 +41,8 @@ class HochschildClass:
                 and self.coords == other.coords)
 
     def add(self, other):
-        assert self == other or (self.space is other.space
-                                 and self.degree == other.degree)
+        if self.space is not other.space or self.degree != other.degree:
+            raise InvariantViolation(f"cannot add {other!r} to {self!r}")
         return HochschildClass(self.space, self.variance, self.degree,
                                [a + b for a, b in zip(self.coords, other.coords)])
 
@@ -80,35 +81,25 @@ class GradedData:
         vec = self.hc.coordinates(f.components, n)
         dim, _, projector = self.data.get(n, (0, None, None))
         if dim == 0:
-            if any(vec):
-                # must still be a boundary for consistency
-                pass
             return ()
         return tuple(projector.apply(vec))
 
 
-_HH_CACHE = {}
-
-
 def hh_data(space) -> GradedData:
     """Hochschild homology data: Hom(anti_serre, Id), HH_i at degree -i."""
-    key = ("hh", id(space))
-    if key not in _HH_CACHE:
+    def build():
         anti = space.anti_serre_kernel()
         idk = space.identity_kernel()
-        hc = kn.two_morphism_space(anti, idk, 0)
-        _HH_CACHE[key] = (GradedData(hc), space)
-    return _HH_CACHE[key][0]
+        return GradedData(kn.two_morphism_space(anti, idk, 0))
+    return _memo(space, "hh", build)
 
 
 def hcoh_data(space) -> GradedData:
     """Hochschild cohomology data: Hom(Id, Id), HH^i at degree +i."""
-    key = ("hcoh", id(space))
-    if key not in _HH_CACHE:
+    def build():
         idk = space.identity_kernel()
-        hc = kn.two_morphism_space(idk, idk, 0)
-        _HH_CACHE[key] = (GradedData(hc), space)
-    return _HH_CACHE[key][0]
+        return GradedData(kn.two_morphism_space(idk, idk, 0))
+    return _memo(space, "hcoh", build)
 
 
 def hh(space):
@@ -372,18 +363,14 @@ def pairing_matrix(space, i=0):
 # -- modules as kernels, Chern character, Euler pairing --------------------------
 
 
-_MODULE_KERNELS = {}
-
-
 def module_kernel(space, pt_space, module: alg.Bimodule, label=None):
     """A left module over space.algebra as a strictly perfect kernel pt -> X."""
-    key = (id(space), id(module))
-    if key not in _MODULE_KERNELS:
+    def build():
         res, _ = alg.projective_resolution(module)
         a = kn.AtomicKernel(pt_space, space, res, label or module.label,
                             check=False)
-        _MODULE_KERNELS[key] = (kn.conv_kernel((a,)), module, space)
-    return _MODULE_KERNELS[key][0]
+        return kn.conv_kernel((a,))
+    return _memo(module, ("kernel", space), build)
 
 
 def chern(e: kn.Kernel, one: HochschildClass):
@@ -481,16 +468,12 @@ def cardy_check(x, e: kn.Kernel, f: kn.Kernel, s: kn.TwoMorphism,
 # -- class functions on group-algebra spaces -------------------------------------
 
 
-_REG_KERNELS = {}
-
-
 def _regular_module_kernel(space, pt_space):
-    key = id(space)
-    if key not in _REG_KERNELS:
+    def build():
         a = space.algebra
         regmod = alg.module_as_bimodule(a, list(a.left_mult), f"reg({a.label})")
-        _REG_KERNELS[key] = (module_kernel(space, pt_space, regmod), space)
-    return _REG_KERNELS[key][0]
+        return module_kernel(space, pt_space, regmod)
+    return _memo(space, "regular module kernel", build)
 
 
 def class_function(space, pt_space, v: HochschildClass, reps):

@@ -3,11 +3,11 @@ counits, traces and partial traces.
 
 A kernel X -> Y is a strictly perfect complex of (Y-algebra, X-algebra)-
 bimodules.  Composite kernels are normalized to right-nested convolutions
-of their atomic factors and cached, so equal factor lists yield the *same*
+of their atomic factors and memoised, so equal factor lists yield the *same*
 Kernel object, and identity kernels (no factors) are contracted eagerly.
 Horizontal composition of 2-morphisms runs through explicit regrouping
-mediators; associators are recomputed through the stored quotient sections,
-never stored.  Equality of 2-morphisms is always modulo homotopy.
+mediators; associators are built from the stored quotient sections and
+memoised on their first complex.  Equality of 2-morphisms is always modulo homotopy.
 
 The canonical units and counits come from explicit formulas on witnessed
 projective coordinates:
@@ -25,10 +25,11 @@ class is unique, which is what pins the calculus down.
 
 from __future__ import annotations
 
-from .errors import (AlgebraMismatch, NotPerfect, SerreInverseFailed,
-                     ShapeMismatch)
+from .errors import (AlgebraMismatch, InvariantViolation, NotPerfect,
+                     SerreInverseFailed, ShapeMismatch)
 from .linalg import Matrix, Q0, Q1, solve
 from . import algebras as alg
+from .algebras import _memo
 from . import complexes as cx
 
 
@@ -56,7 +57,7 @@ class AtomicKernel:
 
 
 class Kernel:
-    """A 1-morphism: cached right-nested convolution of atomic factors."""
+    """A 1-morphism: memoised right-nested convolution of atomic factors."""
 
     def __init__(self, source, target, factors, complex_, tc=None):
         self.source = source
@@ -65,7 +66,6 @@ class Kernel:
         self.complex = complex_
         self.tc = tc
         self._dual = None
-        self._cache = {}
 
     @property
     def is_identity(self):
@@ -77,32 +77,26 @@ class Kernel:
         return ".".join(f.label for f in self.factors)
 
 
-_CONV_CACHE = {}
-
-
 def conv_kernel(factors, source=None, target=None):
-    """The cached right-nested convolution of an atomic factor list."""
+    """The memoised right-nested convolution of an atomic factor list."""
     factors = tuple(factors)
     if not factors:
-        assert source is not None and source is target or target is None
+        if not (source is not None and source is target or target is None):
+            raise InvariantViolation("empty convolution between different spaces")
         return source.identity_kernel()
-    key = tuple(id(f) for f in factors)
-    hit = _CONV_CACHE.get(key)
-    if hit is not None:
-        return hit
-    for a, b in zip(factors, factors[1:]):
-        if a.source is not b.target:
-            raise AlgebraMismatch(
-                f"factors not composable: {a.label} after {b.label}")
-    if len(factors) == 1:
-        k = Kernel(factors[0].source, factors[0].target, factors,
-                   factors[0].complex)
-    else:
+
+    def build():
+        for a, b in zip(factors, factors[1:]):
+            if a.source is not b.target:
+                raise AlgebraMismatch(
+                    f"factors not composable: {a.label} after {b.label}")
+        if len(factors) == 1:
+            return Kernel(factors[0].source, factors[0].target, factors,
+                          factors[0].complex)
         rest = conv_kernel(factors[1:])
         tc = cx.tc_of(factors[0].complex, rest.complex)
-        k = Kernel(rest.source, factors[0].target, factors, tc.complex, tc)
-    _CONV_CACHE[key] = k
-    return k
+        return Kernel(rest.source, factors[0].target, factors, tc.complex, tc)
+    return _memo(factors[0], ("conv", factors), build)
 
 
 def convolve(psi: Kernel, phi: Kernel):
@@ -182,7 +176,6 @@ class Space:
         self._id_kernel = None
         self._serre_kernel = None
         self._anti_serre = None
-        self._cans = {}
 
     def __repr__(self):
         return f"Space({self.label})"
@@ -230,7 +223,7 @@ class Space:
         Degreewise the plain evaluation (the identity matrix on cover-shaped
         terms), with the graded twist (-1)^n that makes it a chain map under
         the (H1) dual differentials."""
-        if "dd" not in self._cans:
+        def build():
             idk = self.identity_kernel()
             anti = self.anti_serre_kernel()
             ddk = dual_kernel(anti)
@@ -241,61 +234,61 @@ class Space:
                     ddk.complex.term(n))
                 comps[n] = m if n % 2 == 0 else m.scale(-1)
             chain = cx.ChainMap(idk.complex, ddk.complex, 0, comps, check=True)
-            self._cans["dd"] = TwoMorphism(idk, ddk, chain)
-        return self._cans["dd"]
+            return TwoMorphism(idk, ddk, chain)
+        return _memo(self, "dd", build)
 
     def double_dual_inverse(self):
-        if "ddinv" not in self._cans:
+        def build():
             dd = self.double_dual_map()
             comps = {n: _invert(m) for n, m in dd.chain.components.items()}
             chain = cx.ChainMap(dd.target.complex, dd.source.complex, 0,
                                 comps, check=False)
-            self._cans["ddinv"] = TwoMorphism(dd.target, dd.source, chain)
-        return self._cans["ddinv"]
+            return TwoMorphism(dd.target, dd.source, chain)
+        return _memo(self, "ddinv", build)
 
     def can2(self):
         """Id => anti_serre . serre."""
-        if "can2" not in self._cans:
+        def build():
             anti = self.anti_serre_kernel()
             eta = unit_eta1(anti)  # Id => anti . anti^v . serre
             fix = hcompose([TwoMorphism.identity(anti),
                             self.double_dual_inverse(),
                             TwoMorphism.identity(self.serre_kernel(verify=False))])
-            self._cans["can2"] = fix.compose(eta)
-        return self._cans["can2"]
+            return fix.compose(eta)
+        return _memo(self, "can2", build)
 
     def can4(self):
         """Id => serre . anti_serre."""
-        if "can4" not in self._cans:
+        def build():
             anti = self.anti_serre_kernel()
             eta = unit_eta2(anti)  # Id => serre . anti^v . anti
             fix = hcompose([TwoMorphism.identity(self.serre_kernel(verify=False)),
                             self.double_dual_inverse(),
                             TwoMorphism.identity(anti)])
-            self._cans["can4"] = fix.compose(eta)
-        return self._cans["can4"]
+            return fix.compose(eta)
+        return _memo(self, "can4", build)
 
     def can5(self):
         """serre . anti_serre => Id (homotopy inverse of can4)."""
-        if "can5" not in self._cans:
+        def build():
             can4 = self.can4()
             idk = self.identity_kernel()
             f = cx.colift_through(cx.ChainMap.identity(idk.complex), can4.chain)
             if f is None:
                 raise SerreInverseFailed(self.label)
-            self._cans["can5"] = TwoMorphism(can4.target, idk, f)
-        return self._cans["can5"]
+            return TwoMorphism(can4.target, idk, f)
+        return _memo(self, "can5", build)
 
     def can6(self):
         """anti_serre . serre => Id (homotopy inverse of can2)."""
-        if "can6" not in self._cans:
+        def build():
             can2 = self.can2()
             idk = self.identity_kernel()
             f = cx.colift_through(cx.ChainMap.identity(idk.complex), can2.chain)
             if f is None:
                 raise SerreInverseFailed(self.label)
-            self._cans["can6"] = TwoMorphism(can2.target, idk, f)
-        return self._cans["can6"]
+            return TwoMorphism(can2.target, idk, f)
+        return _memo(self, "can6", build)
 
 
 def _invert(m: Matrix):
@@ -331,7 +324,8 @@ def dual_complex(c: cx.Complex):
         cols = []
         for f in ddn1.functionals:
             coords = ddn.express((f * c.differential(n)).scale(sgn))
-            assert coords is not None
+            if coords is None:
+                raise InvariantViolation("dual differential escaped the dual basis")
             cols.append(tuple(coords))
         diffs[-n - 1] = Matrix.from_columns(cols, mdn.dim)
     return cx.Complex(terms, diffs, c.right, c.left, check=True)
@@ -423,27 +417,22 @@ def _contract(space: Space, k: Kernel, side):
 
 def _insert_identity(k: Kernel, side):
     """(tc, Mediator k <-> TC(R,k) / TC(k,R)); the section is a solved lift."""
-    key = ("ins", side)
-    hit = k._cache.get(key)
-    if hit is None:
+    def build():
         space = k.target if side == "left" else k.source
         tc, c = _contract(space, k, side)
         u = cx.lift_through(_idc(k.complex), c)
-        assert u is not None, "identity reinsertion lift failed"
-        k._cache[key] = (tc, Mediator(u, c))
-        hit = k._cache[key]
-    return hit
-
-
-_ASSOC_CACHE = {}
+        if u is None:
+            raise InvariantViolation("identity reinsertion lift failed")
+        return tc, Mediator(u, c)
+    return _memo(k, ("ins", side), build)
 
 
 def _assoc(x: cx.Complex, y: cx.Complex, z: cx.Complex):
     """(outer_r, outer_l, Mediator): TC(x, TC(y,z)) <-> TC(TC(x,y), z)."""
-    key = (id(x), id(y), id(z))
-    hit = _ASSOC_CACHE.get(key)
-    if hit is not None:
-        return hit[0], hit[1], hit[2]
+    return _memo(x, ("assoc", y, z), lambda: _assoc_mediator(x, y, z))
+
+
+def _assoc_mediator(x: cx.Complex, y: cx.Complex, z: cx.Complex):
     inner_r = cx.tc_of(y, z)
     outer_r = cx.tc_of(x, inner_r.complex)
     inner_l = cx.tc_of(x, y)
@@ -563,9 +552,7 @@ def _assoc(x: cx.Complex, y: cx.Complex, z: cx.Complex):
 
     fwd = cx.ChainMap(outer_r.complex, outer_l.complex, 0, build("fwd"), check=False)
     inv = cx.ChainMap(outer_l.complex, outer_r.complex, 0, build("inv"), check=False)
-    out = (outer_r, outer_l, Mediator(fwd, inv))
-    _ASSOC_CACHE[key] = (out[0], out[1], out[2], x, y, z)
-    return out
+    return outer_r, outer_l, Mediator(fwd, inv)
 
 
 def _join(a_factors, b_factors, ka, kb):
@@ -631,7 +618,8 @@ def _embed_block(tc: cx.TensorComplex, n, i, j, raw_vec, acc):
     """Project a raw pair vector into block (i, j) of degree n and add."""
     _, proj, _ = cx.term_tensor(tc.c.term(i), tc.d.term(j))
     off = tc._find_block(n, i, j)
-    assert off is not None
+    if off is None:
+        raise InvariantViolation(f"no block ({i}, {j}) in degree {n}")
     w = proj.apply(tuple(raw_vec))
     for r, v in enumerate(w):
         if v:
@@ -639,7 +627,7 @@ def _embed_block(tc: cx.TensorComplex, n, i, j, raw_vec, acc):
 
 
 def _bimodule_map_from_element(reg, term, w):
-    """Matrix of a |-> a . w; asserts w is central so this is a bimodule map."""
+    """Matrix of a |-> a . w; checks w is central so this is a bimodule map."""
     cols = []
     for i in range(reg.dim):
         avec = tuple(Q1 if k == i else Q0 for k in range(reg.dim))
@@ -648,67 +636,66 @@ def _bimodule_map_from_element(reg, term, w):
     for i in range(reg.dim):
         avec = tuple(Q1 if k == i else Q0 for k in range(reg.dim))
         if term.act_right(avec).apply(w) != tuple(m.column(i)):
-            raise AssertionError("unit element is not central")
+            raise InvariantViolation("unit element is not central")
     return m
 
 
 def counit_eps(phi: Kernel):
     """eps_m(phi): phi . serre(src) . phi^v => Id_target."""
-    hit = phi._cache.get("eps_m")
-    if hit is not None:
-        return hit
-    x, y = phi.source, phi.target
-    sk = x.serre_kernel(verify=False)
-    dk = dual_kernel(phi)
-    src = conv_kernel(phi.factors + sk.factors + dk.factors)
-    inner = conv_kernel(sk.factors + dk.factors)          # TC(serre, dual)
-    _, aug = x.serre_resolution()
-    n_in = cx.tc_of(aug.target, dk.complex)
-    q_in = cx.tensor_map(inner.tc, n_in, aug, _idc(dk.complex))
-    tc_nice, med = _join(phi.factors, inner.factors, phi, inner)
-    n_out = cx.tc_of(tc_nice.c, n_in.complex)
-    q_out = cx.tensor_map(tc_nice, n_out, _idc(tc_nice.c), q_in)
-    _, aug_y = y.id_resolution()
-    ev = _eval_chain(phi, dk, n_out, n_in, mirror=False, reg_complex=aug_y.target)
-    g = ev.compose(q_out.compose(med.fwd))
-    f = cx.lift_through(g, aug_y)
-    assert f is not None, "counit lift failed"
-    out = TwoMorphism(src, y.identity_kernel(), f)
-    phi._cache["eps_m"] = out
-    return out
+    def build():
+        x, y = phi.source, phi.target
+        sk = x.serre_kernel(verify=False)
+        dk = dual_kernel(phi)
+        src = conv_kernel(phi.factors + sk.factors + dk.factors)
+        inner = conv_kernel(sk.factors + dk.factors)          # TC(serre, dual)
+        _, aug = x.serre_resolution()
+        n_in = cx.tc_of(aug.target, dk.complex)
+        q_in = cx.tensor_map(inner.tc, n_in, aug, _idc(dk.complex))
+        tc_nice, med = _join(phi.factors, inner.factors, phi, inner)
+        n_out = cx.tc_of(tc_nice.c, n_in.complex)
+        q_out = cx.tensor_map(tc_nice, n_out, _idc(tc_nice.c), q_in)
+        _, aug_y = y.id_resolution()
+        ev = _eval_chain(phi, dk, n_out, n_in, mirror=False,
+                         reg_complex=aug_y.target)
+        g = ev.compose(q_out.compose(med.fwd))
+        f = cx.lift_through(g, aug_y)
+        if f is None:
+            raise InvariantViolation("counit lift failed")
+        return TwoMorphism(src, y.identity_kernel(), f)
+    return _memo(phi, "eps_m", build)
 
 
 def counit_eps_mirror(phi: Kernel):
     """eps_m(phi^v)-shaped counit: phi^v . serre(tgt) . phi => Id_source."""
-    hit = phi._cache.get("eps_mirror")
-    if hit is not None:
-        return hit
-    x, y = phi.source, phi.target
-    sk = y.serre_kernel(verify=False)
-    dk = dual_kernel(phi)
-    src = conv_kernel(dk.factors + sk.factors + phi.factors)
-    _, aug = y.serre_resolution()
-    tail_tc = cx.tc_of(sk.complex, phi.complex)
-    n_in = cx.tc_of(aug.target, phi.complex)
-    q_in = cx.tensor_map(tail_tc, n_in, aug, _idc(phi.complex))
-    n_out = cx.tc_of(dk.complex, n_in.complex)
-    unc = cx.tc_of(dk.complex, tail_tc.complex)
-    q_out = cx.tensor_map(unc, n_out, _idc(dk.complex), q_in)
-    if phi.is_identity:
-        # src = conv([dual, serre]); reinsert the contracted identity factor
-        _, med = _insert_identity(sk, "right")
-        pre = cx.tensor_map(src.tc, unc, _idc(dk.complex), med.fwd)
-    else:
-        pre = _idc(src.complex)  # src realization is literally unc
-        assert src.complex is unc.complex
-    _, aug_x = x.id_resolution()
-    ev = _eval_chain(phi, dk, n_out, n_in, mirror=True, reg_complex=aug_x.target)
-    g = ev.compose(q_out.compose(pre))
-    f = cx.lift_through(g, aug_x)
-    assert f is not None, "mirror counit lift failed"
-    out = TwoMorphism(src, x.identity_kernel(), f)
-    phi._cache["eps_mirror"] = out
-    return out
+    def build():
+        x, y = phi.source, phi.target
+        sk = y.serre_kernel(verify=False)
+        dk = dual_kernel(phi)
+        src = conv_kernel(dk.factors + sk.factors + phi.factors)
+        _, aug = y.serre_resolution()
+        tail_tc = cx.tc_of(sk.complex, phi.complex)
+        n_in = cx.tc_of(aug.target, phi.complex)
+        q_in = cx.tensor_map(tail_tc, n_in, aug, _idc(phi.complex))
+        n_out = cx.tc_of(dk.complex, n_in.complex)
+        unc = cx.tc_of(dk.complex, tail_tc.complex)
+        q_out = cx.tensor_map(unc, n_out, _idc(dk.complex), q_in)
+        if phi.is_identity:
+            # src = conv([dual, serre]); reinsert the contracted identity factor
+            _, med = _insert_identity(sk, "right")
+            pre = cx.tensor_map(src.tc, unc, _idc(dk.complex), med.fwd)
+        else:
+            pre = _idc(src.complex)  # src realization is literally unc
+            if src.complex is not unc.complex:
+                raise InvariantViolation("mirror counit source is not unc")
+        _, aug_x = x.id_resolution()
+        ev = _eval_chain(phi, dk, n_out, n_in, mirror=True,
+                         reg_complex=aug_x.target)
+        g = ev.compose(q_out.compose(pre))
+        f = cx.lift_through(g, aug_x)
+        if f is None:
+            raise InvariantViolation("mirror counit lift failed")
+        return TwoMorphism(src, x.identity_kernel(), f)
+    return _memo(phi, "eps_mirror", build)
 
 
 def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, mirror, reg_complex):
@@ -791,72 +778,69 @@ def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, mirror, reg_complex):
 
 def unit_eta2(phi: Kernel):
     """eta2(phi): Id_src => serre(src) . phi^v . phi."""
-    hit = phi._cache.get("eta2")
-    if hit is not None:
-        return hit
-    x = phi.source
-    sk = x.serre_kernel(verify=False)
-    dk = dual_kernel(phi)
-    tgt = conv_kernel(sk.factors + dk.factors + phi.factors)
-    inner_tc = cx.tc_of(dk.complex, phi.complex)
-    _, aug = x.serre_resolution()
-    n_out = cx.tc_of(aug.target, inner_tc.complex)
-    unc = cx.tc_of(sk.complex, inner_tc.complex)
-    q = cx.tensor_map(unc, n_out, aug, _idc(inner_tc.complex))
-    w = _unit_element(phi, dk, inner_tc, n_out, mirror=False)
-    comp = _bimodule_map_from_element(x.regular, n_out.complex.term(0), w)
-    assert (n_out.complex.differential(0) * comp).is_zero(), \
-        "unit element is not a cycle"
-    _, aug_x = x.id_resolution()
-    wmap = cx.ChainMap(aug_x.target, n_out.complex, 0, {0: comp}, check=False)
-    f = cx.lift_through(wmap.compose(aug_x), q)
-    assert f is not None, "unit lift failed"
-    if phi.is_identity:
-        # contract the identity factor: unc -> conv([serre, dual]).complex
-        _, med = _insert_identity(dk, "right")
-        lowered = cx.tensor_map(unc, tgt.tc, _idc(sk.complex), med.inv)
-        f = lowered.compose(f)
-    else:
-        assert tgt.complex is unc.complex
-    out = TwoMorphism(x.identity_kernel(), tgt, f)
-    phi._cache["eta2"] = out
-    return out
+    def build():
+        x = phi.source
+        sk = x.serre_kernel(verify=False)
+        dk = dual_kernel(phi)
+        tgt = conv_kernel(sk.factors + dk.factors + phi.factors)
+        inner_tc = cx.tc_of(dk.complex, phi.complex)
+        _, aug = x.serre_resolution()
+        n_out = cx.tc_of(aug.target, inner_tc.complex)
+        unc = cx.tc_of(sk.complex, inner_tc.complex)
+        q = cx.tensor_map(unc, n_out, aug, _idc(inner_tc.complex))
+        w = _unit_element(phi, dk, inner_tc, n_out, mirror=False)
+        comp = _bimodule_map_from_element(x.regular, n_out.complex.term(0), w)
+        if not (n_out.complex.differential(0) * comp).is_zero():
+            raise InvariantViolation("unit element is not a cycle")
+        _, aug_x = x.id_resolution()
+        wmap = cx.ChainMap(aug_x.target, n_out.complex, 0, {0: comp}, check=False)
+        f = cx.lift_through(wmap.compose(aug_x), q)
+        if f is None:
+            raise InvariantViolation("unit lift failed")
+        if phi.is_identity:
+            # contract the identity factor: unc -> conv([serre, dual]).complex
+            _, med = _insert_identity(dk, "right")
+            lowered = cx.tensor_map(unc, tgt.tc, _idc(sk.complex), med.inv)
+            f = lowered.compose(f)
+        elif tgt.complex is not unc.complex:
+            raise InvariantViolation("unit target is not unc")
+        return TwoMorphism(x.identity_kernel(), tgt, f)
+    return _memo(phi, "eta2", build)
 
 
 def unit_eta1(phi: Kernel):
     """eta1(phi): Id_tgt => phi . phi^v . serre(tgt)."""
-    hit = phi._cache.get("eta1")
-    if hit is not None:
-        return hit
-    y = phi.target
-    sk = y.serre_kernel(verify=False)
-    dk = dual_kernel(phi)
-    tgt = conv_kernel(phi.factors + dk.factors + sk.factors)
-    tail = conv_kernel(dk.factors + sk.factors)            # TC(dual, serre)
-    _, aug = y.serre_resolution()
-    n_mid = cx.tc_of(dk.complex, aug.target)
-    q_mid = cx.tensor_map(tail.tc, n_mid, _idc(dk.complex), aug)
-    unc = cx.tc_of(phi.complex, tail.complex)
-    n_out = cx.tc_of(phi.complex, n_mid.complex)
-    q_out = cx.tensor_map(unc, n_out, _idc(phi.complex), q_mid)
-    w = _unit_element(phi, dk, n_mid, n_out, mirror=True)
-    comp = _bimodule_map_from_element(y.regular, n_out.complex.term(0), w)
-    assert (n_out.complex.differential(0) * comp).is_zero(), \
-        "unit element is not a cycle"
-    _, aug_y = y.id_resolution()
-    wmap = cx.ChainMap(aug_y.target, n_out.complex, 0, {0: comp}, check=False)
-    if phi.is_identity:
-        _, med = _insert_identity(tail, "left")
-        q_total = q_out.compose(med.fwd)
-    else:
-        tc_nice, med = _join(phi.factors, tail.factors, phi, tail)
-        assert tc_nice.complex is unc.complex
-        q_total = q_out.compose(med.fwd)
-    f = cx.lift_through(wmap.compose(aug_y), q_total)
-    assert f is not None, "unit lift failed"
-    out = TwoMorphism(y.identity_kernel(), tgt, f)
-    phi._cache["eta1"] = out
-    return out
+    def build():
+        y = phi.target
+        sk = y.serre_kernel(verify=False)
+        dk = dual_kernel(phi)
+        tgt = conv_kernel(phi.factors + dk.factors + sk.factors)
+        tail = conv_kernel(dk.factors + sk.factors)            # TC(dual, serre)
+        _, aug = y.serre_resolution()
+        n_mid = cx.tc_of(dk.complex, aug.target)
+        q_mid = cx.tensor_map(tail.tc, n_mid, _idc(dk.complex), aug)
+        unc = cx.tc_of(phi.complex, tail.complex)
+        n_out = cx.tc_of(phi.complex, n_mid.complex)
+        q_out = cx.tensor_map(unc, n_out, _idc(phi.complex), q_mid)
+        w = _unit_element(phi, dk, n_mid, n_out, mirror=True)
+        comp = _bimodule_map_from_element(y.regular, n_out.complex.term(0), w)
+        if not (n_out.complex.differential(0) * comp).is_zero():
+            raise InvariantViolation("unit element is not a cycle")
+        _, aug_y = y.id_resolution()
+        wmap = cx.ChainMap(aug_y.target, n_out.complex, 0, {0: comp}, check=False)
+        if phi.is_identity:
+            _, med = _insert_identity(tail, "left")
+            q_total = q_out.compose(med.fwd)
+        else:
+            tc_nice, med = _join(phi.factors, tail.factors, phi, tail)
+            if tc_nice.complex is not unc.complex:
+                raise InvariantViolation("regrouped unit target is not unc")
+            q_total = q_out.compose(med.fwd)
+        f = cx.lift_through(wmap.compose(aug_y), q_total)
+        if f is None:
+            raise InvariantViolation("unit lift failed")
+        return TwoMorphism(y.identity_kernel(), tgt, f)
+    return _memo(phi, "eta1", build)
 
 
 def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
@@ -883,7 +867,8 @@ def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
             raise NotPerfect(f"{mterm.label}: no witness for unit element")
         for gen, phi_mat in pd.coordinates():
             fcoords = dd.express(phi_mat)
-            assert fcoords is not None, "coordinate functional escaped the dual basis"
+            if fcoords is None:
+                raise InvariantViolation("coordinate functional escaped the dual basis")
             if not mirror:
                 for l in range(a.dim):
                     xl = a  # placeholder for clarity
@@ -929,7 +914,8 @@ def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
 
 def point_serre_insert(space: Space):
     """Id => Serre on a one-dimensional algebra (both are Q in degree 0)."""
-    assert space.algebra.dim == 1
+    if space.algebra.dim != 1:
+        raise InvariantViolation(f"{space.label} is not a point")
     sk = space.serre_kernel(verify=False)
     idk = space.identity_kernel()
     chain = cx.ChainMap(idk.complex, sk.complex, 0, {0: Matrix.identity(1)},
@@ -938,7 +924,8 @@ def point_serre_insert(space: Space):
 
 
 def point_serre_drop(space: Space):
-    assert space.algebra.dim == 1
+    if space.algebra.dim != 1:
+        raise InvariantViolation(f"{space.label} is not a point")
     sk = space.serre_kernel(verify=False)
     idk = space.identity_kernel()
     chain = cx.ChainMap(sk.complex, idk.complex, 0, {0: Matrix.identity(1)},
@@ -948,67 +935,55 @@ def point_serre_drop(space: Space):
 
 def kernel_double_dual(phi: Kernel):
     """delta: phi => dual(dual(phi)), the graded double-dual comparison."""
-    hit = phi._cache.get("ddual")
-    if hit is not None:
-        return hit
-    ddk = dual_kernel(dual_kernel(phi))
-    comps = {}
-    for n in phi.complex.degrees():
-        m = alg.double_dual_comparison(
-            phi.complex.term(n), dual_kernel(phi).complex.term(-n),
-            ddk.complex.term(n))
-        comps[n] = m if n % 2 == 0 else m.scale(-1)
-    chain = cx.ChainMap(phi.complex, ddk.complex, 0, comps, check=True)
-    out = TwoMorphism(phi, ddk, chain)
-    phi._cache["ddual"] = out
-    return out
+    def build():
+        ddk = dual_kernel(dual_kernel(phi))
+        comps = {}
+        for n in phi.complex.degrees():
+            m = alg.double_dual_comparison(
+                phi.complex.term(n), dual_kernel(phi).complex.term(-n),
+                ddk.complex.term(n))
+            comps[n] = m if n % 2 == 0 else m.scale(-1)
+        chain = cx.ChainMap(phi.complex, ddk.complex, 0, comps, check=True)
+        return TwoMorphism(phi, ddk, chain)
+    return _memo(phi, "ddual", build)
 
 
 def kernel_double_dual_inverse(phi: Kernel):
-    hit = phi._cache.get("ddual_inv")
-    if hit is not None:
-        return hit
-    dd = kernel_double_dual(phi)
-    comps = {n: _invert(m) for n, m in dd.chain.components.items()}
-    chain = cx.ChainMap(dd.target.complex, dd.source.complex, 0, comps,
-                        check=False)
-    out = TwoMorphism(dd.target, dd.source, chain)
-    phi._cache["ddual_inv"] = out
-    return out
+    def build():
+        dd = kernel_double_dual(phi)
+        comps = {n: _invert(m) for n, m in dd.chain.components.items()}
+        chain = cx.ChainMap(dd.target.complex, dd.source.complex, 0, comps,
+                            check=False)
+        return TwoMorphism(dd.target, dd.source, chain)
+    return _memo(phi, "ddual_inv", build)
 
 
 def gamma(phi: Kernel):
     """gamma(phi): anti_serre(src) => phi^v . phi."""
-    hit = phi._cache.get("gamma")
-    if hit is not None:
-        return hit
-    x = phi.source
-    anti = x.anti_serre_kernel()
-    dk = dual_kernel(phi)
-    eta = unit_eta2(phi)                       # Id => serre . phi^v . phi
-    step1 = whisker(anti, eta)                 # anti => anti.serre.phi^v.phi
-    rest = conv_kernel(dk.factors + phi.factors)
-    step2 = whisker(None, x.can6(), rest)      # anti.serre.(rest) => rest
-    out = step2.compose(step1)
-    phi._cache["gamma"] = out
-    return out
+    def build():
+        x = phi.source
+        anti = x.anti_serre_kernel()
+        dk = dual_kernel(phi)
+        eta = unit_eta2(phi)                       # Id => serre . phi^v . phi
+        step1 = whisker(anti, eta)                 # anti => anti.serre.phi^v.phi
+        rest = conv_kernel(dk.factors + phi.factors)
+        step2 = whisker(None, x.can6(), rest)      # anti.serre.(rest) => rest
+        return step2.compose(step1)
+    return _memo(phi, "gamma", build)
 
 
 def mirrored_gamma(phi: Kernel):
     """gamma(phi^v)-shaped: anti_serre(target) => phi . phi^v."""
-    hit = phi._cache.get("mgamma")
-    if hit is not None:
-        return hit
-    y = phi.target
-    anti = y.anti_serre_kernel()
-    dk = dual_kernel(phi)
-    eta = unit_eta1(phi)                       # Id_Y => phi . phi^v . serre_Y
-    step1 = whisker(None, eta, anti)           # anti => phi.phi^v.serre.anti
-    pair = conv_kernel(phi.factors + dk.factors)
-    step2 = whisker(pair, y.can5())            # phi.phi^v.serre.anti => phi.phi^v
-    out = step2.compose(step1)
-    phi._cache["mgamma"] = out
-    return out
+    def build():
+        y = phi.target
+        anti = y.anti_serre_kernel()
+        dk = dual_kernel(phi)
+        eta = unit_eta1(phi)                       # Id_Y => phi . phi^v . serre_Y
+        step1 = whisker(None, eta, anti)           # anti => phi.phi^v.serre.anti
+        pair = conv_kernel(phi.factors + dk.factors)
+        step2 = whisker(pair, y.can5())            # phi.phi^v.serre.anti => phi.phi^v
+        return step2.compose(step1)
+    return _memo(phi, "mgamma", build)
 
 
 def tau_r(phi: Kernel):
@@ -1159,13 +1134,9 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
 
 
 def two_morphism_space(src: Kernel, tgt: Kernel, degree):
-    """HomComplex between realizations (cached on the source kernel)."""
-    key = ("homs", id(tgt))
-    hit = src._cache.get(key)
-    if hit is None:
-        hit = cx.HomComplex(src.complex, tgt.complex)
-        src._cache[key] = hit
-    return hit
+    """HomComplex between realizations (memoised on the source kernel)."""
+    return _memo(src, ("homs", tgt),
+                 lambda: cx.HomComplex(src.complex, tgt.complex))
 
 
 def cycle_basis(src: Kernel, tgt: Kernel, degree):

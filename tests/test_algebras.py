@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -200,3 +201,16 @@ def test_witness_checks_fire_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("debug False raised")
     assert "direct sum witness failed" in out.stdout
+
+
+def test_engine_sources_hold_no_assert_statements():
+    # invariant checks raise InvariantViolation, which python -O keeps
+    pkg = os.path.dirname(os.path.abspath(alg.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as f:
+                tree = ast.parse(f.read(), name)
+            found += [f"{name}:{n.lineno}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Assert)]
+    assert found == []

@@ -1,5 +1,8 @@
 import copy
+import gc
 import json
+import random
+import weakref
 
 import pytest
 from importlib import resources
@@ -218,3 +221,15 @@ def test_unknown_references_are_schema_errors(tmp_path, capsys, where, bad):
     p.write_text(json.dumps(doc))
     assert cli.main(["run", str(p)]) == 2
     assert "nope" in capsys.readouterr().err
+
+
+def test_dropped_workspace_leaves_no_spaces_or_kernels_alive():
+    doc = load_ws("bz2")
+    ws = cli.Workspace(doc, "bz2.json")
+    rng = random.Random(0)
+    for task in doc["tasks"]:
+        cli.run_task(ws, task, rng)
+    refs = [weakref.ref(x) for x in [*ws.spaces.values(), *ws.kernels.values()]]
+    del ws
+    gc.collect()
+    assert [r() for r in refs if r() is not None] == []
