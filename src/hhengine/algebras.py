@@ -2,6 +2,8 @@
 
 Conventions used everywhere downstream:
 
+  * every vector (an algebra element, a module element, a coordinate list)
+    is a zero-free {index: Fraction} map;
   * an Algebra stores one left-multiplication matrix per basis element;
     column j of L_i is b_i * b_j;
   * a tensor product A (x) B orders its basis left-factor major:
@@ -25,7 +27,7 @@ from __future__ import annotations
 from .errors import AlgebraMismatch, CyclicQuiver, InvariantViolation, NotAGroup
 from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver, _clear_denominators,
                      block_diag, linear_combination, nullspace_basis,
-                     quotient_basis, scalar)
+                     quotient_basis)
 
 
 def _memo(owner, key, build):
@@ -42,12 +44,25 @@ def _memo(owner, key, build):
     return memo[key]
 
 
-def _vec(entries):
-    return tuple(scalar(x) for x in entries)
+def _kron_vec(u, v, n):
+    """u (x) v for v indexed below n, at (i, j) |-> i * n + j."""
+    return {i * n + j: x * y for i, x in u.items() for j, y in v.items()}
 
 
-def _unit_vector(dim, i):
-    return tuple(Q1 if k == i else Q0 for k in range(dim))
+def _add_into(acc, vec, c=Q1):
+    """acc += c * vec, in place; entries may cancel to zero."""
+    for k, x in vec.items():
+        acc[k] = acc[k] + c * x if k in acc else c * x
+    return acc
+
+
+def _nonzero(vec):
+    return {k: x for k, x in vec.items() if x}
+
+
+def _combination(vec, mats, dim):
+    """sum_i vec[i] * mats[i], all mats dim x dim."""
+    return linear_combination(((c, mats[i]) for i, c in vec.items()), dim, dim)
 
 
 class Algebra:
@@ -56,10 +71,10 @@ class Algebra:
     def __init__(self, left_mult, unit, label="A", idempotents=None, check=True):
         self.left_mult = tuple(left_mult)          # L_i, column j = b_i b_j
         self.dim = len(self.left_mult)
-        self.unit = _vec(unit)
+        self.unit = unit
         self.label = label
         # complete orthogonal idempotent family used to split covers
-        self.idempotents = tuple(_vec(u) for u in (idempotents or [unit]))
+        self.idempotents = tuple(idempotents or [unit])
         self._right_mult = None
         self._gens = None
         if check:
@@ -68,17 +83,13 @@ class Algebra:
     # -- basic arithmetic ---------------------------------------------------
 
     def multiply(self, u, v):
-        out = [Q0] * self.dim
-        for i, ui in enumerate(u):
-            if ui:
-                col = self.left_mult[i].apply(v)
-                for k, x in enumerate(col):
-                    if x:
-                        out[k] += ui * x
-        return tuple(out)
+        out = {}
+        for i, ui in u.items():
+            _add_into(out, self.left_mult[i].apply_map(v), ui)
+        return _nonzero(out)
 
     def left_mult_matrix(self, vec):
-        return linear_combination(zip(vec, self.left_mult), self.dim, self.dim)
+        return _combination(vec, self.left_mult, self.dim)
 
     @property
     def right_mult(self):
@@ -93,7 +104,7 @@ class Algebra:
         return self._right_mult
 
     def right_mult_matrix(self, vec):
-        return linear_combination(zip(vec, self.right_mult), self.dim, self.dim)
+        return _combination(vec, self.right_mult, self.dim)
 
     def _check(self):
         iu = self.left_mult_matrix(self.unit)
@@ -103,16 +114,15 @@ class Algebra:
             raise ValueError(f"{self.label}: unit is not a right unit")
         for i in range(self.dim):
             for j in range(self.dim):
-                bibj = self.left_mult[i].column(j)
+                bibj = dict(self.left_mult[i].col_items(j))
                 if self.left_mult_matrix(bibj) != self.left_mult[i] * self.left_mult[j]:
                     raise ValueError(f"{self.label}: associativity fails at ({i},{j})")
-        s = [Q0] * self.dim
+        s = {}
         for u in self.idempotents:
             if self.multiply(u, u) != u:
                 raise ValueError(f"{self.label}: declared idempotent is not idempotent")
-            for k, x in enumerate(u):
-                s[k] += x
-        if tuple(s) != self.unit:
+            _add_into(s, u)
+        if _nonzero(s) != self.unit:
             raise ValueError(f"{self.label}: idempotent family does not sum to 1")
 
     def __repr__(self):
@@ -125,7 +135,7 @@ class Algebra:
         if self._gens is not None:
             return self._gens
         span = Echelon(self.dim)
-        span.insert({i: x for i, x in enumerate(self.unit) if x})
+        span.insert(self.unit)
         vecs = [self.unit]
         gens = []
 
@@ -135,24 +145,20 @@ class Algebra:
                 w = work.pop()
                 for v in list(vecs):
                     for prod in (self.multiply(w, v), self.multiply(v, w)):
-                        row = {i: x for i, x in enumerate(prod) if x}
-                        if span.insert(_clear_denominators(row)) is not None:
+                        if span.insert(_clear_denominators(prod)) is not None:
                             vecs.append(prod)
                             work.append(prod)
 
         for i in range(self.dim):
             if span.rank == self.dim:
                 break
-            e = _unit_vector(self.dim, i)
-            if span.insert({i: Q1}) is not None:
+            e = {i: Q1}
+            if span.insert(e) is not None:
                 vecs.append(e)
                 gens.append(i)
                 close(e)
         self._gens = tuple(gens)
         return self._gens
-
-    def generator_vectors(self):
-        return tuple(_unit_vector(self.dim, i) for i in self.generators())
 
     # -- cyclic pieces R.u and u.R --------------------------------------------
 
@@ -164,13 +170,12 @@ class Algebra:
             cols, solver = [], SpanSolver(self.dim)
             ech = Echelon(self.dim)
             for i in range(self.dim):
-                e = _unit_vector(self.dim, i)
+                e = {i: Q1}
                 v = self.multiply(e, u) if side == "left" else self.multiply(u, e)
-                row = {k: x for k, x in enumerate(v) if x}
-                if ech.insert(_clear_denominators(dict(row))) is not None:
+                if ech.insert(_clear_denominators(v)) is not None:
                     cols.append(v)
-                    solver.add(row)
-            return Matrix.from_columns(cols, self.dim), solver
+                    solver.add(v)
+            return Matrix.from_column_maps(cols, self.dim), solver
         return _memo(self, (side, uidx), build)
 
 
@@ -183,7 +188,7 @@ _POINT = None
 def point_algebra():
     global _POINT
     if _POINT is None:
-        _POINT = Algebra([Matrix.identity(1)], [Q1], label="pt", check=False)
+        _POINT = Algebra([Matrix.identity(1)], {0: Q1}, label="pt", check=False)
     return _POINT
 
 
@@ -211,7 +216,7 @@ def group_algebra(cayley_table, label=None):
             raise NotAGroup(("no inverse", i))
     lm = [Matrix.from_column_maps([{t[i][j]: Q1} for j in range(n)], n)
           for i in range(n)]
-    return Algebra(lm, _unit_vector(n, identity),
+    return Algebra(lm, {identity: Q1},
                    label=label or f"kG({n})", check=False)
 
 
@@ -254,11 +259,9 @@ def path_algebra(vertices, arrows, label=None):
         cols = [{index[pj + pi, sj]: Q1} if si == tj else {}
                 for pj, sj, tj in all_paths]
         lm.append(Matrix.from_column_maps(cols, n))
-    unit = [Q0] * n
-    for i, (p, _, _) in enumerate(all_paths):
-        if p == ():
-            unit[i] = Q1
-    idems = [_unit_vector(n, i) for i, (p, _, _) in enumerate(all_paths) if p == ()]
+    trivial = [i for i, (p, _, _) in enumerate(all_paths) if p == ()]
+    unit = dict.fromkeys(trivial, Q1)
+    idems = [{i: Q1} for i in trivial]
     return Algebra(lm, unit, label=label or f"Path({vertices})",
                    idempotents=idems, check=False)
 
@@ -274,10 +277,8 @@ def matrix_algebra(n, label=None):
             cols = [{idx(i, l): Q1} if j == k else {}
                     for k in range(n) for l in range(n)]
             lm.append(Matrix.from_column_maps(cols, dim))
-    unit = [Q0] * dim
-    for i in range(n):
-        unit[idx(i, i)] = Q1
-    idems = [_unit_vector(dim, idx(i, i)) for i in range(n)]
+    unit = {idx(i, i): Q1 for i in range(n)}
+    idems = [{idx(i, i): Q1} for i in range(n)]
     return Algebra(lm, unit, label=label or f"M{n}(Q)", idempotents=idems, check=False)
 
 
@@ -295,11 +296,8 @@ def tensor_product(a: Algebra, b: Algebra):
     for i in range(a.dim):
         for j in range(b.dim):
             lm.append(a.left_mult[i].kronecker(b.left_mult[j]))
-    unit = [x * y for x in a.unit for y in b.unit]
-    idems = []
-    for u in a.idempotents:
-        for v in b.idempotents:
-            idems.append(tuple(x * y for x in u for y in v))
+    unit = _kron_vec(a.unit, b.unit, b.dim)
+    idems = [_kron_vec(u, v, b.dim) for u in a.idempotents for v in b.idempotents]
     t = Algebra(lm, unit, label=f"{a.label}(x){b.label}",
                 idempotents=idems, check=False)
     return t
@@ -337,12 +335,12 @@ class Bimodule:
             raise ValueError(f"{self.label}: right action not unital")
         for i in range(self.left.dim):
             for j in range(self.left.dim):
-                prod = self.left.left_mult[i].column(j)
+                prod = dict(self.left.left_mult[i].col_items(j))
                 if self.left_action[i] * self.left_action[j] != self.act_left(prod):
                     raise ValueError(f"{self.label}: left action not an action at ({i},{j})")
         for i in range(self.right.dim):
             for j in range(self.right.dim):
-                prod = self.right.left_mult[i].column(j)
+                prod = dict(self.right.left_mult[i].col_items(j))
                 if self.right_action[j] * self.right_action[i] != self.act_right(prod):
                     raise ValueError(f"{self.label}: right action not an anti-action at ({i},{j})")
         for i in range(self.left.dim):
@@ -355,10 +353,10 @@ class Bimodule:
         return f"Bimodule({self.label}, {self.left.label}|{self.right.label}, dim={self.dim})"
 
     def act_left(self, vec):
-        return linear_combination(zip(vec, self.left_action), self.dim, self.dim)
+        return _combination(vec, self.left_action, self.dim)
 
     def act_right(self, vec):
-        return linear_combination(zip(vec, self.right_action), self.dim, self.dim)
+        return _combination(vec, self.right_action, self.dim)
 
     @property
     def env(self):
@@ -370,8 +368,7 @@ class Bimodule:
         """Action of an element of env = left (x) right^op."""
         nb = self.right.dim
         la, ra = self.left_action, self.right_action
-        terms = ((c, la[idx // nb] * ra[idx % nb])
-                 for idx, c in enumerate(vec) if c)
+        terms = ((c, la[idx // nb] * ra[idx % nb]) for idx, c in vec.items())
         return linear_combination(terms, self.dim, self.dim)
 
     def env_generator_actions(self):
@@ -406,14 +403,10 @@ def free_bimodule(left, right, rank=1, label=None):
     dim = env.dim * rank
     la, ra = [], []
     for i in range(left.dim):
-        ev = tuple(x * y for k, x in enumerate(_unit_vector(left.dim, i))
-                   for y in right.unit)
-        m = env.left_mult_matrix(ev)
+        m = env.left_mult_matrix(_kron_vec({i: Q1}, right.unit, right.dim))
         la.append(block_diag([m] * rank))
     for j in range(right.dim):
-        ev = tuple(x * y for x in left.unit
-                   for l, y in enumerate(_unit_vector(right.dim, j)))
-        m = env.left_mult_matrix(ev)
+        m = env.left_mult_matrix(_kron_vec(left.unit, {j: Q1}, right.dim))
         ra.append(block_diag([m] * rank))
     return Bimodule(left, right, dim, la, ra,
                     label=label or f"free({left.label}|{right.label})^{rank}",
@@ -449,16 +442,14 @@ def span_closure(gen_acts, dim, seeds):
     vecs = []
     work = []
     for v in seeds:
-        row = {i: x for i, x in enumerate(v) if x}
-        if ech.insert(_clear_denominators(row)) is not None:
+        if ech.insert(_clear_denominators(v)) is not None:
             vecs.append(v)
             work.append(v)
     while work:
         w = work.pop()
         for g in gen_acts:
-            gv = g.apply(w)
-            row = {i: x for i, x in enumerate(gv) if x}
-            if row and ech.insert(_clear_denominators(row)) is not None:
+            gv = g.apply_map(w)
+            if gv and ech.insert(_clear_denominators(gv)) is not None:
                 vecs.append(gv)
                 work.append(gv)
     return ech, vecs
@@ -472,9 +463,8 @@ def module_generators(m: Bimodule):
     for i in range(m.dim):
         if ech.rank == m.dim:
             break
-        e = _unit_vector(m.dim, i)
         if ech.residual({i: Q1}):
-            gens.append(e)
+            gens.append({i: Q1})
             ech, _ = span_closure(acts, m.dim, gens)
     # prune shadowed generators, earliest first
     k = 0
@@ -513,14 +503,11 @@ class Cover:
         """F as an honest (left, right)-bimodule, block per piece."""
         m = self.module
         la, ra = [], []
+        nr = m.right.dim
         for i in range(m.left.dim):
-            ev = tuple(x * y for k, x in enumerate(_unit_vector(m.left.dim, i))
-                       for y in m.right.unit)
-            la.append(self._piece_block(ev))
-        for j in range(m.right.dim):
-            ev = tuple(x * y for x in m.left.unit
-                       for l, y in enumerate(_unit_vector(m.right.dim, j)))
-            ra.append(self._piece_block(ev))
+            la.append(self._piece_block(_kron_vec({i: Q1}, m.right.unit, nr)))
+        for j in range(nr):
+            ra.append(self._piece_block(_kron_vec(m.left.unit, {j: Q1}, nr)))
         f = Bimodule(m.left, m.right, self.dim, la, ra,
                      label=f"cover({m.label})", check=False)
         return f
@@ -531,7 +518,7 @@ class Cover:
         for uidx, gen, basis, solver in self.pieces:
             cols = [solver.express(lmat.apply_map(dict(basis.col_items(c))))
                     for c in range(basis.cols)]
-            blocks.append(Matrix.from_columns(cols, basis.cols))
+            blocks.append(Matrix.from_column_maps(cols, basis.cols))
         return block_diag(blocks)
 
 
@@ -545,16 +532,14 @@ def build_cover(m: Bimodule, gens=None):
     ev_cols = []
     for g in gens:
         for uidx, u in enumerate(env.idempotents):
-            ug = m.act_env(u).apply(g)
-            if not any(ug):
+            ug = m.act_env(u).apply_map(g)
+            if not ug:
                 continue
             basis, solver = env.piece("left", uidx)
             pieces.append((uidx, ug, basis, solver))
             for c in range(basis.cols):
-                ev_cols.append(m.act_env(basis.column(c)).apply(ug))
-    dim_f = len(ev_cols)
-    ev = Matrix.from_columns(ev_cols, m.dim) if ev_cols else Matrix.zero(m.dim, 0)
-    return Cover(m, pieces, ev)
+                ev_cols.append(m.act_env(dict(basis.col_items(c))).apply_map(ug))
+    return Cover(m, pieces, Matrix.from_column_maps(ev_cols, m.dim))
 
 
 def solve_section(m: Bimodule, cover: Cover):
@@ -653,11 +638,9 @@ def sum_proj_data(ab: Bimodule, a: Bimodule, b: Bimodule):
     if pda is None or pdb is None:
         from .errors import NotPerfect
         raise NotPerfect("sum of non-witnessed bimodules")
-    pieces = []
-    for uidx, gen, basis, solver in pda.cover.pieces:
-        pieces.append((uidx, tuple(gen) + (Q0,) * b.dim, basis, solver))
+    pieces = list(pda.cover.pieces)
     for uidx, gen, basis, solver in pdb.cover.pieces:
-        pieces.append((uidx, (Q0,) * a.dim + tuple(gen), basis, solver))
+        pieces.append((uidx, {a.dim + k: x for k, x in gen.items()}, basis, solver))
     ev = block_diag([pda.cover.ev, pdb.cover.ev])
     section = block_diag([pda.section, pdb.section])
     if ev * section != Matrix.identity(ab.dim):
@@ -683,7 +666,7 @@ def kernel_submodule(f: Matrix, m: Bimodule, label="K"):
             if c is None:
                 raise InvariantViolation("kernel not closed under the action")
             cols.append(c)
-        return Matrix.from_columns(cols, z.cols)
+        return Matrix.from_column_maps(cols, z.cols)
 
     la = [restrict(act) for act in m.left_action]
     ra = [restrict(act) for act in m.right_action]
@@ -696,14 +679,11 @@ def attach_self_cover(f: Bimodule, cover_pieces):
     pieces = []
     off = 0
     for uidx, basis, solver in cover_pieces:
-        u = f.env.idempotents[uidx]
-        coords = solver.express({i: x for i, x in enumerate(u) if x})
+        coords = solver.express(f.env.idempotents[uidx])
         if coords is None:
             raise InvariantViolation("idempotent fell outside its cover piece")
-        gen = [Q0] * f.dim
-        for r, x in enumerate(coords):
-            gen[off + r] = x
-        pieces.append((uidx, tuple(gen), basis, solver))
+        gen = {off + r: x for r, x in coords.items()}
+        pieces.append((uidx, gen, basis, solver))
         off += basis.cols
     cover = Cover(f, pieces, Matrix.identity(f.dim))
     f._proj = ProjData(cover, Matrix.identity(f.dim))
@@ -792,10 +772,6 @@ def hom_coordinates(m: Bimodule, n: Bimodule, mat: Matrix):
 
 
 # -- tensor over the middle algebra, with derived projectivity data -----------
-
-
-def _kron_vec(u, v):
-    return tuple(x * y for x in u for y in v)
 
 
 def _apply_left_factor(a: Matrix, vec, n):
@@ -903,20 +879,19 @@ def _tensor_proj_data(t, m, n, proj, sect):
             wcols, wsolver = [], SpanSolver(b.dim)
             ech = Echelon(b.dim)
             for k in range(b.dim):
-                w = b.multiply(b.multiply(u_b, _unit_vector(b.dim, k)), v_b)
-                row = {i: x for i, x in enumerate(w) if x}
-                if row and ech.insert(_clear_denominators(dict(row))) is not None:
+                w = b.multiply(b.multiply(u_b, {k: Q1}), v_b)
+                if w and ech.insert(_clear_denominators(w)) is not None:
                     wcols.append(w)
-                    wsolver.add(row)
+                    wsolver.add(w)
             if not wcols:
                 continue
             it = ic * n_right_fam + ja
-            vb_hq = n.act_left(v_b).apply(h_q)
+            vb_hq = n.act_left(v_b).apply_map(h_q)
             for w in wcols:
-                gp_w = m.act_right(w).apply(g_p)
-                gen_t = proj.apply(_kron_vec_pair(gp_w, vb_hq))
+                gp_w = m.act_right(w).apply_map(g_p)
+                gen_t = proj.apply_map(_kron_vec(gp_w, vb_hq, n.dim))
                 basis_t, solver_t = env_t.piece("left", it)
-                pieces.append((it, tuple(gen_t), basis_t, solver_t))
+                pieces.append((it, gen_t, basis_t, solver_t))
             piece_meta.append((p, q, wsolver, len(wcols), it))
     # evaluation matrix
     ev_cols = []
@@ -927,11 +902,8 @@ def _tensor_proj_data(t, m, n, proj, sect):
             for idx, coeff in basis_t.col_items(c):
                 k, l = divmod(idx, t.right.dim)
                 if l not in rt_cache:
-                    rt_cache[l] = t.right_action[l].apply(gen_t)
-                v = t.left_action[k].apply(rt_cache[l])
-                for r, x in enumerate(v):
-                    if x:
-                        acc[r] = acc[r] + coeff * x if r in acc else coeff * x
+                    rt_cache[l] = t.right_action[l].apply_map(gen_t)
+                _add_into(acc, t.left_action[k].apply_map(rt_cache[l]), coeff)
             ev_cols.append(acc)
     ev = Matrix.from_column_maps(ev_cols, t.dim)
     cover = Cover(t, pieces, ev)
@@ -956,26 +928,26 @@ def _tensor_proj_data(t, m, n, proj, sect):
                             sr_cache[key] = s_p * m.right_action[k]
                         for em_idx, xval in sr_cache[key].col_items(i):
                             kp, lp = divmod(em_idx, m_bdim)
-                            akey = (p, q, kp, l)
-                            wv = accum.setdefault(akey, [Q0] * m_bdim)
-                            wv[lp] += cval * zval * xval
+                            wv = accum.setdefault((p, q, kp, l), {})
+                            x = cval * zval * xval
+                            wv[lp] = wv[lp] + x if lp in wv else x
         piece_no = {}
         counter = 0
         for p, q, wsolver, wcount, it in piece_meta:
             piece_no[(p, q)] = (counter, wsolver, wcount, it)
             counter += wcount
         for (p, q, kp, l), wv in accum.items():
-            if not any(wv):
+            wv = _nonzero(wv)
+            if not wv:
                 continue
             base, wsolver, wcount, it = piece_no[(p, q)]
-            coeffs = wsolver.express({i: x for i, x in enumerate(wv) if x})
+            coeffs = wsolver.express(wv)
             if coeffs is None:
                 raise InvariantViolation("tensor middle fell outside u.B.v")
-            for bi, gamma in enumerate(coeffs):
-                if gamma:
-                    et = etvecs.setdefault(base + bi, {})
-                    eidx = kp * n_adim + l
-                    et[eidx] = et.get(eidx, Q0) + gamma
+            eidx = kp * n_adim + l
+            for bi, gamma in coeffs.items():
+                et = etvecs.setdefault(base + bi, {})
+                et[eidx] = et[eidx] + gamma if eidx in et else gamma
         col = {}
         for pc_idx, et in etvecs.items():
             it, gen_t, basis_t, solver_t = pieces[pc_idx]
@@ -983,7 +955,7 @@ def _tensor_proj_data(t, m, n, proj, sect):
             if coords is None:
                 raise InvariantViolation("tensor section fell outside the piece")
             lo, hi = ranges[pc_idx]
-            for r, x in enumerate(coords):
+            for r, x in coords.items():
                 col[lo + r] = x
         s_cols.append(col)
     section = Matrix.from_column_maps(s_cols, dim_f)
@@ -992,21 +964,16 @@ def _tensor_proj_data(t, m, n, proj, sect):
     return ProjData(cover, section)
 
 
-def _kron_vec_pair(u, v):
-    return tuple(x * y for x in u for y in v)
-
-
 # -- duals ---------------------------------------------------------------------
 
 
 def swap_env_coords(vec, dl, dr):
     """Reindex L (x) R^op coordinates (i, j) to R (x) L^op coordinates (j, i)."""
-    out = [Q0] * (dl * dr)
-    for idx, x in enumerate(vec):
-        if x:
-            i, j = divmod(idx, dr)
-            out[j * dl + i] = x
-    return tuple(out)
+    out = {}
+    for idx, x in vec.items():
+        i, j = divmod(idx, dr)
+        out[j * dl + i] = x
+    return out
 
 
 class DualData:
@@ -1035,31 +1002,28 @@ def bimodule_dual(m: Bimodule, label=None):
     for uidx, gen, s_p in s_blocks:
         rbasis, _ = env.piece("right", uidx)
         for c in range(rbasis.cols):
-            w = rbasis.column(c)
-            fmat = env.right_mult_matrix(w) * s_p
+            fmat = env.right_mult_matrix(dict(rbasis.col_items(c))) * s_p
             candidates.append(fmat)
     ech = Echelon(env.dim * m.dim)
     basis_f = []
     solver = SpanSolver(env.dim * m.dim)
     for fmat in candidates:
         row = fmat.flat_items()
-        if row and ech.insert(_clear_denominators(dict(row))) is not None:
+        if row and ech.insert(_clear_denominators(row)) is not None:
             basis_f.append(fmat)
             solver.add(row)
     dim_d = len(basis_f)
     dd = DualData(basis_f, solver, m)
     # actions: (r . f . l)(x) = f(x) . (l (x) r)
     la, ra = [], []
-    for ridx in range(m.right.dim):
-        e = _kron_vec(m.left.unit, _unit_vector(m.right.dim, ridx))
-        rm = env.right_mult_matrix(e)
-        cols = [dd.express(rm * f) for f in basis_f]
-        la.append(Matrix.from_columns([tuple(c) for c in cols], dim_d))
-    for lidx in range(m.left.dim):
-        e = _kron_vec(_unit_vector(m.left.dim, lidx), m.right.unit)
-        rm = env.right_mult_matrix(e)
-        cols = [dd.express(rm * f) for f in basis_f]
-        ra.append(Matrix.from_columns([tuple(c) for c in cols], dim_d))
+    for ridx in range(dr):
+        rm = env.right_mult_matrix(_kron_vec(m.left.unit, {ridx: Q1}, dr))
+        la.append(Matrix.from_column_maps([dd.express(rm * f) for f in basis_f],
+                                          dim_d))
+    for lidx in range(dl):
+        rm = env.right_mult_matrix(_kron_vec({lidx: Q1}, m.right.unit, dr))
+        ra.append(Matrix.from_column_maps([dd.express(rm * f) for f in basis_f],
+                                          dim_d))
     md = Bimodule(m.right, m.left, dim_d, la, ra,
                   label=label or f"{m.label}^v", check=False)
     md._dual_data = dd
@@ -1080,35 +1044,32 @@ def _dual_proj_data(md, m, dd, s_blocks):
         f0 = dd.express(s_p)
         if f0 is None:
             raise InvariantViolation("dual generator escaped the dual basis")
-        pieces.append((itd, tuple(f0), basis_d, solver_d))
+        pieces.append((itd, f0, basis_d, solver_d))
     ev_cols = []
     for (itd, f0, basis_d, _), (uidx, gen, s_p) in zip(pieces, s_blocks):
         for c in range(basis_d.cols):
-            zp = basis_d.column(c)
-            z = swap_env_coords(zp, dr, dl)  # back to L (x) R^op coords
-            fmat = env.right_mult_matrix(z) * s_p
-            col = dd.express(fmat)
+            # back to L (x) R^op coords
+            z = swap_env_coords(dict(basis_d.col_items(c)), dr, dl)
+            col = dd.express(env.right_mult_matrix(z) * s_p)
             if col is None:
                 raise InvariantViolation("dual cover image escaped the dual basis")
-            ev_cols.append(tuple(col))
-    ev = Matrix.from_columns(ev_cols, md.dim) if ev_cols else Matrix.zero(md.dim, 0)
+            ev_cols.append(col)
+    ev = Matrix.from_column_maps(ev_cols, md.dim)
     cover = Cover(md, pieces, ev)
     ranges = cover.piece_ranges()
     s_cols = []
     for fidx in range(md.dim):
         f = dd.functionals[fidx]
-        col = [Q0] * ev.cols
+        col = {}
         for (itd, f0, basis_d, solver_d), (uidx, gen, s_p), (lo, hi) in zip(
                 pieces, s_blocks, ranges):
-            z = f.apply(gen)
-            zp = swap_env_coords(z, dl, dr)
-            coords = solver_d.express({i: x for i, x in enumerate(zp) if x})
+            coords = solver_d.express(swap_env_coords(f.apply_map(gen), dl, dr))
             if coords is None:
                 raise InvariantViolation("dual section fell outside the piece")
-            for r, x in enumerate(coords):
+            for r, x in coords.items():
                 col[lo + r] = x
-        s_cols.append(tuple(col))
-    section = Matrix.from_columns(s_cols, ev.cols) if ev.cols else Matrix.zero(0, md.dim)
+        s_cols.append(col)
+    section = Matrix.from_column_maps(s_cols, ev.cols)
     if ev * section != Matrix.identity(md.dim):
         raise InvariantViolation("dual witness failed")
     return ProjData(cover, section)
@@ -1121,16 +1082,14 @@ def double_dual_comparison(m: Bimodule, md: Bimodule, mdd: Bimodule):
     dl, dr = m.left.dim, m.right.dim
     cols = []
     for i in range(m.dim):
-        fmat_cols = []
-        for f in dd.functionals:
-            val = f.column(i)
-            fmat_cols.append(swap_env_coords(val, dl, dr))
-        fmat = Matrix.from_columns(fmat_cols, md.env.dim)
+        fmat = Matrix.from_column_maps(
+            [swap_env_coords(dict(f.col_items(i)), dl, dr) for f in dd.functionals],
+            md.env.dim)
         coords = ddd.express(fmat)
         if coords is None:
             raise InvariantViolation("double dual comparison escaped the basis")
-        cols.append(tuple(coords))
-    return Matrix.from_columns(cols, mdd.dim)
+        cols.append(coords)
+    return Matrix.from_column_maps(cols, mdd.dim)
 
 
 # -- center and trace quotient ------------------------------------------------
@@ -1138,15 +1097,13 @@ def double_dual_comparison(m: Bimodule, md: Bimodule, mdd: Bimodule):
 
 def center(a: Algebra):
     """Basis columns of Z(A) = {x : xy = yx for all y}."""
-    rows = []
-    for i in range(a.dim):
-        diff = a.left_mult[i] - a.right_mult[i]
-        for r in range(a.dim):
-            rows.append(diff.row(r))
-    if not rows:
-        return Matrix.identity(a.dim)
-    stacked = Matrix.from_rows(rows)
-    return nullspace_basis(stacked)
+    n = a.dim
+    # row i * n + r of the stack is row r of L_i - R_i
+    stacked = {}
+    for i in range(n):
+        for r, c, x in (a.left_mult[i] - a.right_mult[i]).items():
+            stacked[(i * n + r) * n + c] = x
+    return nullspace_basis(Matrix.sparse(n * n, n, stacked))
 
 
 def trace_quotient(a: Algebra):
@@ -1154,10 +1111,8 @@ def trace_quotient(a: Algebra):
     cols = []
     for i in range(a.dim):
         for j in range(a.dim):
-            ei = _unit_vector(a.dim, i)
-            ej = _unit_vector(a.dim, j)
-            xy = a.multiply(ei, ej)
-            yx = a.multiply(ej, ei)
-            cols.append(tuple(x - y for x, y in zip(xy, yx)))
-    sub = Matrix.from_columns(cols, a.dim)
+            xy = a.multiply({i: Q1}, {j: Q1})
+            yx = a.multiply({j: Q1}, {i: Q1})
+            cols.append(_add_into(xy, yx, -Q1))
+    sub = Matrix.from_column_maps(cols, a.dim)
     return quotient_basis(a.dim, sub)

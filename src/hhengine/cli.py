@@ -7,7 +7,8 @@ Reports are deterministic byte-for-byte apart from the timing fields.
   engine run <workspace.json> [--task ID] [--json|--text] [--seed N]
   engine explain <workspace.json> <task-id>
 
-Exit codes: 0 all tasks ok, 1 a task failed or errored, 2 schema error.
+Exit codes: 0 all tasks ok, 1 a task failed or errored, 2 schema error
+(including an engine error raised while the workspace is built).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 import sys
 import time
 from .errors import EngineError, SchemaError, TaskError, UnknownTask
-from .linalg import Matrix, Q0, Q1, format_scalar, rank, scalar
+from .linalg import Matrix, Q1, format_scalar, rank, scalar
 from . import algebras as alg
 from . import kernels as kn
 from . import hochschild as hh
@@ -44,6 +45,15 @@ def _parse_matrix(rows):
     return Matrix.from_rows([[scalar(x) for x in row] for row in rows])
 
 
+def task_id(task):
+    """The id a task is reported, filtered and explained under."""
+    return task.get("id", task["op"])
+
+
+def _error_text(e):
+    return f"{type(e).__name__}: {e}"
+
+
 class Workspace:
     """Resolved spaces, maps, kernels and classes of one workspace file."""
 
@@ -60,6 +70,10 @@ class Workspace:
         try:
             self._check_references()
             self._build()
+        except SchemaError:
+            raise
+        except EngineError as e:
+            raise SchemaError(f"{path}: {_error_text(e)}") from e
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{path}: {e}") from e
 
@@ -76,7 +90,9 @@ class Workspace:
         return self._pt
 
     def _check_references(self):
-        """Every kernel and class that a spec or a task names is defined."""
+        """Every task has an op, and every space, kernel and class that a
+        spec or a task names is defined."""
+        spaces = self.doc.get("spaces", {})
         kernels = self.doc.get("kernels", {})
         classes = self.doc.get("classes", {})
         tasks = self.doc.get("tasks", [])
@@ -88,15 +104,19 @@ class Workspace:
                   + [(f"task {t.get('id', k)!r}" if isinstance(t, dict)
                       else f"task {k}", t)
                      for k, t in enumerate(tasks)])
+        defined = {"space": spaces, "kernel": kernels, "class": classes}
         for owner, spec in owners:
             if not isinstance(spec, dict):
                 raise SchemaError(f"{owner} is not an object")
-            refs = [("kernel", spec[f]) for f in KERNEL_FIELDS if f in spec]
+            if owner.startswith("task") and "op" not in spec:
+                raise SchemaError(f"{owner} has no op")
+            refs = [("space", spec["space"])] if "space" in spec else []
+            refs += [("kernel", spec[f]) for f in KERNEL_FIELDS if f in spec]
             refs += [("kernel", n) for n in spec.get("kernels", [])]
             refs += [("class", n) for n in ([spec["class"]] if "class" in spec
                                             else spec.get("classes", []))]
             for kind, name in refs:
-                if name not in (kernels if kind == "kernel" else classes):
+                if name not in defined[kind]:
                     raise SchemaError(f"{owner} names an undefined {kind} {name!r}")
 
     def _build(self):
@@ -126,9 +146,9 @@ class Workspace:
             images = [int(i) for i in spec["basis_images"]]
             if len(images) != src.dim:
                 raise SchemaError(f"map {name}: wrong number of images")
-            cols = [tuple(Q1 if k == img else Q0 for k in range(tgt.dim))
-                    for img in images]
-            m = Matrix.from_columns(cols, tgt.dim)
+            if any(not 0 <= img < tgt.dim for img in images):
+                raise SchemaError(f"map {name}: basis image out of range")
+            m = Matrix.from_column_maps([{img: Q1} for img in images], tgt.dim)
             _check_algebra_map(src, tgt, m, name)
             self.maps[name] = (src, tgt, m, spec["source"], spec["target"])
         for name in sorted(self.doc.get("kernels", {})):
@@ -167,7 +187,8 @@ class Workspace:
             return hh.module_kernel(sp, self.point_space(), mod, name)
         if t == "induction":
             src, tgt, m, sname, tname = self.maps[spec["map"]]
-            right = [tgt.right_mult_matrix(m.column(j)) for j in range(src.dim)]
+            right = [tgt.right_mult_matrix(dict(m.col_items(j)))
+                     for j in range(src.dim)]
             bim = alg.Bimodule(tgt, src, tgt.dim, list(tgt.left_mult), right,
                                name, check=True)
             res, _ = alg.projective_resolution(bim)
@@ -175,7 +196,8 @@ class Workspace:
             return kn.conv_kernel((at,))
         if t == "restriction":
             src, tgt, m, sname, tname = self.maps[spec["map"]]
-            left = [tgt.left_mult_matrix(m.column(j)) for j in range(src.dim)]
+            left = [tgt.left_mult_matrix(dict(m.col_items(j)))
+                    for j in range(src.dim)]
             bim = alg.Bimodule(src, tgt, tgt.dim, left, list(tgt.right_mult),
                                name, check=True)
             res, _ = alg.projective_resolution(bim)
@@ -210,14 +232,13 @@ class Workspace:
 
 
 def _check_algebra_map(src, tgt, m, name):
-    if m.apply(src.unit) != tgt.unit:
+    if m.apply_map(src.unit) != tgt.unit:
         raise SchemaError(f"map {name} is not unital")
     for i in range(src.dim):
         for j in range(src.dim):
-            prod = src.left_mult[i].column(j)
-            lhs = m.apply(prod)
-            rhs = tgt.multiply(m.column(i), m.column(j))
-            if lhs != tuple(rhs):
+            lhs = m.apply_map(dict(src.left_mult[i].col_items(j)))
+            rhs = tgt.multiply(dict(m.col_items(i)), dict(m.col_items(j)))
+            if lhs != rhs:
                 raise SchemaError(f"map {name} is not multiplicative")
 
 
@@ -344,13 +365,8 @@ def run_verify(ws: Workspace, task, rng):
         mr = hh.pullback_matrix(right)
         if mi != mr:
             raise TaskError("adjoint push/pull matrices differ")
-        x, y = left.source, left.target
-        dx = hh.hh_data(x).dim(0)
-        dy = hh.hh_data(y).dim(0)
-        for a in range(dx):
-            v = hh.hh_class(x, 0, [Q1 if t == a else Q0 for t in range(dx)])
-            for b in range(dy):
-                w = hh.hh_class(y, 0, [Q1 if t == b else Q0 for t in range(dy)])
+        for a, v in enumerate(hh.hh_basis(left.source)):
+            for b, w in enumerate(hh.hh_basis(left.target)):
                 l = hh.mukai_pairing(hh.pushforward(left, v), w)
                 r = hh.mukai_pairing(v, hh.pushforward(right, w))
                 if l != r:
@@ -358,10 +374,7 @@ def run_verify(ws: Workspace, task, rng):
         return {"matrix": _matrix_payload(mi)}
     if check == "isometry":
         k = ws.kernels[task["kernel"]]
-        x, y = k.source, k.target
-        dx = hh.hh_data(x).dim(0)
-        vs = [hh.hh_class(x, 0, [Q1 if t == a else Q0 for t in range(dx)])
-              for a in range(dx)]
+        vs = hh.hh_basis(k.source)
         before = [[_fr(hh.mukai_pairing(v, w)) for w in vs] for v in vs]
         pushed = [hh.pushforward(k, v) for v in vs]
         after = [[_fr(hh.mukai_pairing(v, w)) for w in pushed] for v in pushed]
@@ -474,13 +487,12 @@ def run_workspace(doc, path, only_task=None, seed=0):
     rng = random.Random(seed)
     tasks = doc.get("tasks", [])
     if only_task is not None:
-        tasks = [t for t in tasks if t.get("id") == only_task]
+        tasks = [t for t in tasks if task_id(t) == only_task]
         if not tasks:
             raise SchemaError(f"no task with id {only_task!r}")
     entries = []
     all_ok = True
     for task in tasks:
-        tid = task.get("id", task["op"])
         t0 = time.perf_counter()
         try:
             payload = run_task(ws, task, rng)
@@ -489,11 +501,12 @@ def run_workspace(doc, path, only_task=None, seed=0):
             payload = {"error": str(e)}
             status = "fail"
             all_ok = False
-        except EngineError as e:
-            payload = {"error": f"{type(e).__name__}: {e}"}
+        except Exception as e:
+            # whatever breaks inside one task stays in that task's entry
+            payload = {"error": _error_text(e)}
             status = "error"
             all_ok = False
-        entries.append({"id": tid, "status": status, "payload": payload,
+        entries.append({"id": task_id(task), "status": status, "payload": payload,
                         "seconds": round(time.perf_counter() - t0, 3)})
     report = {"schema": REPORT_SCHEMA, "seed": seed, "tasks": entries}
     return report, all_ok
@@ -510,15 +523,15 @@ def format_text(report):
 # -- explain -----------------------------------------------------------------------
 
 
-def explain_task(doc, path, task_id):
+def explain_task(doc, path, tid):
     ws = Workspace(doc, path)
     rng = random.Random(0)
-    tasks = [t for t in doc.get("tasks", []) if t.get("id", t["op"]) == task_id]
+    tasks = [t for t in doc.get("tasks", []) if task_id(t) == tid]
     if not tasks:
-        raise UnknownTask(task_id)
+        raise UnknownTask(tid)
     task = tasks[0]
     op = task["op"]
-    out = [f"task {task_id}: {op}"]
+    out = [f"task {tid}: {op}"]
     if op == "mukai":
         v = ws.classes[task["classes"][0]]
         x = v.space
@@ -602,6 +615,9 @@ def main(argv=None):
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"error: {_error_text(e)}", file=sys.stderr)
+        return 1
     return 0
 
 

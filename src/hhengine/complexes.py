@@ -171,9 +171,8 @@ def homology(c: Complex, n: int):
         coeffs = zsolver.express(dict(dprev.col_items(j)))
         if coeffs is None:
             raise ValueError("boundary not a cycle; complex is corrupt")
-        bcols.append(tuple(coeffs))
-    bmat = Matrix.from_columns(bcols, z.cols) if bcols else Matrix.zero(z.cols, 0)
-    proj_q, sect_q = quotient_basis(z.cols, bmat)
+        bcols.append(coeffs)
+    proj_q, sect_q = quotient_basis(z.cols, Matrix.from_column_maps(bcols, z.cols))
     section = z * sect_q
     # projector on all of C_n: write each unit vector over (kernel basis +
     # a complement of the kernel); the complement part projects to 0
@@ -189,9 +188,9 @@ def homology(c: Complex, n: int):
     proj_cols = []
     for i in range(c.dim(n)):
         coeffs = solver.express({i: Q1})
-        kercoords = tuple(coeffs[:z.cols])
-        proj_cols.append(proj_q.apply(kercoords))
-    projector = Matrix.from_columns(proj_cols, proj_q.rows)
+        kercoords = {k: x for k, x in coeffs.items() if k < z.cols}
+        proj_cols.append(proj_q.apply_map(kercoords))
+    projector = Matrix.from_column_maps(proj_cols, proj_q.rows)
     return proj_q.rows, section, projector
 
 
@@ -359,7 +358,7 @@ class TensorComplex:
         return None
 
 
-def _accumulate(entries, w, row_off, cols, col, sign):
+def _accumulate(entries, w, row_off, cols, col, sign=Q1):
     """Add sign * w ({row: value}) into column `col` of a flat-indexed
     {i * cols + j: value} matrix, rows shifted by row_off; True when some
     nonzero value was added."""
@@ -463,7 +462,7 @@ class HomComplex:
                 for b in basis:
                     df = self._differential_of({i: b}, n)
                     cols.append(self.coordinates(df, n + 1))
-            diffs[n] = Matrix.from_columns(cols, self._dims[n + 1])
+            diffs[n] = Matrix.from_column_maps(cols, self._dims[n + 1])
         pt = alg.point_algebra()
         self.complex = Complex(terms, diffs, pt, pt, check=False)
 
@@ -496,9 +495,8 @@ class HomComplex:
         return out
 
     def coordinates(self, comps, n):
-        """Coordinate vector of a block-map dict at hom-degree n."""
-        dim = self._dims.get(n, 0)
-        vec = [Q0] * dim
+        """Coordinate map of a block-map dict at hom-degree n."""
+        vec = {}
         for i, m in comps.items():
             if m.is_zero():
                 continue
@@ -510,9 +508,9 @@ class HomComplex:
             if coeffs is None:
                 raise ValueError("component is not a module map")
             off = self.offsets[key]
-            for k, x in enumerate(coeffs):
+            for k, x in coeffs.items():
                 vec[off + k] = x
-        return tuple(vec)
+        return vec
 
     def components_from(self, vec, n):
         comps = {}
@@ -520,7 +518,7 @@ class HomComplex:
             off = self.offsets[(n, i)]
             m = Matrix.zero(self.target.dim(i + n), self.source.dim(i))
             for k, b in enumerate(basis):
-                c = vec[off + k]
+                c = vec.get(off + k)
                 if c:
                     m = m + b.scale(c)
             if not m.is_zero():
@@ -625,8 +623,9 @@ class _HomVars:
         for n, (off, basis) in self.blocks.items():
             m = Matrix.zero(self.tgt.dim(n + self.degree), self.src.dim(n))
             for t, bm in enumerate(basis):
-                if coeffs[off + t]:
-                    m = m + bm.scale(coeffs[off + t])
+                c = coeffs.get(off + t)
+                if c:
+                    m = m + bm.scale(c)
             if not m.is_zero():
                 comps[n] = m
         return comps
@@ -640,16 +639,14 @@ def _add_entry(row, products, a, b, sign=Q1):
 
 
 def _solve_rows(rows, total):
+    """{unknown: value} solving rows whose column `total` holds the
+    right-hand side, every free unknown zero; None if inconsistent."""
     ech = Echelon(total + 1)
     for row in rows:
         ech.insert(row)
     if total in ech.pivot_row:
         return None
-    coeffs = [Q0] * total
-    for p, row in ech.pivot_row.items():
-        if p < total:
-            coeffs[p] = row.get(total, Q0)
-    return coeffs
+    return {p: row[total] for p, row in ech.pivot_row.items() if total in row}
 
 
 def lift_through(g: ChainMap, q: ChainMap):

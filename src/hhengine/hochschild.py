@@ -5,7 +5,8 @@ HH_i(X) is read from degree -i of the hom complex from the anti-Serre
 kernel to the identity kernel; HH^i(X) from degree i of the hom complex of
 the identity kernel with itself.  All class coordinates refer to the bases
 produced by the deterministic homology solver, so they are stable across
-runs.
+runs.  A class keeps its coordinates as a dense tuple, the form reports
+print; everything below it passes {index: value} maps.
 """
 
 from __future__ import annotations
@@ -73,16 +74,18 @@ class GradedData:
         return {n: d for n, (d, _, _) in self.data.items()}
 
     def chain_map(self, n, coords):
+        """The chain map of a homology class given by a coordinate map."""
         dim, section, _ = self.data[n]
-        vec = section.apply(tuple(coords))
-        return self.hc.chain_map_from(vec, n)
+        return self.hc.chain_map_from(section.apply_map(coords), n)
 
     def coords_of_chain(self, f: cx.ChainMap, n):
+        """Dense class coordinates of a cycle."""
         vec = self.hc.coordinates(f.components, n)
         dim, _, projector = self.data.get(n, (0, None, None))
         if dim == 0:
             return ()
-        return tuple(projector.apply(vec))
+        w = projector.apply_map(vec)
+        return tuple(w.get(k, Q0) for k in range(dim))
 
 
 def hh_data(space) -> GradedData:
@@ -118,15 +121,23 @@ def hh_class(space, degree, coords):
     return HochschildClass(space, "homology", degree, coords)
 
 
+def hh_basis(space, degree=0):
+    """The basis classes of HH_degree(space), in the solver's order."""
+    d = hh_data(space).dim(-degree)
+    return [hh_class(space, degree, [Q1 if t == a else Q0 for t in range(d)])
+            for a in range(d)]
+
+
 def class_to_two_morphism(v: HochschildClass) -> kn.TwoMorphism:
     space = v.space
+    coords = dict(enumerate(v.coords))
     if v.variance == "homology":
         data = hh_data(space)
-        f = data.chain_map(-v.degree, v.coords)
+        f = data.chain_map(-v.degree, coords)
         return kn.TwoMorphism(space.anti_serre_kernel(),
                               space.identity_kernel(), f)
     data = hcoh_data(space)
-    f = data.chain_map(v.degree, v.coords)
+    f = data.chain_map(v.degree, coords)
     idk = space.identity_kernel()
     return kn.TwoMorphism(idk, idk, f)
 
@@ -157,7 +168,7 @@ def hh_via_tor(space):
         raw = m.dim * a.dim
         cols = []
         for gi in a.generators():
-            gvec = tuple(Q1 if t == gi else Q0 for t in range(a.dim))
+            gvec = {gi: Q1}
             lm = m.act_left(gvec)
             rm = m.act_right(gvec)
             la = a.left_mult_matrix(gvec)
@@ -284,27 +295,17 @@ def pullback(phi: kn.Kernel, w: HochschildClass):
 
 def pushforward_matrix(phi: kn.Kernel, degree=0):
     """Matrix of phi_* on HH_degree in the solver bases."""
-    x, y = phi.source, phi.target
-    dsrc = hh_data(x).dim(-degree)
-    dtgt = hh_data(y).dim(-degree)
-    cols = []
-    for j in range(dsrc):
-        coords = [Q1 if t == j else Q0 for t in range(dsrc)]
-        img = pushforward(phi, hh_class(x, degree, coords))
-        cols.append(img.coords if img.coords else (Q0,) * dtgt)
-    return Matrix.from_columns(cols, dtgt) if cols else Matrix.zero(dtgt, 0)
+    basis = hh_basis(phi.source, degree)
+    rows = hh_data(phi.target).dim(-degree)
+    cols = [dict(enumerate(pushforward(phi, v).coords)) for v in basis]
+    return Matrix.from_column_maps(cols, rows)
 
 
 def pullback_matrix(phi: kn.Kernel, degree=0):
-    x, y = phi.source, phi.target
-    dsrc = hh_data(y).dim(-degree)
-    dtgt = hh_data(x).dim(-degree)
-    cols = []
-    for j in range(dsrc):
-        coords = [Q1 if t == j else Q0 for t in range(dsrc)]
-        img = pullback(phi, hh_class(y, degree, coords))
-        cols.append(img.coords if img.coords else (Q0,) * dtgt)
-    return Matrix.from_columns(cols, dtgt) if cols else Matrix.zero(dtgt, 0)
+    basis = hh_basis(phi.target, degree)
+    rows = hh_data(phi.source).dim(-degree)
+    cols = [dict(enumerate(pullback(phi, w).coords)) for w in basis]
+    return Matrix.from_column_maps(cols, rows)
 
 
 # -- Mukai pairing ---------------------------------------------------------------
@@ -347,17 +348,10 @@ def mukai_pairing(v: HochschildClass, w: HochschildClass):
 
 def pairing_matrix(space, i=0):
     """The pairing block HH_i x HH_{-i} -> Q in the solver bases."""
-    di = hh_data(space).dim(-i)
-    dj = hh_data(space).dim(i)
-    rows = []
-    for a in range(di):
-        va = hh_class(space, i, [Q1 if t == a else Q0 for t in range(di)])
-        row = []
-        for b in range(dj):
-            wb = hh_class(space, -i, [Q1 if t == b else Q0 for t in range(dj)])
-            row.append(mukai_pairing(va, wb))
-        rows.append(row)
-    return Matrix.from_rows(rows) if rows else Matrix.zero(0, dj)
+    vs, ws = hh_basis(space, i), hh_basis(space, -i)
+    return Matrix.sparse(len(vs), len(ws), {
+        a * len(ws) + b: mukai_pairing(va, wb)
+        for a, va in enumerate(vs) for b, wb in enumerate(ws)})
 
 
 # -- modules as kernels, Chern character, Euler pairing --------------------------
@@ -452,12 +446,11 @@ def cardy_check(x, e: kn.Kernel, f: kn.Kernel, s: kn.TwoMorphism,
     for n, (dim, section, projector) in data.data.items():
         mat_cols = []
         for jv in range(dim):
-            coords = [Q1 if q == jv else Q0 for q in range(dim)]
-            cmap = data.chain_map(n, coords)
+            cmap = data.chain_map(n, {jv: Q1})
             conj = t.chain.compose(cmap.compose(s.chain))
             vec = data.hc.coordinates(conj.components, n)
-            mat_cols.append(projector.apply(vec))
-        m = Matrix.from_columns(mat_cols, dim)
+            mat_cols.append(projector.apply_map(vec))
+        m = Matrix.from_column_maps(mat_cols, dim)
         tr = sum((m[i, i] for i in range(dim)), Q0)
         total += tr if n % 2 == 0 else -tr
     lhs = total
@@ -487,10 +480,9 @@ def class_function(space, pt_space, v: HochschildClass, reps):
     il = iota_lower(rk, v)
     out = []
     for g in reps:
-        gvec = tuple(Q1 if t == g else Q0 for t in range(a.dim))
         # right multiplication by g is a left-module endomorphism
         mg = cx.ChainMap(rk.complex, rk.complex, 0,
-                         {0: a.right_mult_matrix(gvec)}, check=False)
+                         {0: a.right_mult_matrix({g: Q1})}, check=False)
         tmg = kn.TwoMorphism(rk, rk, mg)
         comp = il.compose(tmg)
         out.append(serre_trace_on_module(rk, comp))

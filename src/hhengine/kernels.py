@@ -292,11 +292,8 @@ class Space:
 
 
 def _invert(m: Matrix):
-    cols = []
-    for j in range(m.rows):
-        e = [Q1 if i == j else Q0 for i in range(m.rows)]
-        cols.append(solve(m, e))
-    return Matrix.from_columns(cols, m.rows)
+    return Matrix.from_column_maps([solve(m, {j: Q1}) for j in range(m.rows)],
+                                   m.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +323,8 @@ def dual_complex(c: cx.Complex):
             coords = ddn.express((f * c.differential(n)).scale(sgn))
             if coords is None:
                 raise InvariantViolation("dual differential escaped the dual basis")
-            cols.append(tuple(coords))
-        diffs[-n - 1] = Matrix.from_columns(cols, mdn.dim)
+            cols.append(coords)
+        diffs[-n - 1] = Matrix.from_column_maps(cols, mdn.dim)
     return cx.Complex(terms, diffs, c.right, c.left, check=True)
 
 
@@ -368,12 +365,14 @@ def _contract(space: Space, k: Kernel, side):
         tc = cx.tc_of(rc, k.complex)
     else:
         tc = cx.tc_of(k.complex, rc)
+    augm = aug.component(0)
     comps = {}
     for n, blocklist in tc.blocks.items():
         rows = k.complex.dim(n)
         if rows == 0:
             continue
-        data = [[Q0] * tc.complex.dim(n) for _ in range(rows)]
+        cols = tc.complex.dim(n)
+        entries = {}
         wrote = False
         for (i, j, off, size) in blocklist:
             if side == "left":
@@ -382,36 +381,30 @@ def _contract(space: Space, k: Kernel, side):
                 _, _, sect = cx.term_tensor(rc.term(0), k.complex.term(j))
                 term = k.complex.term(j)
                 inner_dim = term.dim
+                act = term.act_left
             else:
                 if j != 0:
                     continue
                 _, _, sect = cx.term_tensor(k.complex.term(i), rc.term(0))
                 term = k.complex.term(i)
                 inner_dim = rc.term(0).dim
-            augm = aug.component(0)
+                act = term.act_right
+            acts = {}
             for col in range(size):
-                v = sect.column(col)
-                out = [Q0] * rows
-                for idx, xval in enumerate(v):
-                    if not xval:
-                        continue
+                out = {}
+                for idx, xval in sect.col_items(col):
                     if side == "left":
                         a_idx, m_idx = divmod(idx, inner_dim)
-                        avec = augm.column(a_idx)
-                        w = term.act_left(avec).column(m_idx)
                     else:
                         m_idx, a_idx = divmod(idx, inner_dim)
-                        avec = augm.column(a_idx)
-                        w = term.act_right(avec).column(m_idx)
-                    for r, yv in enumerate(w):
-                        if yv:
-                            out[r] += xval * yv
-                for r, yv in enumerate(out):
-                    if yv:
-                        data[r][off + col] += yv
-                        wrote = True
+                    if a_idx not in acts:
+                        acts[a_idx] = act(dict(augm.col_items(a_idx)))
+                    for r, yv in acts[a_idx].col_items(m_idx):
+                        out[r] = out[r] + xval * yv if r in out else xval * yv
+                if cx._accumulate(entries, out, 0, cols, off + col):
+                    wrote = True
         if wrote:
-            comps[n] = Matrix.from_rows([tuple(r) for r in data])
+            comps[n] = Matrix.sparse(rows, cols, entries)
     return tc, cx.ChainMap(tc.complex, k.complex, 0, comps, check=False)
 
 
@@ -439,37 +432,38 @@ def _assoc_mediator(x: cx.Complex, y: cx.Complex, z: cx.Complex):
     outer_l = cx.tc_of(inner_l.complex, z)
 
     def build(direction):
-        src, tgt = (outer_r, outer_l) if direction == "fwd" else (outer_l, outer_r)
+        fwd = direction == "fwd"
+        src, tgt = (outer_r, outer_l) if fwd else (outer_l, outer_r)
         comps = {}
         for n in src.complex.degrees():
             rows = tgt.complex.dim(n)
             cols = src.complex.dim(n)
             if rows == 0 or cols == 0:
                 continue
-            data = [[Q0] * cols for _ in range(rows)]
+            entries = {}
             wrote = False
             for (bi, bj, off, size) in src.blocks.get(n, []):
-                if direction == "fwd":
+                if fwd:
                     xi_deg, inner_deg = bi, bj
                     _, _, sect_outer = cx.term_tensor(x.term(xi_deg),
                                                       inner_r.complex.term(inner_deg))
                     inner_blocks = inner_r.blocks.get(inner_deg, [])
+                    outer_split = inner_r.complex.dim(inner_deg)
                 else:
                     inner_deg, zk_deg = bi, bj
                     _, _, sect_outer = cx.term_tensor(inner_l.complex.term(inner_deg),
                                                       z.term(zk_deg))
                     inner_blocks = inner_l.blocks.get(inner_deg, [])
                 for (ci, cj, off_in, size_in) in inner_blocks:
-                    if direction == "fwd":
+                    if fwd:
                         i, j, kdeg = xi_deg, ci, cj
                         _, _, sect_in = cx.term_tensor(y.term(ci), z.term(cj))
                     else:
                         i, j, kdeg = ci, cj, zk_deg
                         _, _, sect_in = cx.term_tensor(x.term(ci), y.term(cj))
-                    dx = x.dim(i)
                     dy = y.dim(j)
                     dz = z.dim(kdeg)
-                    if direction == "fwd":
+                    if fwd:
                         tgt_off = outer_l._find_block(n, i + j, kdeg)
                         if tgt_off is None:
                             continue
@@ -477,7 +471,6 @@ def _assoc_mediator(x: cx.Complex, y: cx.Complex, z: cx.Complex):
                         xy_off = inner_l._find_block(i + j, i, j)
                         _, proj_out_new, _ = cx.term_tensor(
                             inner_l.complex.term(i + j), z.term(kdeg))
-                        dim_q_new_in = inner_l.complex.dim(i + j)
                     else:
                         tgt_off = outer_r._find_block(n, i, j + kdeg)
                         if tgt_off is None:
@@ -488,66 +481,42 @@ def _assoc_mediator(x: cx.Complex, y: cx.Complex, z: cx.Complex):
                             x.term(i), inner_r.complex.term(j + kdeg))
                         dim_q_new_in = inner_r.complex.dim(j + kdeg)
                     for col in range(size):
-                        v = sect_outer.column(col)
+                        # the outer section column as raw triples (a, b, c)
                         raw3 = {}
-                        for idx, c0 in enumerate(v):
-                            if not c0:
-                                continue
-                            if direction == "fwd":
-                                a_idx, q_idx = divmod(idx, inner_r.complex.dim(inner_deg))
-                                ql = q_idx - off_in
-                                if ql < 0 or ql >= size_in:
-                                    continue
-                                w = sect_in.column(ql)
-                                for idx2, c1 in enumerate(w):
-                                    if c1:
-                                        b_idx, c_idx = divmod(idx2, dz)
-                                        key3 = (a_idx, b_idx, c_idx)
-                                        raw3[key3] = raw3.get(key3, Q0) + c0 * c1
+                        for idx, c0 in sect_outer.col_items(col):
+                            if fwd:
+                                a_idx, q_idx = divmod(idx, outer_split)
                             else:
                                 q_idx, c_idx = divmod(idx, dz)
-                                ql = q_idx - off_in
-                                if ql < 0 or ql >= size_in:
-                                    continue
-                                w = sect_in.column(ql)
-                                for idx2, c1 in enumerate(w):
-                                    if c1:
-                                        a_idx, b_idx = divmod(idx2, dy)
-                                        key3 = (a_idx, b_idx, c_idx)
-                                        raw3[key3] = raw3.get(key3, Q0) + c0 * c1
-                        out = [Q0] * rows
-                        if direction == "fwd":
-                            acc = {}
-                            for (a_idx, b_idx, c_idx), cv in raw3.items():
-                                colq = proj_in_new.column(a_idx * dy + b_idx)
-                                for r, pv in enumerate(colq):
-                                    if pv:
-                                        kk = (xy_off + r, c_idx)
-                                        acc[kk] = acc.get(kk, Q0) + pv * cv
-                            for (qr, c_idx), cv in acc.items():
-                                colf = proj_out_new.column(qr * dz + c_idx)
-                                for r, pv in enumerate(colf):
-                                    if pv:
-                                        out[tgt_off + r] += pv * cv
-                        else:
-                            acc = {}
-                            for (a_idx, b_idx, c_idx), cv in raw3.items():
-                                colq = proj_in_new.column(b_idx * dz + c_idx)
-                                for r, pv in enumerate(colq):
-                                    if pv:
-                                        kk = (a_idx, yz_off + r)
-                                        acc[kk] = acc.get(kk, Q0) + pv * cv
-                            for (a_idx, qr), cv in acc.items():
-                                colf = proj_out_new.column(a_idx * dim_q_new_in + qr)
-                                for r, pv in enumerate(colf):
-                                    if pv:
-                                        out[tgt_off + r] += pv * cv
-                        for r, yv in enumerate(out):
-                            if yv:
-                                data[r][off + col] += yv
-                                wrote = True
+                            ql = q_idx - off_in
+                            if ql < 0 or ql >= size_in:
+                                continue
+                            for idx2, c1 in sect_in.col_items(ql):
+                                if fwd:
+                                    b_idx, c_idx = divmod(idx2, dz)
+                                else:
+                                    a_idx, b_idx = divmod(idx2, dy)
+                                key3 = (a_idx, b_idx, c_idx)
+                                raw3[key3] = raw3.get(key3, Q0) + c0 * c1
+                        # regroup the pair on the other side, then project
+                        acc = {}
+                        for (a_idx, b_idx, c_idx), cv in raw3.items():
+                            if fwd:
+                                inner_col = a_idx * dy + b_idx
+                            else:
+                                inner_col = b_idx * dz + c_idx
+                            for r, pv in proj_in_new.col_items(inner_col):
+                                kk = (xy_off + r, c_idx) if fwd else (a_idx, yz_off + r)
+                                acc[kk] = acc.get(kk, Q0) + pv * cv
+                        out = {}
+                        for (u, v), cv in acc.items():
+                            outer_col = u * dz + v if fwd else u * dim_q_new_in + v
+                            for r, pv in proj_out_new.col_items(outer_col):
+                                out[r] = out.get(r, Q0) + pv * cv
+                        if cx._accumulate(entries, out, tgt_off, cols, off + col):
+                            wrote = True
             if wrote:
-                comps[n] = Matrix.from_rows([tuple(r) for r in data])
+                comps[n] = Matrix.sparse(rows, cols, entries)
         return comps
 
     fwd = cx.ChainMap(outer_r.complex, outer_l.complex, 0, build("fwd"), check=False)
@@ -615,29 +584,22 @@ def whisker(left, alpha: TwoMorphism, right=None):
 
 
 def _embed_block(tc: cx.TensorComplex, n, i, j, raw_vec, acc):
-    """Project a raw pair vector into block (i, j) of degree n and add."""
+    """Project a raw pair vector into block (i, j) of degree n and add it to
+    the {index: value} map acc."""
     _, proj, _ = cx.term_tensor(tc.c.term(i), tc.d.term(j))
     off = tc._find_block(n, i, j)
     if off is None:
         raise InvariantViolation(f"no block ({i}, {j}) in degree {n}")
-    w = proj.apply(tuple(raw_vec))
-    for r, v in enumerate(w):
-        if v:
-            acc[off + r] += v
+    alg._add_into(acc, {off + r: v for r, v in proj.apply_map(raw_vec).items()})
 
 
 def _bimodule_map_from_element(reg, term, w):
     """Matrix of a |-> a . w; checks w is central so this is a bimodule map."""
-    cols = []
+    cols = [term.act_left({i: Q1}).apply_map(w) for i in range(reg.dim)]
     for i in range(reg.dim):
-        avec = tuple(Q1 if k == i else Q0 for k in range(reg.dim))
-        cols.append(term.act_left(avec).apply(w))
-    m = Matrix.from_columns(cols, term.dim)
-    for i in range(reg.dim):
-        avec = tuple(Q1 if k == i else Q0 for k in range(reg.dim))
-        if term.act_right(avec).apply(w) != tuple(m.column(i)):
+        if term.act_right({i: Q1}).apply_map(w) != cols[i]:
             raise InvariantViolation("unit element is not central")
-    return m
+    return Matrix.from_column_maps(cols, term.dim)
 
 
 def counit_eps(phi: Kernel):
@@ -708,14 +670,13 @@ def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, mirror, reg_complex):
     """
     x, y = phi.source, phi.target
     a_dim = x.algebra.dim
-    b_dim = y.algebra.dim
     target_reg = x.regular if mirror else y.regular
     breg = reg_complex
     rows = target_reg.dim
     cols = n_out.complex.dim(0)
     comps = {}
     if cols:
-        data = [[Q0] * cols for _ in range(rows)]
+        entries = {}
         wrote = False
         for (bi, bj, off, size) in n_out.blocks.get(0, []):
             i = bi if not mirror else -bi
@@ -736,43 +697,33 @@ def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, mirror, reg_complex):
             sgn = Q1 if (mirror or i % 2 == 0) else -Q1
             inner_dim = n_in.complex.dim(bj)
             for col in range(size):
-                v = sect_o.column(col)
-                out = [Q0] * rows
-                for idx, c0 in enumerate(v):
-                    if not c0:
-                        continue
+                out = {}
+                for idx, c0 in sect_o.col_items(col):
                     o_idx, q_idx = divmod(idx, inner_dim)
                     ql = q_idx - in_off
                     if ql < 0 or ql >= in_size:
                         continue
-                    w = sect_i.column(ql)
-                    for idx2, c1 in enumerate(w):
-                        if not c1:
-                            continue
+                    for idx2, c1 in sect_i.col_items(ql):
                         if not mirror:
                             m_idx = o_idx
                             xi_idx, f_idx = divmod(idx2, dterm.dim)
-                            fm = dd.functionals[f_idx].column(m_idx)
-                            for e_idx, val in enumerate(fm):
-                                if val:
-                                    bb, aa = divmod(e_idx, a_dim)
-                                    if aa == xi_idx:
-                                        out[bb] += sgn * c0 * c1 * val
                         else:
                             f_idx = o_idx
                             zeta_idx, m_idx = divmod(idx2, mterm.dim)
-                            fm = dd.functionals[f_idx].column(m_idx)
-                            for e_idx, val in enumerate(fm):
-                                if val:
-                                    bb, aa = divmod(e_idx, a_dim)
-                                    if bb == zeta_idx:
-                                        out[aa] += sgn * c0 * c1 * val
-                for r, yv in enumerate(out):
-                    if yv:
-                        data[r][off + col] += yv
-                        wrote = True
+                        for e_idx, val in dd.functionals[f_idx].col_items(m_idx):
+                            bb, aa = divmod(e_idx, a_dim)
+                            if not mirror and aa == xi_idx:
+                                r = bb
+                            elif mirror and bb == zeta_idx:
+                                r = aa
+                            else:
+                                continue
+                            p = sgn * c0 * c1 * val
+                            out[r] = out[r] + p if r in out else p
+                if cx._accumulate(entries, out, 0, cols, off + col):
+                    wrote = True
         if wrote:
-            comps[0] = Matrix.from_rows([tuple(r) for r in data])
+            comps[0] = Matrix.sparse(rows, cols, entries)
     return cx.ChainMap(n_out.complex, breg, 0, comps, check=False)
 
 
@@ -854,7 +805,7 @@ def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
     x, y = phi.source, phi.target
     a = x.algebra
     b = y.algebra
-    acc = [Q0] * n_out.complex.dim(0)
+    acc = {}
     for i in phi.complex.degrees():
         mterm = phi.complex.term(i)
         dterm = dk.complex.term(-i)
@@ -869,42 +820,26 @@ def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
             fcoords = dd.express(phi_mat)
             if fcoords is None:
                 raise InvariantViolation("coordinate functional escaped the dual basis")
+            fcoords = {fi: sgn * fc for fi, fc in fcoords.items()}
             if not mirror:
+                inner_dim = tc_inner.complex.dim(0)
                 for l in range(a.dim):
-                    xl = a  # placeholder for clarity
-                    x_rl = mterm.act_right(
-                        tuple(Q1 if t == l else Q0 for t in range(a.dim))).apply(gen)
-                    raw_in = [Q0] * (dterm.dim * mterm.dim)
-                    for fi, fc in enumerate(fcoords):
-                        if fc:
-                            for mi, mv in enumerate(x_rl):
-                                if mv:
-                                    raw_in[fi * mterm.dim + mi] += sgn * fc * mv
-                    inner_vec = [Q0] * tc_inner.complex.dim(0)
-                    _embed_block(tc_inner, 0, -i, i, raw_in, inner_vec)
-                    raw_out = [Q0] * (a.dim * len(inner_vec))
-                    for r, val in enumerate(inner_vec):
-                        if val:
-                            raw_out[l * len(inner_vec) + r] = val
+                    x_rl = mterm.act_right({l: Q1}).apply_map(gen)
+                    inner_vec = {}
+                    _embed_block(tc_inner, 0, -i, i,
+                                 alg._kron_vec(fcoords, x_rl, mterm.dim), inner_vec)
+                    raw_out = {l * inner_dim + r: val for r, val in inner_vec.items()}
                     _embed_block(n_out, 0, 0, 0, raw_out, acc)
             else:
+                mid_dim = tc_inner.complex.dim(-i)
                 for k in range(b.dim):
-                    ck_x = mterm.act_left(
-                        tuple(Q1 if t == k else Q0 for t in range(b.dim))).apply(gen)
-                    raw_mid = [Q0] * (dterm.dim * b.dim)
-                    for fi, fc in enumerate(fcoords):
-                        if fc:
-                            raw_mid[fi * b.dim + k] += sgn * fc
-                    mid_vec = [Q0] * tc_inner.complex.dim(-i)
+                    ck_x = mterm.act_left({k: Q1}).apply_map(gen)
+                    raw_mid = {fi * b.dim + k: fc for fi, fc in fcoords.items()}
+                    mid_vec = {}
                     _embed_block(tc_inner, -i, -i, 0, raw_mid, mid_vec)
-                    raw_out = [Q0] * (mterm.dim * len(mid_vec))
-                    for mi, mv in enumerate(ck_x):
-                        if mv:
-                            for r, val in enumerate(mid_vec):
-                                if val:
-                                    raw_out[mi * len(mid_vec) + r] += mv * val
+                    raw_out = alg._kron_vec(ck_x, mid_vec, mid_dim)
                     _embed_block(n_out, 0, i, -i, raw_out, acc)
-    return tuple(acc)
+    return alg._nonzero(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,7 +1016,6 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
     q_out = cx.tensor_map(outer, n_out, aug_y, lifted_tail)
     beta = q_out.compose(alpha.chain)              # phi.complex -> n_out
     total = Q0
-    b_dim = y.algebra.dim
     a_dim = x.algebra.dim
     for i in phi.complex.degrees():
         mterm = phi.complex.term(i)
@@ -1096,18 +1030,15 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
         sgn = Q1 if i % 2 == 0 else -Q1
         # expand n_out degree i into (zeta, tail(i)) and tail into (m, xi)
         for gen, phi_mat in pd.coordinates():
-            img = comp.apply(gen)
+            img = comp.apply_map(gen)
             for (bi, bj, off, size) in n_out.blocks.get(i, []):
                 _, _, sect_o = cx.term_tensor(n_out.c.term(bi), n_out.d.term(bj))
                 inner_dim = n_tail.complex.dim(bj)
                 for r in range(size):
-                    c0 = img[off + r]
+                    c0 = img.get(off + r)
                     if not c0:
                         continue
-                    v = sect_o.column(r)
-                    for idx, c1 in enumerate(v):
-                        if not c1:
-                            continue
+                    for idx, c1 in sect_o.col_items(r):
                         zeta_idx, q_idx = divmod(idx, inner_dim)
                         for (ci, cj, o2, s2) in n_tail.blocks.get(bj, []):
                             if q_idx < o2 or q_idx >= o2 + s2:
@@ -1116,13 +1047,9 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
                                 continue
                             _, _, sect_t = cx.term_tensor(n_tail.c.term(ci),
                                                           n_tail.d.term(0))
-                            wv = sect_t.column(q_idx - o2)
-                            for idx2, c2 in enumerate(wv):
-                                if not c2:
-                                    continue
+                            for idx2, c2 in sect_t.col_items(q_idx - o2):
                                 m_idx, xi_idx = divmod(idx2, a_dim)
-                                e = phi_mat.column(m_idx)
-                                val = e[zeta_idx * a_dim + xi_idx]
+                                val = phi_mat[zeta_idx * a_dim + xi_idx, m_idx]
                                 if val:
                                     total += sgn * c0 * c1 * c2 * val
     return total
@@ -1147,7 +1074,8 @@ def cycle_basis(src: Kernel, tgt: Kernel, degree):
     z = nullspace_basis(d)
     out = []
     for j in range(z.cols):
-        out.append(TwoMorphism(src, tgt, hc.chain_map_from(z.column(j), degree)))
+        out.append(TwoMorphism(src, tgt,
+                               hc.chain_map_from(dict(z.col_items(j)), degree)))
     return out
 
 

@@ -1,7 +1,9 @@
 """Exact rational linear algebra.
 
 Everything in the engine reduces to sparse matrices of `fractions.Fraction`
-in compressed-sparse-row form plus one elimination kernel.  The elimination
+in compressed-sparse-row form plus one elimination kernel.  A vector is a
+zero-free {index: Fraction} map everywhere: matrices act on maps, echelon
+rows are maps, solutions and coordinates come back as maps.  The elimination
 is fraction-free on scaled integer rows (Bareiss-style pivoting discipline)
 with a fixed deterministic pivot rule: the pivot of each row is its first
 nonzero entry in column order, and rows are processed in the order given.
@@ -51,11 +53,13 @@ class Matrix:
     nonzero Fractions).  No zero is ever stored, so two matrices are equal
     exactly when their shapes and tuples are.
 
-    `Matrix(rows, cols, data)`, `from_rows` and `from_columns` take dense
-    entries; `sparse` and `from_column_maps` take only the nonzeros.  `data`
-    is the dense row-major view, computed on access; loops over entries use
-    `row_items`, `col_items` or `items` instead.  The transpose is built
-    once, on first use by `transpose`, `column`, `col_items` or `apply`.
+    `sparse` and `from_column_maps` build a matrix from its nonzeros;
+    `Matrix(rows, cols, data)` and `from_rows` take dense entries, for
+    matrices read from JSON.  `apply_map` multiplies a zero-free
+    {index: value} vector, and `row_items`, `col_items` and `items` walk the
+    nonzeros.  `data` and `row` are dense views computed on access, for
+    report output.  The transpose is built once, on first use by
+    `transpose`, `col_items` or `apply_map`.
     """
 
     __slots__ = ("rows", "cols", "_ptr", "_idx", "_val", "_t")
@@ -106,16 +110,6 @@ class Matrix:
         return Matrix(rows, cols, flat)
 
     @staticmethod
-    def from_columns(cols_list, rows):
-        cols = len(cols_list)
-        flat = [Q0] * (rows * cols)
-        for j, col in enumerate(cols_list):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            flat[j::cols] = col
-        return Matrix(rows, cols, flat)
-
-    @staticmethod
     def from_column_maps(col_maps, rows):
         """Matrix whose column j holds col_maps[j] ({row: Fraction}); zeros
         are dropped."""
@@ -153,13 +147,7 @@ class Matrix:
     @property
     def data(self):
         """Dense row-major tuple of all rows * cols entries."""
-        out = [Q0] * (self.rows * self.cols)
-        ptr, idx, val, cols = self._ptr, self._idx, self._val, self.cols
-        for i in range(self.rows):
-            base = i * cols
-            for k in range(ptr[i], ptr[i + 1]):
-                out[base + idx[k]] = val[k]
-        return tuple(out)
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -193,16 +181,9 @@ class Matrix:
         return dict(zip(keys, self._val))
 
     def row(self, i):
-        out = [Q0] * self.cols
-        for j, x in self.row_items(i):
-            out[j] = x
-        return tuple(out)
-
-    def column(self, j):
-        out = [Q0] * self.rows
-        for i, x in self.col_items(j):
-            out[i] = x
-        return tuple(out)
+        """Dense tuple of the entries of row i."""
+        entries = dict(self.row_items(i))
+        return tuple(entries.get(j, Q0) for j in range(self.cols))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -283,18 +264,9 @@ class Matrix:
             ptr.append(len(idx))
         return Matrix._csr(self.rows, other.cols, ptr, idx, val)
 
-    def apply(self, vec):
-        """Matrix times column vector (tuple in, tuple out)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [Q0] * self.rows
-        for i, x in self.apply_map(dict(enumerate(vec))).items():
-            out[i] = x
-        return tuple(out)
-
     def apply_map(self, vec):
-        """Matrix times a {index: value} vector, as {row: value}; entries
-        that cancel to zero may remain."""
+        """Matrix times a {index: value} vector, as a zero-free
+        {row: value}."""
         out = {}
         t = self.transpose()
         tptr, tidx, tval = t._ptr, t._idx, t._val
@@ -303,7 +275,12 @@ class Matrix:
                 for k in range(tptr[j], tptr[j + 1]):
                     i = tidx[k]
                     p = tval[k] * v
-                    out[i] = out[i] + p if i in out else p
+                    if i in out:
+                        p += out[i]
+                        if not p:
+                            del out[i]
+                            continue
+                    out[i] = p
         return out
 
     def row_block(self, lo, hi):
@@ -508,15 +485,12 @@ class SpanSolver:
         self.ech.insert(tagged)
 
     def express(self, row):
-        """Coefficients over the added vectors reproducing `row`, or None."""
-        res = self.ech.reduce(dict(row))
+        """Zero-free {added-vector index: coefficient} reproducing `row`, or
+        None."""
+        res = self.ech.reduce(row)
         if any(j < self.ncols and v for j, v in res.items()):
             return None
-        coeffs = [Q0] * self.count
-        for j, v in res.items():
-            if v:
-                coeffs[j - self.ncols] = -v
-        return coeffs
+        return {j - self.ncols: -v for j, v in res.items() if v}
 
 
 def _row_echelon(m: Matrix):
@@ -535,24 +509,22 @@ def nullspace_basis(m: Matrix) -> Matrix:
     return Matrix.from_column_maps(_row_echelon(m).nullspace_maps(), m.cols)
 
 
-def solve(m: Matrix, b) -> tuple:
-    """Some x with m x = b, or raise Inconsistent."""
-    if len(b) != m.rows:
-        raise ValueError("rhs length mismatch")
+def solve(m: Matrix, b) -> dict:
+    """Some x with m x = b, both {index: value} maps, or raise Inconsistent;
+    every free unknown of x is zero."""
+    if any(not 0 <= i < m.rows for i in b):
+        raise ValueError("rhs index out of range")
     # eliminate on the transpose-augmented system: row-reduce [m | b] columns
-    ech = Echelon(m.cols + 1)
+    aug = m.cols
+    ech = Echelon(aug + 1)
     for i in range(m.rows):
         row = dict(m.row_items(i))
-        bi = scalar(b[i])
-        if bi:
-            row[m.cols] = bi
+        if b.get(i):
+            row[aug] = b[i]
         ech.insert(row)
-    if m.cols in ech.pivot_row:
+    if aug in ech.pivot_row:
         raise Inconsistent("rhs outside the column space")
-    x = [Q0] * m.cols
-    for p, row in ech.pivot_row.items():
-        x[p] = row.get(m.cols, Q0)
-    return tuple(x)
+    return {p: row[aug] for p, row in ech.pivot_row.items() if aug in row}
 
 
 def quotient_basis(ambient_dim: int, subspace: Matrix):

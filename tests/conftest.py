@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from importlib import resources
@@ -162,7 +163,7 @@ def ind_res(pt, bz2, bs3):
     z = bz2.algebra
     s = bs3.algebra
     images = [0, 1]
-    cols = [tuple(0 if k != img else 1 for k in range(s.dim)) for img in images]
+    cols = [{img: Fraction(1)} for img in images]
     right = [s.right_mult_matrix(c) for c in cols]
     left = [s.left_mult_matrix(c) for c in cols]
     ind = alg.Bimodule(s, z, s.dim, list(s.left_mult), right, "Ind", check=True)

@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 from importlib import resources
@@ -77,6 +78,17 @@ def test_bs3_workspace_values(golden_reports):
     assert p["push-ind"][1]["matrix"] == p["pull-res"][1]["matrix"]
 
 
+def test_golden_reports_match_snapshot(golden_reports):
+    # tests/golden_reports.json holds the seed-0 reports of the six goldens
+    # without their `seconds`; every engine change must reproduce it byte for
+    # byte
+    snapshot = Path(__file__).with_name("golden_reports.json").read_text()
+    got = {name: {"ok": ok, "report": {**report, "tasks": [
+        {k: v for k, v in t.items() if k != "seconds"} for t in report["tasks"]]}}
+        for name, (report, ok) in golden_reports.items()}
+    assert json.dumps(got, indent=1, sort_keys=True) + "\n" == snapshot
+
+
 def test_report_determinism():
     r1, _ = cli.run_workspace(load_ws("a2"), "a2.json", seed=5)
     r2, _ = cli.run_workspace(load_ws("a2"), "a2.json", seed=5)
@@ -109,15 +121,73 @@ def test_schema_error_on_bad_document():
     bad["kernels"] = []
     with pytest.raises(SchemaError, match="must be objects"):
         cli.Workspace(bad, "x")
+    # engine errors raised while building are schema errors too
+    bad = load_ws("bz2")
+    bad["spaces"]["BZ2"]["table"] = [[0, 0], [1, 1]]
+    with pytest.raises(SchemaError, match="NotAGroup"):
+        cli.Workspace(bad, "x")
+    bad = load_ws("bz2")
+    bad["spaces"]["Q"] = {"type": "path_quiver", "vertices": 2,
+                          "arrows": [[0, 1], [1, 0]]}
+    with pytest.raises(SchemaError, match="CyclicQuiver"):
+        cli.Workspace(bad, "x")
+    bad = load_ws("bz2")
+    bad["tasks"].append({"id": "t", "space": "BZ2"})
+    with pytest.raises(SchemaError, match="no op"):
+        cli.Workspace(bad, "x")
+    bad = load_ws("bs3")
+    bad["maps"]["incl"]["basis_images"][1] = 99
+    with pytest.raises(SchemaError, match="out of range"):
+        cli.Workspace(bad, "x")
 
 
-def test_failing_task_sets_exit_status():
+def test_failing_task_sets_exit_status(tmp_path, capsys):
     doc = load_ws("pt")
     doc["tasks"] = [{"id": "boom", "op": "eval-diagram",
                      "term": "eps(ker(missing))"}]
     report, ok = cli.run_workspace(doc, "pt.json")
     assert not ok
     assert report["tasks"][0]["status"] == "error"
+    # explain prints the error instead of a traceback
+    p = tmp_path / "ws.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["explain", str(p), "boom"]) == 1
+    assert "UnknownPrimitive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, error", [
+    ({"id": "bad-degree", "op": "pairing-matrix", "space": "BZ2",
+      "degree": "abc"}, "ValueError: "),
+    ({"id": "no-kernels", "op": "verify", "check": "cardy", "kernels": []},
+     "ZeroDivisionError: "),
+], ids=["bad-degree", "no-kernels"])
+def test_a_task_that_breaks_stays_in_the_report(tmp_path, capsys, task, error):
+    doc = load_ws("bz2")
+    doc["tasks"] = [{"id": "hh-bz2", "op": "hh", "space": "BZ2"}, task]
+    report, ok = cli.run_workspace(doc, "bz2.json")
+    assert not ok
+    p = payloads(report)
+    assert p["hh-bz2"] == ("ok", {"hh": {"0": 2}})
+    status, payload = p[task["id"]]
+    assert status == "error" and payload["error"].startswith(error)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["tasks"][1]["status"] == "error"
+
+
+def test_a_task_without_id_goes_by_its_op(tmp_path, capsys):
+    doc = load_ws("bz2")
+    doc["tasks"] = [{"op": "hh", "space": "BZ2"},
+                    {"id": "euler-ts", "op": "euler", "kernels": ["triv", "sgn"]}]
+    p = tmp_path / "ws.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["run", str(p), "--task", "hh"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(t["id"], t["payload"]) for t in report["tasks"]] == [
+        ("hh", {"hh": {"0": 2}})]
+    assert cli.main(["explain", str(p), "hh"]) == 0
+    assert "task hh: hh" in capsys.readouterr().out
 
 
 def test_main_entry_and_exit_codes(tmp_path, capsys):
@@ -206,6 +276,7 @@ def test_partial_trace_over_a_zero_convolution_fails_per_task():
     ("kernel", {"type": "dual-of", "kernel": "nope"}),
     ("kernel", {"type": "convolution-of", "kernels": ["sgn", "nope"]}),
     ("class", {"type": "chern-of", "kernel": "nope"}),
+    ("task", {"id": "t", "op": "hh", "space": "nope"}),
 ])
 def test_unknown_references_are_schema_errors(tmp_path, capsys, where, bad):
     doc = load_ws("bz2")
