@@ -3,7 +3,7 @@
 Conventions used everywhere downstream:
 
   * every vector (an algebra element, a module element, a coordinate list)
-    is a zero-free {index: Fraction} map;
+    is a zero-free {index: value} map of exact scalars (see linalg);
   * an Algebra stores one left-multiplication matrix per basis element;
     column j of L_i is b_i * b_j;
   * a tensor product A (x) B orders its basis left-factor major:
@@ -328,6 +328,12 @@ class Bimodule:
             self._check()
 
     def _check(self):
+        for side, algebra, acts in (("left", self.left, self.left_action),
+                                    ("right", self.right, self.right_action)):
+            if len(acts) != algebra.dim or any(
+                    (x.rows, x.cols) != (self.dim, self.dim) for x in acts):
+                raise ValueError(f"{self.label}: {side} action is not {algebra.dim}"
+                                 f" matrices of size {self.dim}x{self.dim}")
         idm = Matrix.identity(self.dim)
         if self.act_left(self.left.unit) != idm:
             raise ValueError(f"{self.label}: left action not unital")

@@ -90,8 +90,9 @@ class Workspace:
         return self._pt
 
     def _check_references(self):
-        """Every task has an op, and every space, kernel and class that a
-        spec or a task names is defined."""
+        """Every task has an op and at most a positive integer `count`, and
+        every space, kernel and class that a spec or a task names is
+        defined."""
         spaces = self.doc.get("spaces", {})
         kernels = self.doc.get("kernels", {})
         classes = self.doc.get("classes", {})
@@ -108,8 +109,12 @@ class Workspace:
         for owner, spec in owners:
             if not isinstance(spec, dict):
                 raise SchemaError(f"{owner} is not an object")
-            if owner.startswith("task") and "op" not in spec:
-                raise SchemaError(f"{owner} has no op")
+            if owner.startswith("task"):
+                if "op" not in spec:
+                    raise SchemaError(f"{owner} has no op")
+                count = spec.get("count", 1)
+                if type(count) is not int or count < 1:
+                    raise SchemaError(f"{owner} count must be a positive integer")
             refs = [("space", spec["space"])] if "space" in spec else []
             refs += [("kernel", spec[f]) for f in KERNEL_FIELDS if f in spec]
             refs += [("kernel", n) for n in spec.get("kernels", [])]
@@ -383,7 +388,7 @@ def run_verify(ws: Workspace, task, rng):
         return {"pairing_matrix": before}
     if check == "cardy":
         names = task["kernels"]
-        count = int(task.get("count", 4))
+        count = task.get("count", 4)
         vals = []
         for i in range(count):
             ne = names[i % len(names)]
@@ -423,7 +428,7 @@ def run_verify(ws: Workspace, task, rng):
     if check == "partial-trace":
         phi = ws.kernels[task["phi"]]
         psi = ws.kernels[task["psi"]]
-        count = int(task.get("count", 4))
+        count = task.get("count", 4)
         x, y = phi.source, phi.target
         z = psi.source
         sky = y.serre_kernel(verify=False)

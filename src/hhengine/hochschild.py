@@ -11,8 +11,6 @@ print; everything below it passes {index: value} maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InvariantViolation, SpaceMismatch
 from .linalg import Matrix, Q0, Q1, quotient_basis, scalar
 from . import algebras as alg
@@ -389,7 +387,7 @@ def euler(x, e: kn.Kernel, f: kn.Kernel):
     total = 0
     for n, d in data.dims().items():
         total += d if n % 2 == 0 else -d
-    return Fraction(total)
+    return total
 
 
 def pt_serre_insert(pt_space):

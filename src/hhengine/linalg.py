@@ -1,15 +1,18 @@
 """Exact rational linear algebra.
 
-Everything in the engine reduces to sparse matrices of `fractions.Fraction`
-in compressed-sparse-row form plus one elimination kernel.  A vector is a
-zero-free {index: Fraction} map everywhere: matrices act on maps, echelon
-rows are maps, solutions and coordinates come back as maps.  The elimination
-is fraction-free on scaled integer rows (Bareiss-style pivoting discipline)
-with a fixed deterministic pivot rule: the pivot of each row is its first
-nonzero entry in column order, and rows are processed in the order given.
-Every basis produced downstream (nullspaces, quotients, homology bases,
-Hochschild bases) is a function of this rule only, so repeated runs agree
-bit for bit.
+Everything in the engine reduces to sparse matrices over Q in
+compressed-sparse-row form plus one elimination kernel.  An exact scalar is a
+Python `int` when it is integral and a `fractions.Fraction` only when its
+denominator is greater than 1, so the mostly integral arithmetic of the engine
+runs on plain ints, far cheaper than Fractions; the layers above need not care
+which of the two a value is.  A vector is a zero-free {index: value} map everywhere: matrices act
+on maps, echelon rows are maps, solutions and coordinates come back as maps.
+The elimination is fraction-free on scaled integer rows (Bareiss-style
+pivoting discipline) with a fixed deterministic pivot rule: the pivot of each
+row is its first nonzero entry in column order, and rows are processed in the
+order given.  Every basis produced downstream (nullspaces, quotients, homology
+bases, Hochschild bases) is a function of this rule only, so repeated runs
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+Q0 = 0
+Q1 = 1
 
 
 class LinalgError(Exception):
@@ -30,18 +33,30 @@ class Inconsistent(LinalgError):
     """Right-hand side outside the column space."""
 
 
-def scalar(x) -> Fraction:
-    """Coerce ints, strings like '2/3', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
+def _exact(x):
+    """x as an int when it is integral, else x itself (a Fraction)."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def scalar(x):
+    """Coerce ints, strings like '2/3', and Fractions to an exact scalar: an
+    int when integral, else a Fraction.  A bool is not a scalar (TypeError),
+    nor is a string with a zero denominator (ValueError)."""
+    if isinstance(x, bool):
+        raise TypeError(f"not an exact scalar: {x!r}")
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {x!r}") from None
+    if isinstance(x, Fraction):
+        return _exact(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def format_scalar(x: Fraction) -> str:
+def format_scalar(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -50,8 +65,9 @@ class Matrix:
 
     Three flat tuples hold the nonzero entries: `_ptr` (rows + 1 offsets),
     `_idx` (column indices, increasing within each row) and `_val` (the
-    nonzero Fractions).  No zero is ever stored, so two matrices are equal
-    exactly when their shapes and tuples are.
+    nonzero values, each an int or a non-integral Fraction as `scalar`
+    returns them).  No zero is ever stored, so two matrices are equal exactly
+    when their shapes and tuples are.
 
     `sparse` and `from_column_maps` build a matrix from its nonzeros;
     `Matrix(rows, cols, data)` and `from_rows` take dense entries, for
@@ -88,7 +104,7 @@ class Matrix:
 
     @classmethod
     def _csr(cls, rows, cols, ptr, idx, val):
-        """Trusted constructor: sorted indices, nonzero Fraction values."""
+        """Trusted constructor: sorted indices, nonzero exact values."""
         m = object.__new__(cls)
         m._fill(rows, cols, ptr, idx, val)
         return m
@@ -111,8 +127,8 @@ class Matrix:
 
     @staticmethod
     def from_column_maps(col_maps, rows):
-        """Matrix whose column j holds col_maps[j] ({row: Fraction}); zeros
-        are dropped."""
+        """Matrix whose column j holds col_maps[j] ({row: value}); zeros are
+        dropped."""
         cols = len(col_maps)
         return Matrix.sparse(rows, cols, {i * cols + j: x
                                           for j, col in enumerate(col_maps)
@@ -120,8 +136,8 @@ class Matrix:
 
     @staticmethod
     def sparse(rows, cols, entries):
-        """Matrix from {i * cols + j: Fraction} (row-major flat indices);
-        zeros are dropped."""
+        """Matrix from {i * cols + j: value} (row-major flat indices); zeros
+        are dropped."""
         ptr, idx, val = [0] * (rows + 1), [], []
         for k in sorted(entries):
             x = entries[k]
@@ -260,7 +276,7 @@ class Matrix:
                 x = acc[j]
                 if x:
                     idx.append(j)
-                    val.append(x)
+                    val.append(_exact(x))
             ptr.append(len(idx))
         return Matrix._csr(self.rows, other.cols, ptr, idx, val)
 
@@ -368,7 +384,7 @@ def block_diag(blocks):
 
 
 # ---------------------------------------------------------------------------
-# Sparse row echelon.  Rows are dicts {col: Fraction}.  The echelon keeps, for
+# Sparse row echelon.  Rows are dicts {col: value}.  The echelon keeps, for
 # each pivot column, one row normalized to pivot 1, fully reduced against the
 # earlier pivots on insertion.  This is GaussJordan done incrementally, which
 # is what makes the big structured solves (module-hom systems) affordable.
@@ -387,7 +403,7 @@ def _clear_denominators(row):
         g = gcd(g, abs(v.numerator * (l // v.denominator)))
     if g == 0:
         return {}
-    return {j: Fraction(v.numerator * (l // v.denominator) // g) for j, v in row.items()}
+    return {j: v.numerator * (l // v.denominator) // g for j, v in row.items()}
 
 
 class Echelon:
@@ -414,7 +430,7 @@ class Echelon:
                     continue
                 w = row.get(k, Q0) - c * v
                 if w:
-                    row[k] = w
+                    row[k] = _exact(w)
                 else:
                     row.pop(k, None)
         return row
@@ -426,8 +442,12 @@ class Echelon:
         if not row:
             return None
         p = min(row)
-        inv = Q1 / row[p]
-        row = {j: v * inv for j, v in row.items()}
+        pv = row[p]
+        if pv == -1:
+            row = {j: -v for j, v in row.items()}
+        elif pv != 1:
+            inv = Fraction(pv.denominator, pv.numerator)
+            row = {j: _exact(v * inv) for j, v in row.items()}
         # back-substitute into existing rows so the echelon stays fully reduced
         for q in self.order:
             r = self.pivot_row[q]
@@ -439,7 +459,7 @@ class Echelon:
                         continue
                     w = r.get(k, Q0) - c * v
                     if w:
-                        r[k] = w
+                        r[k] = _exact(w)
                     else:
                         r.pop(k, None)
         self.pivot_row[p] = row

@@ -139,6 +139,24 @@ def test_schema_error_on_bad_document():
     bad["maps"]["incl"]["basis_images"][1] = 99
     with pytest.raises(SchemaError, match="out of range"):
         cli.Workspace(bad, "x")
+    # a scalar with a zero denominator, and a JSON boolean, are not scalars
+    for entry, match in (("1/0", "zero denominator"), (True, "not an exact scalar")):
+        bad = load_ws("bz2")
+        bad["kernels"]["reg"]["action"][1][0][1] = entry
+        with pytest.raises(SchemaError, match=match):
+            cli.Workspace(bad, "x")
+    # an action matrix that is not square of the module's size
+    bad = load_ws("bz2")
+    bad["kernels"]["sgn"]["action"][0][0].append("1/1")
+    with pytest.raises(SchemaError, match="matrices of size 1x1"):
+        cli.Workspace(bad, "x")
+    # a Cardy or partial-trace count below 1 would verify nothing
+    for tid, count in (("cardy-bz2", -3), ("cardy-bz2", 0), ("ptrace-bz2", True),
+                       ("ptrace-bz2", "2")):
+        bad = load_ws("bz2")
+        next(t for t in bad["tasks"] if t["id"] == tid)["count"] = count
+        with pytest.raises(SchemaError, match="count must be a positive integer"):
+            cli.Workspace(bad, "x")
 
 
 def test_failing_task_sets_exit_status(tmp_path, capsys):

@@ -101,13 +101,27 @@ def test_echelon_insert_reduces_fully():
 
 # -- randomized comparison with a dense list-of-lists reference ----------------
 
+# mixed inputs: integral Fractions and proper fractions; integer inputs: ints
 VALUES = [Fraction(v) for v in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-3, 4)]
+INTS = [1, -1, 2, -2, 3, 5]
 
 
-def rand_dense(rng, rows, cols, density=None):
+def rand_dense(rng, rows, cols, values, density=None):
     density = rng.choice((0.0, 0.2, 0.5, 1.0)) if density is None else density
-    return [[rng.choice(VALUES) if rng.random() < density else Fraction(0)
+    return [[rng.choice(values) if rng.random() < density else 0
              for _ in range(cols)] for _ in range(rows)]
+
+
+def exact_values(values, integral):
+    """No float and no bool; with `integral`, every value is an int."""
+    kinds = (int,) if integral else (int, Fraction)
+    return all(type(x) in kinds for x in values)
+
+
+def canonical_values(values):
+    """Every value is an int, or a Fraction that is not an integer."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in values)
 
 
 def shape(rng):
@@ -132,7 +146,7 @@ def d_rref(rows, ncols):
     """Reduced row echelon form; rows in order, pivot = first nonzero."""
     out = []                        # (pivot column, row)
     for r in rows:
-        r = list(r)
+        r = [Fraction(x) for x in r]
         for p, pr in out:
             c = r[p]
             if c:
@@ -147,58 +161,67 @@ def d_rref(rows, ncols):
 
 
 def test_matrix_operations_match_dense_reference():
-    rng = random.Random(11)
-    for _ in range(150):
-        r, c = shape(rng)
-        a = rand_dense(rng, r, c)
-        ma = Matrix.from_rows(a) if r else Matrix(0, c, [])
-        assert (ma.rows, ma.cols) == (r, c)
-        assert dense(ma) == a
-        assert ma.data == tuple(x for row in a for x in row)
-        assert all(ma.row(i) == tuple(a[i]) for i in range(r))
-        assert all(dict(ma.col_items(j)) == as_map([a[i][j] for i in range(r)])
-                   for j in range(c))
-        assert ma == Matrix(r, c, ma.data)
-        assert ma == Matrix.from_column_maps([dict(ma.col_items(j)) for j in range(c)], r)
-        assert ma.is_zero() == all(not x for row in a for x in row)
-        mt = ma.transpose()
-        assert (mt.rows, mt.cols) == (c, r) and dense(mt) == d_transpose(a, r, c)
-        assert mt.transpose() == ma
-        # +, -, scale, == and hash
-        b = rand_dense(rng, r, c)
-        mb = Matrix(r, c, [x for row in b for x in row])
-        s = [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]
-        assert dense(ma + mb) == s
-        assert dense(ma - mb) == [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
-        assert ma + mb == mb + ma and hash(ma + mb) == hash(mb + ma)
-        assert (ma - ma).is_zero() and ma - ma == Matrix.zero(r, c)
-        k = rng.choice(VALUES + [Fraction(0)])
-        assert dense(ma.scale(k)) == [[k * x for x in row] for row in a]
-        assert dense(-ma) == [[-x for x in row] for row in a]
-        assert (ma == mb) == (a == b)
-        # apply
-        v = tuple(rng.choice(VALUES + [Fraction(0)] * 3) for _ in range(c))
-        assert ma.apply_map(as_map(v)) == as_map(
-            sum((a[i][j] * v[j] for j in range(c)), Fraction(0)) for i in range(r))
-        # product with a random right factor, including empty inner sizes
-        p = rng.randrange(0, 5)
-        e = rand_dense(rng, c, p)
-        me = Matrix(c, p, [x for row in e for x in row])
-        prod = ma * me
-        assert (prod.rows, prod.cols) == (r, p)
-        assert dense(prod) == [[sum((a[i][t] * e[t][j] for t in range(c)), Fraction(0))
-                                for j in range(p)] for i in range(r)]
-        # hstack and kronecker
-        h = rand_dense(rng, r, p)
-        mh = Matrix(r, p, [x for row in h for x in row])
-        assert dense(ma.hstack(mh)) == [a[i] + h[i] for i in range(r)]
-        r2, c2 = shape(rng)
-        g = rand_dense(rng, r2, c2)
-        mg = Matrix(r2, c2, [x for row in g for x in row])
-        kr = ma.kronecker(mg)
-        assert (kr.rows, kr.cols) == (r * r2, c * c2)
-        assert dense(kr) == [[a[i][j] * g[k][l] for j in range(c) for l in range(c2)]
-                             for i in range(r) for k in range(r2)]
+    for values, seed in ((VALUES, 11), (INTS, 13)):
+        integral = values is INTS
+        rng = random.Random(seed)
+        for _ in range(150):
+            r, c = shape(rng)
+            a = rand_dense(rng, r, c, values)
+            ma = Matrix.from_rows(a) if r else Matrix(0, c, [])
+            assert (ma.rows, ma.cols) == (r, c)
+            assert dense(ma) == a
+            assert exact_values(ma.data, integral)
+            assert ma.data == tuple(x for row in a for x in row)
+            assert all(ma.row(i) == tuple(a[i]) for i in range(r))
+            assert all(dict(ma.col_items(j)) == as_map([a[i][j] for i in range(r)])
+                       for j in range(c))
+            assert ma == Matrix(r, c, ma.data)
+            assert ma == Matrix.from_column_maps([dict(ma.col_items(j)) for j in range(c)], r)
+            assert ma.is_zero() == all(not x for row in a for x in row)
+            mt = ma.transpose()
+            assert (mt.rows, mt.cols) == (c, r) and dense(mt) == d_transpose(a, r, c)
+            assert mt.transpose() == ma
+            assert exact_values(mt.data, integral)
+            # +, -, scale, == and hash
+            b = rand_dense(rng, r, c, values)
+            mb = Matrix(r, c, [x for row in b for x in row])
+            s = [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]
+            assert dense(ma + mb) == s
+            assert dense(ma - mb) == [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
+            assert exact_values((ma + mb).data + (ma - mb).data, integral)
+            assert ma + mb == mb + ma and hash(ma + mb) == hash(mb + ma)
+            assert (ma - ma).is_zero() and ma - ma == Matrix.zero(r, c)
+            k = rng.choice(values + [0])
+            assert dense(ma.scale(k)) == [[k * x for x in row] for row in a]
+            assert dense(-ma) == [[-x for x in row] for row in a]
+            assert exact_values(ma.scale(k).data + (-ma).data, integral)
+            assert (ma == mb) == (a == b)
+            # apply
+            v = tuple(rng.choice(values + [0] * 3) for _ in range(c))
+            assert ma.apply_map(as_map(v)) == as_map(
+                sum((a[i][j] * v[j] for j in range(c)), Fraction(0)) for i in range(r))
+            assert exact_values(ma.apply_map(as_map(v)).values(), integral)
+            # product with a random right factor, including empty inner sizes
+            p = rng.randrange(0, 5)
+            e = rand_dense(rng, c, p, values)
+            me = Matrix(c, p, [x for row in e for x in row])
+            prod = ma * me
+            assert (prod.rows, prod.cols) == (r, p)
+            assert dense(prod) == [[sum((a[i][t] * e[t][j] for t in range(c)), Fraction(0))
+                                    for j in range(p)] for i in range(r)]
+            assert exact_values(prod.data, integral) and canonical_values(prod.data)
+            # hstack and kronecker
+            h = rand_dense(rng, r, p, values)
+            mh = Matrix(r, p, [x for row in h for x in row])
+            assert dense(ma.hstack(mh)) == [a[i] + h[i] for i in range(r)]
+            r2, c2 = shape(rng)
+            g = rand_dense(rng, r2, c2, values)
+            mg = Matrix(r2, c2, [x for row in g for x in row])
+            kr = ma.kronecker(mg)
+            assert (kr.rows, kr.cols) == (r * r2, c * c2)
+            assert dense(kr) == [[a[i][j] * g[k][l] for j in range(c) for l in range(c2)]
+                                 for i in range(r) for k in range(r2)]
+            assert exact_values(ma.hstack(mh).data + kr.data, integral)
 
 
 def test_empty_shapes():
@@ -214,48 +237,62 @@ def test_empty_shapes():
 
 
 def test_eliminations_match_dense_reference_bit_for_bit():
-    rng = random.Random(12)
-    for _ in range(150):
-        r, c = shape(rng)
-        a = rand_dense(rng, r, c)
-        ma = Matrix(r, c, [x for row in a for x in row])
-        # nullspace: one vector per free column of rref(a), in column order
-        piv = d_rref(a, c)
-        free = [j for j in range(c) if j not in piv]
-        want = []
-        for f in free:
-            vec = [Fraction(0)] * c
-            vec[f] = Fraction(1)
-            for p, row in piv.items():
-                vec[p] = -row[f]
-            want.append(vec)
-        ns = nullspace_basis(ma)
-        assert (ns.rows, ns.cols) == (c, len(free))
-        assert [dict(ns.col_items(j)) for j in range(ns.cols)] == [
-            as_map(w) for w in want]
-        assert rank(ma) == len(piv)
-        # solve: the particular solution with every free unknown zero
-        b = [rng.choice(VALUES + [Fraction(0)]) for _ in range(r)]
-        aug = d_rref([a[i] + [b[i]] for i in range(r)], c + 1)
-        if c in aug:
-            with pytest.raises(Inconsistent):
-                solve(ma, as_map(b))
-        else:
-            x = [Fraction(0)] * c
-            for p, row in aug.items():
-                x[p] = row[c]
-            assert solve(ma, as_map(b)) == as_map(x)
-        # quotient of Q^r by the column span of a
-        if r:
-            sub = d_rref(d_transpose(a, r, c), r)
-            qfree = [i for i in range(r) if i not in sub]
-            proj = [[Fraction(0)] * r for _ in qfree]
-            for k, f in enumerate(qfree):
-                proj[k][f] = Fraction(1)
-                for p, row in sub.items():
-                    proj[k][p] = -row[f]
-            sect = [[Fraction(1) if i == f else Fraction(0) for f in qfree]
-                    for i in range(r)]
-            pm, sm = quotient_basis(r, ma)
-            assert (pm.rows, pm.cols, sm.rows, sm.cols) == (len(qfree), r, r, len(qfree))
-            assert dense(pm) == proj and dense(sm) == sect
+    # on integer inputs every integral value comes out as an int; on mixed
+    # inputs no value is a float or a bool
+    for values, seed in ((VALUES, 12), (INTS, 14)):
+        exact = canonical_values if values is INTS else (
+            lambda vals: exact_values(vals, False))
+        rng = random.Random(seed)
+        for _ in range(150):
+            r, c = shape(rng)
+            a = rand_dense(rng, r, c, values)
+            ma = Matrix(r, c, [x for row in a for x in row])
+            # nullspace: one vector per free column of rref(a), in column order
+            piv = d_rref(a, c)
+            free = [j for j in range(c) if j not in piv]
+            want = []
+            for f in free:
+                vec = [Fraction(0)] * c
+                vec[f] = Fraction(1)
+                for p, row in piv.items():
+                    vec[p] = -row[f]
+                want.append(vec)
+            ns = nullspace_basis(ma)
+            assert (ns.rows, ns.cols) == (c, len(free))
+            assert [dict(ns.col_items(j)) for j in range(ns.cols)] == [
+                as_map(w) for w in want]
+            assert exact(ns.data)
+            assert rank(ma) == len(piv)
+            # the echelon of the rows, inserted as they are: rref(a) itself
+            ech = Echelon(c)
+            for row in a:
+                ech.insert(as_map(row))
+            assert ech.pivot_row == {p: as_map(row) for p, row in piv.items()}
+            assert all(exact(row.values()) for row in ech.pivot_row.values())
+            # solve: the particular solution with every free unknown zero
+            b = [rng.choice(values + [0]) for _ in range(r)]
+            aug = d_rref([a[i] + [b[i]] for i in range(r)], c + 1)
+            if c in aug:
+                with pytest.raises(Inconsistent):
+                    solve(ma, as_map(b))
+            else:
+                x = [Fraction(0)] * c
+                for p, row in aug.items():
+                    x[p] = row[c]
+                assert solve(ma, as_map(b)) == as_map(x)
+                assert exact(solve(ma, as_map(b)).values())
+            # quotient of Q^r by the column span of a
+            if r:
+                sub = d_rref(d_transpose(a, r, c), r)
+                qfree = [i for i in range(r) if i not in sub]
+                proj = [[Fraction(0)] * r for _ in qfree]
+                for k, f in enumerate(qfree):
+                    proj[k][f] = Fraction(1)
+                    for p, row in sub.items():
+                        proj[k][p] = -row[f]
+                sect = [[Fraction(1) if i == f else Fraction(0) for f in qfree]
+                        for i in range(r)]
+                pm, sm = quotient_basis(r, ma)
+                assert (pm.rows, pm.cols, sm.rows, sm.cols) == (len(qfree), r, r, len(qfree))
+                assert dense(pm) == proj and dense(sm) == sect
+                assert exact(pm.data + sm.data)
