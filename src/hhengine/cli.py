@@ -549,6 +549,9 @@ def explain_task(doc, path, tid):
         out.append(f"intermediate serre.serre dimensions: {dims}")
         w = ws.classes[task["classes"][1]]
         out.append(f"value: {_fr(hh.mukai_pairing(v, w))}")
+        out.append(f"value read through the pairing block P on HH_{v.degree} x"
+                   f" HH_{-v.degree}: <v, w> = sum v_a P_ab w_b, P holding the"
+                   " composite on basis classes, memoised on X")
     elif op == "pushforward" and "class" in task:
         k = ws.kernels[task["kernel"]]
         out.append("composite: gamma'(ker(Phi)) ; id2(ker(Phi)) | hhclass(v) |"
@@ -561,6 +564,9 @@ def explain_task(doc, path, tid):
         v = ws.classes[task["class"]]
         res = hh.pushforward(k, v)
         out.append(f"value: {[_fr(x) for x in res.coords]}")
+        out.append(f"value read through the matrix of Phi_* on HH_{v.degree},"
+                   " its columns the composite on basis classes, memoised on"
+                   " ker(Phi)")
     elif op == "verify" and task.get("check") == "cardy":
         payload = run_verify(ws, task, rng)
         out.append("identity: supertrace of (s, t)-conjugation on Ext^*(E, F)"

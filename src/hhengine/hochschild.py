@@ -7,6 +7,13 @@ the identity kernel with itself.  All class coordinates refer to the bases
 produced by the deterministic homology solver, so they are stable across
 runs.  A class keeps its coordinates as a dense tuple, the form reports
 print; everything below it passes {index: value} maps.
+
+Pushforward phi_*, pullback phi^*, the Chern character ch(E) = E_*(1) and
+the Mukai pairing are linear (the pairing bilinear), so each is computed
+categorically only on basis classes: the bent composites fill the columns of
+`pushforward_matrix` / `pullback_matrix`, memoised on the kernel, and the
+entries of `pairing_matrix`, memoised on the space.  A class is then mapped
+or paired through those matrices, in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -241,23 +248,38 @@ def hcoh_unit(space):
 
 
 def one_point_class(pt_space):
-    """The distinguished generator 1 in HH_0(pt)."""
-    data = hh_data(pt_space)
-    idm = cx.ChainMap.identity(pt_space.identity_kernel().complex)
-    # anti_serre(pt) and Id(pt) are both Q in degree 0; the canonical map is
-    # the identity matrix between them
-    anti = pt_space.anti_serre_kernel()
-    f = cx.ChainMap(anti.complex, pt_space.identity_kernel().complex, 0,
-                    {0: Matrix.identity(1)}, check=False)
-    coords = data.coords_of_chain(f, 0)
-    return HochschildClass(pt_space, "homology", 0, coords)
+    """The distinguished generator 1 in HH_0(pt), built once per point space."""
+    def build():
+        # anti_serre(pt) and Id(pt) are both Q in degree 0; the canonical map
+        # is the identity matrix between them
+        f = cx.ChainMap(pt_space.anti_serre_kernel().complex,
+                        pt_space.identity_kernel().complex, 0,
+                        {0: Matrix.identity(1)}, check=False)
+        coords = hh_data(pt_space).coords_of_chain(f, 0)
+        return HochschildClass(pt_space, "homology", 0, coords)
+    return _memo(pt_space, "one", build)
 
 
-def pushforward(phi: kn.Kernel, v: HochschildClass):
-    """phi_*: HH(source) -> HH(target), the four-step bent composite."""
+def _coord_map(v: HochschildClass, dim):
+    """The nonzero coordinates of a homology class as {index: value}; a
+    nonzero coordinate at or past dim is not a class of its HH group."""
+    vec = {a: x for a, x in enumerate(v.coords) if x}
+    if v.variance != "homology" or any(a >= dim for a in vec):
+        raise InvariantViolation(f"{v!r} is not a class of "
+                                 f"HH_{v.degree}({v.space.label})")
+    return vec
+
+
+def _apply(m: Matrix, v: HochschildClass, space):
+    """The class m . v in HH_{v.degree}(space)."""
+    out = m.apply_map(_coord_map(v, m.cols))
+    return HochschildClass(space, "homology", v.degree,
+                           [out.get(i, Q0) for i in range(m.rows)])
+
+
+def _push_composite(phi: kn.Kernel, v: HochschildClass):
+    """phi_*(v) through the four-step bent composite."""
     x, y = phi.source, phi.target
-    if v.space is not x:
-        raise SpaceMismatch("pushforward class lives on the wrong space")
     tv = class_to_two_morphism(v)
     dk = kn.dual_kernel(phi)
     mg = kn.mirrored_gamma(phi)                 # anti_Y => phi . phi^v
@@ -272,11 +294,9 @@ def pushforward(phi: kn.Kernel, v: HochschildClass):
     return two_morphism_to_class(y, total, "homology")
 
 
-def pullback(phi: kn.Kernel, w: HochschildClass):
-    """phi^*: HH(target) -> HH(source)."""
+def _pull_composite(phi: kn.Kernel, w: HochschildClass):
+    """phi^*(w) through the mirrored bent composite."""
     x, y = phi.source, phi.target
-    if w.space is not y:
-        raise SpaceMismatch("pullback class lives on the wrong space")
     tw = class_to_two_morphism(w)
     dk = kn.dual_kernel(phi)
     g = kn.gamma(phi)                            # anti_X => phi^v . phi
@@ -291,19 +311,41 @@ def pullback(phi: kn.Kernel, w: HochschildClass):
     return two_morphism_to_class(x, total, "homology")
 
 
+def _map_matrix(phi, key, composite, source, target, degree):
+    """The matrix of composite(phi, .) from HH_degree(source) to
+    HH_degree(target), its columns the composite on the basis classes, built
+    once per kernel."""
+    def build():
+        cols = [dict(enumerate(composite(phi, v).coords))
+                for v in hh_basis(source, degree)]
+        return Matrix.from_column_maps(cols, hh_data(target).dim(-degree))
+    return _memo(phi, (key, degree), build)
+
+
 def pushforward_matrix(phi: kn.Kernel, degree=0):
     """Matrix of phi_* on HH_degree in the solver bases."""
-    basis = hh_basis(phi.source, degree)
-    rows = hh_data(phi.target).dim(-degree)
-    cols = [dict(enumerate(pushforward(phi, v).coords)) for v in basis]
-    return Matrix.from_column_maps(cols, rows)
+    return _map_matrix(phi, "push", _push_composite, phi.source, phi.target,
+                       degree)
 
 
 def pullback_matrix(phi: kn.Kernel, degree=0):
-    basis = hh_basis(phi.target, degree)
-    rows = hh_data(phi.source).dim(-degree)
-    cols = [dict(enumerate(pullback(phi, w).coords)) for w in basis]
-    return Matrix.from_column_maps(cols, rows)
+    """Matrix of phi^* on HH_degree in the solver bases."""
+    return _map_matrix(phi, "pull", _pull_composite, phi.target, phi.source,
+                       degree)
+
+
+def pushforward(phi: kn.Kernel, v: HochschildClass):
+    """phi_*: HH(source) -> HH(target), read through pushforward_matrix."""
+    if v.space is not phi.source:
+        raise SpaceMismatch("pushforward class lives on the wrong space")
+    return _apply(pushforward_matrix(phi, v.degree), v, phi.target)
+
+
+def pullback(phi: kn.Kernel, w: HochschildClass):
+    """phi^*: HH(target) -> HH(source), read through pullback_matrix."""
+    if w.space is not phi.target:
+        raise SpaceMismatch("pullback class lives on the wrong space")
+    return _apply(pullback_matrix(phi, w.degree), w, phi.source)
 
 
 # -- Mukai pairing ---------------------------------------------------------------
@@ -329,12 +371,8 @@ def tau_l_class(v: HochschildClass) -> kn.TwoMorphism:
     return step.compose(can2)
 
 
-def mukai_pairing(v: HochschildClass, w: HochschildClass):
-    """<v, w> = Tr(tau_R(v) . tau_L(w)), 0 when degrees do not cancel."""
-    if v.space is not w.space:
-        raise SpaceMismatch("mukai pairing across spaces")
-    if v.degree + w.degree != 0:
-        return Q0
+def _mukai_composite(v: HochschildClass, w: HochschildClass):
+    """Tr(tau_R(v) . tau_L(w)) through the categorical composite."""
     x = v.space
     tr_v = tau_r_class(v)
     tl_w = tau_l_class(w)
@@ -345,11 +383,27 @@ def mukai_pairing(v: HochschildClass, w: HochschildClass):
 
 
 def pairing_matrix(space, i=0):
-    """The pairing block HH_i x HH_{-i} -> Q in the solver bases."""
-    vs, ws = hh_basis(space, i), hh_basis(space, -i)
-    return Matrix.sparse(len(vs), len(ws), {
-        a * len(ws) + b: mukai_pairing(va, wb)
-        for a, va in enumerate(vs) for b, wb in enumerate(ws)})
+    """The pairing block HH_i x HH_{-i} -> Q in the solver bases, its entries
+    the Mukai composite on the basis classes, built once per space."""
+    def build():
+        vs, ws = hh_basis(space, i), hh_basis(space, -i)
+        return Matrix.sparse(len(vs), len(ws), {
+            a * len(ws) + b: _mukai_composite(va, wb)
+            for a, va in enumerate(vs) for b, wb in enumerate(ws)})
+    return _memo(space, ("pairing", i), build)
+
+
+def mukai_pairing(v: HochschildClass, w: HochschildClass):
+    """<v, w> = Tr(tau_R(v) . tau_L(w)) = sum v_a P_ab w_b over the pairing
+    block P, 0 when degrees do not cancel."""
+    if v.space is not w.space:
+        raise SpaceMismatch("mukai pairing across spaces")
+    if v.degree + w.degree != 0:
+        return Q0
+    p = pairing_matrix(v.space, v.degree)
+    pw = p.apply_map(_coord_map(w, p.cols))
+    return scalar(sum((x * pw[a] for a, x in _coord_map(v, p.rows).items()
+                       if a in pw), Q0))
 
 
 # -- modules as kernels, Chern character, Euler pairing --------------------------
@@ -366,7 +420,8 @@ def module_kernel(space, pt_space, module: alg.Bimodule, label=None):
 
 
 def chern(e: kn.Kernel, one: HochschildClass):
-    """ch(E) = E_*(1) in HH_0."""
+    """ch(E) = E_*(1) in HH_0, a column of E's one-column pushforward
+    matrix."""
     return pushforward(e, one)
 
 

@@ -228,7 +228,7 @@ def test_main_entry_and_exit_codes(tmp_path, capsys):
 def test_explain(capsys):
     assert cli.main(["explain", ws_path("pt"), "mukai-one"]) == 0
     out = capsys.readouterr().out
-    assert "tr(" in out and "1/1" in out
+    assert "tr(" in out and "1/1" in out and "memoised on X" in out
     assert cli.main(["explain", ws_path("pt"), "missing"]) == 1
 
 
@@ -265,6 +265,7 @@ def test_explain_pushforward_with_class(tmp_path, capsys):
     assert cli.main(["explain", str(p), "push-one"]) == 0
     out = capsys.readouterr().out
     assert "gamma'" in out and "eps(" in out and "value" in out
+    assert "memoised on ker(Phi)" in out
 
 
 def test_partial_trace_over_a_zero_convolution_fails_per_task():
@@ -313,12 +314,16 @@ def test_unknown_references_are_schema_errors(tmp_path, capsys, where, bad):
 
 
 def test_dropped_workspace_leaves_no_spaces_or_kernels_alive():
-    doc = load_ws("bz2")
-    ws = cli.Workspace(doc, "bz2.json")
-    rng = random.Random(0)
-    for task in doc["tasks"]:
-        cli.run_task(ws, task, rng)
-    refs = [weakref.ref(x) for x in [*ws.spaces.values(), *ws.kernels.values()]]
-    del ws
-    gc.collect()
-    assert [r() for r in refs if r() is not None] == []
+    # bs3's functoriality and adjointness tasks memoise matrices on kernels
+    # that no workspace entry names, such as the composite of two kernels
+    for name in ("bz2", "bs3"):
+        doc = load_ws(name)
+        ws = cli.Workspace(doc, f"{name}.json")
+        rng = random.Random(0)
+        for task in doc["tasks"]:
+            cli.run_task(ws, task, rng)
+        refs = [weakref.ref(x) for x in [*ws.spaces.values(),
+                                         *ws.kernels.values(), ws.point_space()]]
+        del ws
+        gc.collect()
+        assert [r() for r in refs if r() is not None] == [], name

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhengine.errors import SpaceMismatch
+from hhengine.errors import InvariantViolation, SpaceMismatch
 from hhengine.linalg import Matrix, Q0, Q1, rank
 import hhengine.algebras as alg
 import hhengine.complexes as cx
@@ -118,6 +118,71 @@ def test_isometry_of_morita_kernel(pt, m2, one):
     k = hh.module_kernel(m2, pt, col)
     v = hh.pushforward(k, one)
     assert hh.mukai_pairing(v, v) == hh.mukai_pairing(one, one) == 1
+
+
+def random_class(space, rng):
+    d = hh.hh_data(space).dim(0)
+    return hh.hh_class(space, 0, [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                                  for _ in range(d)])
+
+
+def test_linear_maps_match_the_composites_off_the_basis(
+        pt, bz2, bs3, a2, one, z2_modules, s3_modules, a2_modules, ind_res):
+    # the memoised matrices run the categorical composites on basis classes
+    # only; here the composites run on random rational and Chern classes
+    rng = random.Random(5)
+    for sp, mods in ((bz2, z2_modules), (bs3, s3_modules), (a2, a2_modules)):
+        vs = [random_class(sp, rng) for _ in range(2)]
+        vs += [hh.chern(k, one) for k in list(mods.values())[:2]]
+        for v in vs:
+            for w in vs:
+                assert hh.mukai_pairing(v, w) == hh._mukai_composite(v, w)
+        idk = sp.identity_kernel()
+        for v in vs:
+            assert hh.pushforward(idk, v) == hh._push_composite(idk, v) == v
+            assert hh.pullback(idk, v) == hh._pull_composite(idk, v)
+    ind, res = ind_res
+    for phi in (z2_modules["sgn"], ind, res):
+        for _ in range(2):
+            v = random_class(phi.source, rng)
+            w = random_class(phi.target, rng)
+            assert hh.pushforward(phi, v) == hh._push_composite(phi, v)
+            assert hh.pullback(phi, w) == hh._pull_composite(phi, w)
+
+
+def test_linear_maps_are_built_once(monkeypatch):
+    # fresh spaces, so that the first calls show the counters at work
+    pt = kn.Space(alg.point_algebra(), "pt")
+    bz2 = kn.Space(alg.group_algebra([[0, 1], [1, 0]], "Z2"), "BZ2")
+    sgn = alg.module_as_bimodule(bz2.algebra, [Matrix.identity(1), m([[-1]])], "sgn")
+    k = hh.module_kernel(bz2, pt, sgn)
+    one = hh.one_point_class(pt)
+    assert hh.one_point_class(pt) is one
+    calls = []
+    for name in ("serre_trace", "hcompose"):
+        def counted(*args, _real=getattr(kn, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(kn, name, counted)
+    ch = hh.chern(k, one)
+    assert hh.mukai_pairing(ch, ch) == 1
+    assert {"serre_trace", "hcompose"} <= set(calls)
+    calls.clear()
+    assert hh.chern(k, one) == ch
+    assert hh.mukai_pairing(ch, ch) == 1
+    assert calls == []
+
+
+def test_a_class_outside_its_hh_group_is_rejected(bz2, z2_modules):
+    v = hh.hh_class(bz2, 0, [1, 0, 1])
+    with pytest.raises(InvariantViolation):
+        hh.pullback(z2_modules["sgn"], v)
+    with pytest.raises(InvariantViolation):
+        hh.mukai_pairing(v, basis_classes(bz2)[0])
+    # trailing zero coordinates name the same class
+    e = basis_classes(bz2)[0]
+    w = hh.hh_class(bz2, 0, [1, 0, 0])
+    assert hh.mukai_pairing(w, w) == hh.mukai_pairing(e, e)
 
 
 def test_mukai_nondegenerate_everywhere(pt, bz2, bs3, a2, a3, m2):
