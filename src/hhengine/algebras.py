@@ -24,9 +24,10 @@ what keeps the larger composite kernels affordable.
 
 from __future__ import annotations
 
-from .errors import AlgebraMismatch, CyclicQuiver, InvariantViolation, NotAGroup
-from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver, _clear_denominators,
-                     block_diag, linear_combination, nullspace_basis,
+from .errors import (AlgebraMismatch, CyclicQuiver, InvariantViolation,
+                     NotAGroup, NotPerfect, ResolutionTooLong)
+from .linalg import (Echelon, Matrix, Q1, SpanSolver, _clear_denominators,
+                     _solve_rows, block_diag, linear_combination, nullspace_basis,
                      quotient_basis)
 
 
@@ -554,24 +555,24 @@ def solve_section(m: Bimodule, cover: Cover):
     gen_acts_m = m.env_generator_actions()
     gen_acts_f = f.env_generator_actions()
     nm, nf = m.dim, f.dim
-    ech = Echelon(nf * nm + 1)
-    for gm, gf in zip(gen_acts_m, gen_acts_f):
-        # s . gm - gf . s = 0, entry (i, j)
-        for row in _commutator_rows(gm, gf, nm, nf):
-            ech.insert(row)
-    aug = nf * nm  # augmented rhs column, as in linalg.solve
-    for i in range(nm):
-        erow = list(cover.ev.row_items(i))
-        for j in range(nm):
-            # (ev . s)[i, j] = identity[i, j]
-            row = {k * nm + j: v for k, v in erow}
-            if i == j:
-                row[aug] = Q1
-            ech.insert(row)
-    if aug in ech.pivot_row:
+    aug = nf * nm  # unknown s[k, j] at k * nm + j; the rhs column after them
+
+    def rows():
+        for gm, gf in zip(gen_acts_m, gen_acts_f):
+            # s . gm - gf . s = 0, entry (i, j)
+            yield from _commutator_rows(gm, gf, nm, nf)
+        for i in range(nm):
+            erow = list(cover.ev.row_items(i))
+            for j in range(nm):
+                # (ev . s)[i, j] = identity[i, j]
+                row = {k * nm + j: v for k, v in erow}
+                if i == j:
+                    row[aug] = Q1
+                yield row
+    coeffs = _solve_rows(rows(), aug)
+    if coeffs is None:
         return None
-    s = Matrix.sparse(nf, nm, {p: row.get(aug, Q0)
-                               for p, row in ech.pivot_row.items() if p < aug})
+    s = Matrix.sparse(nf, nm, coeffs)
     if cover.ev * s != Matrix.identity(nm):
         raise InvariantViolation(f"{m.label}: cover section witness failed")
     return s
@@ -642,7 +643,6 @@ def sum_proj_data(ab: Bimodule, a: Bimodule, b: Bimodule):
     """Witness for a direct sum from witnesses of the summands."""
     pda, pdb = proj_data(a), proj_data(b)
     if pda is None or pdb is None:
-        from .errors import NotPerfect
         raise NotPerfect("sum of non-witnessed bimodules")
     pieces = list(pda.cover.pieces)
     for uidx, gen, basis, solver in pdb.cover.pieces:
@@ -703,7 +703,6 @@ def projective_resolution(m: Bimodule, max_length=None):
     kernel is projective, so the final term is that kernel itself.
     """
     from .complexes import Complex
-    from .errors import ResolutionTooLong
     if max_length is None:
         max_length = m.env.dim ** 2 + 2
     if is_projective(m):
@@ -863,7 +862,6 @@ def _tensor_proj_data(t, m, n, proj, sect):
     pdm = proj_data(m)
     pdn = proj_data(n)
     if pdm is None or pdn is None:
-        from .errors import NotPerfect
         raise NotPerfect("tensor factor without projectivity witness")
     b = m.right
     env_t = t.env
@@ -998,7 +996,6 @@ def bimodule_dual(m: Bimodule, label=None):
     """(m_dual, dual_data): Hom_env(m, env) as a (right, left)-bimodule."""
     pd = proj_data(m)
     if pd is None:
-        from .errors import NotPerfect
         raise NotPerfect(f"{m.label} has no projectivity witness")
     env = m.env
     dl, dr = m.left.dim, m.right.dim

@@ -14,13 +14,18 @@ SIGN TABLE (all other modules cite this, none re-derives signs):
 
 Cohomological indexing throughout; homological degree i is read from
 cohomological degree -i.
+
+Every 2-morphism equality and every lift or colift through a
+quasi-isomorphism is one homotopy equation, post . f . pre + d h + (-1)^k h d
+= g (H3 with an unknown chain map f in front), posed by one solver and
+handed to the one augmented solve of linalg.
 """
 
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, NotPerfect
 from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver, _clear_denominators,
-                     block_diag, nullspace_basis, quotient_basis)
+                     _solve_rows, block_diag, nullspace_basis, quotient_basis)
 from . import algebras as alg
 from .algebras import _memo
 
@@ -536,43 +541,21 @@ def hom_complex(c: Complex, d: Complex):
     return HomComplex(c, d)
 
 
-# -- nullhomotopy (2-morphism equality) -----------------------------------------
+# -- homotopy equations: nullhomotopies, lifts, colifts --------------------------
 
 
 def is_nullhomotopic(f: ChainMap):
     """Decide f = d h + (-1)^k h d for module-linear h of degree k-1 (H3)."""
-    h = nullhomotopy(f)
-    return h is not None
+    return nullhomotopy(f) is not None
 
 
 def nullhomotopy(f: ChainMap):
-    """Return components of one homotopy h, or None."""
-    k = f.degree
-    src, tgt = f.source, f.target
-    sgn = Q1 if k % 2 == 0 else -Q1
-    # unknowns: coordinates over hom bases of Hom(src_n, tgt_{n+k-1})
-    hvars = _HomVars(src, tgt, k - 1, 0)
-    rows = []
-    for n in src.degrees():
-        tdim, sdim = tgt.dim(n + k), src.dim(n)
-        fn = f.component(n)
-        if tdim == 0 and fn.is_zero():
-            continue
-        # equation at degree n: d h_n + sgn h_{n+1} d = f_n, entrywise
-        dh = hvars.products(n, post=tgt.differential(n + k - 1))
-        hd = hvars.products(n + 1, pre=src.differential(n))
-        for a in range(tdim):
-            for b in range(sdim):
-                row = _add_entry({}, dh, a, b)
-                _add_entry(row, hd, a, b, sgn)
-                rhs = fn[a, b]
-                if rhs:
-                    row[hvars.end] = rhs
-                if row:
-                    rows.append(row)
-    coeffs = _solve_rows(rows, hvars.end)
-    if coeffs is None:
+    """Return components of one homotopy h with f = d h + (-1)^k h d, or
+    None."""
+    sol = _solve_homotopy(f)
+    if sol is None:
         return None
+    _, hvars, coeffs = sol
     return hvars.extract(coeffs)
 
 
@@ -581,7 +564,84 @@ def chain_maps_equal(f: ChainMap, g: ChainMap):
     return is_nullhomotopic(f.add(g.scale(-1)))
 
 
-# -- lifting through quasi-isomorphisms -----------------------------------------
+def lift_through(g: ChainMap, q: ChainMap):
+    """f: g.source -> q.source with q . f ~ g (homotopic); None if impossible.
+
+    q must be a degree-0 quasi-isomorphism onto g.target and g.source must
+    have projective terms; then the lift exists and its homotopy class is
+    unique.
+    """
+    if g.target is not q.target or q.degree != 0:
+        raise AlgebraMismatch("lift shape mismatch")
+    sol = _solve_homotopy(g, g.source, q.source, post=q)
+    if sol is None:
+        return None
+    fvars, _, coeffs = sol
+    return ChainMap(g.source, q.source, g.degree, fvars.extract(coeffs),
+                    check=False)
+
+
+def colift_through(g: ChainMap, s: ChainMap):
+    """f: s.target -> g.target with f . s ~ g; None if impossible.
+
+    Dual to lift_through: s must be a degree-0 quasi-isomorphism out of
+    g.source, with everything perfect.
+    """
+    if g.source is not s.source or s.degree != 0:
+        raise AlgebraMismatch("colift shape mismatch")
+    sol = _solve_homotopy(g, s.target, g.target, pre=s)
+    if sol is None:
+        return None
+    fvars, _, coeffs = sol
+    return ChainMap(s.target, g.target, g.degree, fvars.extract(coeffs),
+                    check=False)
+
+
+def _solve_homotopy(g: ChainMap, f_src=None, f_tgt=None, post=None, pre=None):
+    """Solve post . f . pre + d h + (-1)^k h d = g, k = g.degree (H3).
+
+    h: g.source -> g.target has degree k-1.  Given f_src, f: f_src -> f_tgt
+    is an unknown degree-k chain map and post / pre (degree-0 chain maps,
+    None for the identity) compose it into Hom(g.source, g.target);
+    without f_src the equation says h is a nullhomotopy of g.  Every unknown
+    is a coordinate over hom bases, so f and h are module-linear.
+
+    The rows are f's chain condition (H2), then one per entry of each g_n;
+    the columns are f's unknowns, then h's, then the right-hand side.
+    Returns (fvars, hvars, coeffs), fvars None without f, or None when no
+    solution exists.
+    """
+    src, tgt, k = g.source, g.target, g.degree
+    sgn = Q1 if k % 2 == 0 else -Q1
+    fvars = None if f_src is None else _HomVars(f_src, f_tgt, k, 0)
+    hvars = _HomVars(src, tgt, k - 1, 0 if fvars is None else fvars.end)
+    aug = hvars.end
+    rows = []
+    if fvars is not None:
+        # (H2): d f_n - (-1)^k f_{n+1} d = 0, entrywise
+        for n in f_src.degrees():
+            tdim = f_tgt.dim(n + k + 1)
+            if tdim:
+                _entry_rows(rows, tdim, f_src.dim(n), [
+                    (fvars.products(n, post=f_tgt.differential(n + k)), Q1),
+                    (fvars.products(n + 1, pre=f_src.differential(n)), -sgn)])
+    for n in src.degrees():
+        tdim = tgt.dim(n + k)
+        if not tdim:
+            continue
+        gn = g.component(n)
+        terms = []
+        if fvars is not None:
+            terms.append((fvars.products(
+                n, post=None if post is None else post.component(n + k),
+                pre=None if pre is None else pre.component(n)), Q1))
+        terms += [(hvars.products(n, post=tgt.differential(n + k - 1)), Q1),
+                  (hvars.products(n + 1, pre=src.differential(n)), sgn)]
+        _entry_rows(rows, tdim, src.dim(n), terms, gn, aug)
+    coeffs = _solve_rows(rows, aug)
+    if coeffs is None:
+        return None
+    return fvars, hvars, coeffs
 
 
 class _HomVars:
@@ -631,129 +691,18 @@ class _HomVars:
         return comps
 
 
-def _add_entry(row, products, a, b, sign=Q1):
-    """Add sign times the linear form of entry (a, b) of `products` to row."""
-    for u, v in products.get((a, b), ()):
-        row[u] = row.get(u, Q0) + sign * v
-    return row
-
-
-def _solve_rows(rows, total):
-    """{unknown: value} solving rows whose column `total` holds the
-    right-hand side, every free unknown zero; None if inconsistent."""
-    ech = Echelon(total + 1)
-    for row in rows:
-        ech.insert(row)
-    if total in ech.pivot_row:
-        return None
-    return {p: row[total] for p, row in ech.pivot_row.items() if total in row}
-
-
-def lift_through(g: ChainMap, q: ChainMap):
-    """f: g.source -> q.source with q . f ~ g (homotopic); None if impossible.
-
-    q must be a degree-0 quasi-isomorphism onto g.target and g.source must
-    have projective terms; then the lift exists and its homotopy class is
-    unique.
-    """
-    if g.target is not q.target or q.degree != 0:
-        raise AlgebraMismatch("lift shape mismatch")
-    c, d, z = g.source, q.source, g.target
-    k = g.degree
-    fvars = _HomVars(c, d, k, 0)
-    hvars = _HomVars(c, z, k - 1, fvars.end)
-    total = hvars.end
-    aug = total
-    sgn_f = Q1 if k % 2 == 0 else -Q1
-    sgn_h = Q1 if k % 2 == 0 else -Q1      # (H3) for degree-k defect
-    rows = []
-    # chain condition on f: d_D f_n - sgn_f f_{n+1} d_C = 0
-    for n in c.degrees():
-        tdim = d.dim(n + k + 1)
-        if tdim == 0 and (n + 1) not in fvars.blocks:
-            continue
-        df = fvars.products(n, post=d.differential(n + k))
-        fd = fvars.products(n + 1, pre=c.differential(n))
-        for a in range(tdim):
-            for b in range(c.dim(n)):
-                row = _add_entry({}, df, a, b)
-                _add_entry(row, fd, a, b, -sgn_f)
-                if row:
-                    rows.append(row)
-    # lift condition: q f_n - g_n = d_Z h_n + sgn_h h_{n+1} d_C
-    for n in c.degrees():
-        tdim = z.dim(n + k)
-        if tdim == 0:
-            continue
-        gn = g.component(n)
-        qf = fvars.products(n, post=q.component(n + k))
-        dh = hvars.products(n, post=z.differential(n + k - 1))
-        hd = hvars.products(n + 1, pre=c.differential(n))
-        for a in range(tdim):
-            for b in range(c.dim(n)):
-                row = _add_entry({}, qf, a, b)
-                _add_entry(row, dh, a, b, -Q1)
-                _add_entry(row, hd, a, b, -sgn_h)
-                rhs = gn[a, b]
-                if rhs:
-                    row[aug] = rhs
-                if row:
-                    rows.append(row)
-    coeffs = _solve_rows(rows, total)
-    if coeffs is None:
-        return None
-    return ChainMap(c, d, k, fvars.extract(coeffs), check=False)
-
-
-def colift_through(g: ChainMap, s: ChainMap):
-    """f: s.target -> g.target with f . s ~ g; None if impossible.
-
-    Dual to lift_through: s must be a degree-0 quasi-isomorphism out of
-    g.source, with everything perfect.
-    """
-    if g.source is not s.source or s.degree != 0:
-        raise AlgebraMismatch("colift shape mismatch")
-    z, d, c = g.source, s.target, g.target
-    k = g.degree
-    fvars = _HomVars(d, c, k, 0)
-    hvars = _HomVars(z, c, k - 1, fvars.end)
-    total = hvars.end
-    aug = total
-    sgn_f = Q1 if k % 2 == 0 else -Q1
-    sgn_h = Q1 if k % 2 == 0 else -Q1
-    rows = []
-    for n in d.degrees():
-        tdim = c.dim(n + k + 1)
-        if tdim == 0 and (n + 1) not in fvars.blocks:
-            continue
-        df = fvars.products(n, post=c.differential(n + k))
-        fd = fvars.products(n + 1, pre=d.differential(n))
-        for a in range(tdim):
-            for b in range(d.dim(n)):
-                row = _add_entry({}, df, a, b)
-                _add_entry(row, fd, a, b, -sgn_f)
-                if row:
-                    rows.append(row)
-    # f s_n - g_n = d_C h_n + sgn h_{n+1} d_Z
-    for n in z.degrees():
-        tdim = c.dim(n + k)
-        if tdim == 0:
-            continue
-        gn = g.component(n)
-        fs = fvars.products(n, pre=s.component(n))
-        dh = hvars.products(n, post=c.differential(n + k - 1))
-        hd = hvars.products(n + 1, pre=z.differential(n))
-        for a in range(tdim):
-            for b in range(z.dim(n)):
-                row = _add_entry({}, fs, a, b)
-                _add_entry(row, dh, a, b, -Q1)
-                _add_entry(row, hd, a, b, -sgn_h)
-                rhs = gn[a, b]
-                if rhs:
-                    row[aug] = rhs
-                if row:
-                    rows.append(row)
-    coeffs = _solve_rows(rows, total)
-    if coeffs is None:
-        return None
-    return ChainMap(d, c, k, fvars.extract(coeffs), check=False)
+def _entry_rows(rows, tdim, sdim, terms, rhs=None, aug=None):
+    """Append one row per entry (a, b) of a tdim x sdim block: the sum of
+    sign times the linear form products[(a, b)] over (products, sign) in
+    terms, with rhs[a, b] in column aug; rows with no term are left out."""
+    for a in range(tdim):
+        for b in range(sdim):
+            row = {}
+            for products, sign in terms:
+                for u, v in products.get((a, b), ()):
+                    row[u] = row.get(u, Q0) + sign * v
+            x = Q0 if rhs is None else rhs[a, b]
+            if x:
+                row[aug] = x
+            if row:
+                rows.append(row)

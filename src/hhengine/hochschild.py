@@ -445,11 +445,6 @@ def euler(x, e: kn.Kernel, f: kn.Kernel):
     return total
 
 
-def pt_serre_insert(pt_space):
-    """The canonical Id_pt => Serre(pt) (both are Q in degree 0)."""
-    return kn.point_serre_insert(pt_space)
-
-
 def iota_lower(e: kn.Kernel, v: HochschildClass) -> kn.TwoMorphism:
     """iota_E(v): E => serre(X) . E."""
     x = e.target
@@ -469,7 +464,7 @@ def iota_upper(e: kn.Kernel, t: kn.TwoMorphism) -> HochschildClass:
     pt_space = e.source
     mg = kn.mirrored_gamma(e)                  # anti_X => E . E^v
     dk = kn.dual_kernel(e)
-    ins = pt_serre_insert(pt_space)
+    ins = kn.point_serre_insert(pt_space)
     mid = kn.hcompose([t, ins, kn.TwoMorphism.identity(dk)])
     eps = kn.counit_eps(e)                     # E . serre_pt . E^v => Id_X
     total = eps.compose(mid.compose(mg))
@@ -480,7 +475,7 @@ def serre_trace_on_module(e: kn.Kernel, t: kn.TwoMorphism):
     """Tr of t: E => serre(X).E through the trace shape with Serre(pt)."""
     x = e.target
     sk = x.serre_kernel(verify=False)
-    ins = pt_serre_insert(e.source)
+    ins = kn.point_serre_insert(e.source)
     pre = kn.conv_kernel(sk.factors + e.factors)
     shaped = kn.whisker(pre, ins).compose(t)
     return kn.serre_trace(e, shaped)

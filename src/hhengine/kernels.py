@@ -25,9 +25,11 @@ class is unique, which is what pins the calculus down.
 
 from __future__ import annotations
 
+import random
+
 from .errors import (AlgebraMismatch, InvariantViolation, NotPerfect,
                      SerreInverseFailed, ShapeMismatch)
-from .linalg import Matrix, Q0, Q1, solve
+from .linalg import Matrix, Q0, Q1, nullspace_basis, rank, solve
 from . import algebras as alg
 from .algebras import _memo
 from . import complexes as cx
@@ -217,42 +219,13 @@ class Space:
 
     # canonical cancelation 2-morphisms --------------------------------------
 
-    def double_dual_map(self):
-        """delta: Id => dual(anti_serre), the double-dual comparison.
-
-        Degreewise the plain evaluation (the identity matrix on cover-shaped
-        terms), with the graded twist (-1)^n that makes it a chain map under
-        the (H1) dual differentials."""
-        def build():
-            idk = self.identity_kernel()
-            anti = self.anti_serre_kernel()
-            ddk = dual_kernel(anti)
-            comps = {}
-            for n in idk.complex.degrees():
-                m = alg.double_dual_comparison(
-                    idk.complex.term(n), anti.complex.term(-n),
-                    ddk.complex.term(n))
-                comps[n] = m if n % 2 == 0 else m.scale(-1)
-            chain = cx.ChainMap(idk.complex, ddk.complex, 0, comps, check=True)
-            return TwoMorphism(idk, ddk, chain)
-        return _memo(self, "dd", build)
-
-    def double_dual_inverse(self):
-        def build():
-            dd = self.double_dual_map()
-            comps = {n: _invert(m) for n, m in dd.chain.components.items()}
-            chain = cx.ChainMap(dd.target.complex, dd.source.complex, 0,
-                                comps, check=False)
-            return TwoMorphism(dd.target, dd.source, chain)
-        return _memo(self, "ddinv", build)
-
     def can2(self):
         """Id => anti_serre . serre."""
         def build():
             anti = self.anti_serre_kernel()
             eta = unit_eta1(anti)  # Id => anti . anti^v . serre
             fix = hcompose([TwoMorphism.identity(anti),
-                            self.double_dual_inverse(),
+                            kernel_double_dual_inverse(self.identity_kernel()),
                             TwoMorphism.identity(self.serre_kernel(verify=False))])
             return fix.compose(eta)
         return _memo(self, "can2", build)
@@ -263,32 +236,26 @@ class Space:
             anti = self.anti_serre_kernel()
             eta = unit_eta2(anti)  # Id => serre . anti^v . anti
             fix = hcompose([TwoMorphism.identity(self.serre_kernel(verify=False)),
-                            self.double_dual_inverse(),
+                            kernel_double_dual_inverse(self.identity_kernel()),
                             TwoMorphism.identity(anti)])
             return fix.compose(eta)
         return _memo(self, "can4", build)
 
     def can5(self):
         """serre . anti_serre => Id (homotopy inverse of can4)."""
-        def build():
-            can4 = self.can4()
-            idk = self.identity_kernel()
-            f = cx.colift_through(cx.ChainMap.identity(idk.complex), can4.chain)
-            if f is None:
-                raise SerreInverseFailed(self.label)
-            return TwoMorphism(can4.target, idk, f)
-        return _memo(self, "can5", build)
+        return _memo(self, "can5", lambda: self._homotopy_inverse(self.can4()))
 
     def can6(self):
         """anti_serre . serre => Id (homotopy inverse of can2)."""
-        def build():
-            can2 = self.can2()
-            idk = self.identity_kernel()
-            f = cx.colift_through(cx.ChainMap.identity(idk.complex), can2.chain)
-            if f is None:
-                raise SerreInverseFailed(self.label)
-            return TwoMorphism(can2.target, idk, f)
-        return _memo(self, "can6", build)
+        return _memo(self, "can6", lambda: self._homotopy_inverse(self.can2()))
+
+    def _homotopy_inverse(self, can):
+        """can.target => Id, the colift of the identity through can: Id."""
+        idk = self.identity_kernel()
+        f = cx.colift_through(cx.ChainMap.identity(idk.complex), can.chain)
+        if f is None:
+            raise SerreInverseFailed(self.label)
+        return TwoMorphism(can.target, idk, f)
 
 
 def _invert(m: Matrix):
@@ -869,7 +836,11 @@ def point_serre_drop(space: Space):
 
 
 def kernel_double_dual(phi: Kernel):
-    """delta: phi => dual(dual(phi)), the graded double-dual comparison."""
+    """delta: phi => dual(dual(phi)), the graded double-dual comparison.
+
+    Degreewise the plain evaluation (the identity matrix on cover-shaped
+    terms), with the graded twist (-1)^n that makes it a chain map under
+    the (H1) dual differentials."""
     def build():
         ddk = dual_kernel(dual_kernel(phi))
         comps = {}
@@ -1069,7 +1040,6 @@ def two_morphism_space(src: Kernel, tgt: Kernel, degree):
 def cycle_basis(src: Kernel, tgt: Kernel, degree):
     """Chain maps src => tgt of the given degree (a basis of cycles)."""
     hc = two_morphism_space(src, tgt, degree)
-    from .linalg import nullspace_basis
     d = hc.complex.differential(degree)
     z = nullspace_basis(d)
     out = []
@@ -1104,8 +1074,7 @@ def kernels_equivalent(k1: Kernel, k2: Kernel, rng=None):
     for b in basis:
         if _is_quasi_iso(b.chain):
             return True
-    import random as _random
-    rng = rng or _random.Random(7)
+    rng = rng or random.Random(7)
     for _ in range(24):
         f = None
         for b in basis:
@@ -1128,7 +1097,6 @@ def _is_quasi_iso(f: cx.ChainMap):
         if dim_s == 0:
             continue
         induced = proj_t * f.component(n) * sect_s
-        from .linalg import rank
         if rank(induced) != dim_s:
             return False
     return True

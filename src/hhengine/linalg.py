@@ -529,22 +529,33 @@ def nullspace_basis(m: Matrix) -> Matrix:
     return Matrix.from_column_maps(_row_echelon(m).nullspace_maps(), m.cols)
 
 
+def _solve_rows(rows, total):
+    """The one augmented solve: {unknown: value} satisfying every row, a
+    {column: value} map over the unknowns 0..total-1 whose column `total`
+    holds the right-hand side; every free unknown is zero.  None if the
+    rows are inconsistent."""
+    ech = Echelon(total + 1)
+    for row in rows:
+        ech.insert(row)
+    if total in ech.pivot_row:
+        return None
+    return {p: row[total] for p, row in ech.pivot_row.items() if total in row}
+
+
 def solve(m: Matrix, b) -> dict:
     """Some x with m x = b, both {index: value} maps, or raise Inconsistent;
     every free unknown of x is zero."""
     if any(not 0 <= i < m.rows for i in b):
         raise ValueError("rhs index out of range")
-    # eliminate on the transpose-augmented system: row-reduce [m | b] columns
     aug = m.cols
-    ech = Echelon(aug + 1)
-    for i in range(m.rows):
-        row = dict(m.row_items(i))
-        if b.get(i):
-            row[aug] = b[i]
-        ech.insert(row)
-    if aug in ech.pivot_row:
+    rows = [dict(m.row_items(i)) for i in range(m.rows)]
+    for i, v in b.items():
+        if v:
+            rows[i][aug] = v
+    x = _solve_rows(rows, aug)
+    if x is None:
         raise Inconsistent("rhs outside the column space")
-    return {p: row[aug] for p, row in ech.pivot_row.items() if aug in row}
+    return x
 
 
 def quotient_basis(ambient_dim: int, subspace: Matrix):

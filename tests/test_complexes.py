@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhengine.linalg import Matrix, rank
+from hhengine.linalg import Matrix, nullspace_basis, rank
 import hhengine.algebras as alg
 import hhengine.complexes as cx
 
@@ -179,6 +179,76 @@ def test_colift_through():
     assert f is not None
     assert cx.is_nullhomotopic(f.compose(augmap).add(augmap.scale(-1)))
 
+
+
+def random_matrix(rng, rows, cols):
+    return Matrix(rows, cols, [rng.randrange(-2, 3) for _ in range(rows * cols)])
+
+
+def random_vect_complex(rng, dims):
+    """Vector-space complex in degrees 0..len(dims)-1 with random
+    differentials, each d_n killing the image of d_{n-1}."""
+    diffs = {}
+    for n in range(len(dims) - 1):
+        d = random_matrix(rng, dims[n + 1], dims[n])
+        if n - 1 in diffs:
+            # rows spanning the maps that vanish on the image of d_{n-1}
+            left = nullspace_basis(diffs[n - 1].transpose()).transpose()
+            d = random_matrix(rng, dims[n + 1], left.rows) * left
+        diffs[n] = d
+    return vect_complex(dict(enumerate(dims)), diffs)
+
+
+def test_nullhomotopy_satisfies_h3_in_every_degree():
+    rng = random.Random(11)
+    for k in (-1, 0, 1):
+        sgn = 1 if k % 2 == 0 else -1
+        for _ in range(4):
+            c = random_vect_complex(rng, [rng.randrange(1, 4) for _ in range(3)])
+            d = random_vect_complex(rng, [rng.randrange(1, 4) for _ in range(3)])
+            h = cx.ChainMap(c, d, k - 1, {
+                n: random_matrix(rng, d.dim(n + k - 1), c.dim(n))
+                for n in c.degrees() if d.dim(n + k - 1)}, check=False)
+            # f = d h + (-1)^k h d is a degree-k chain map (H2, H3)
+            f = cx.ChainMap(c, d, k, {
+                n: d.differential(n + k - 1) * h.component(n)
+                + (h.component(n + 1) * c.differential(n)).scale(sgn)
+                for n in c.degrees()}, check=True)
+            found = cx.nullhomotopy(f)
+            assert found is not None
+            h2 = cx.ChainMap(c, d, k - 1, found, check=False)
+            for n in c.degrees():
+                assert f.component(n) == (
+                    d.differential(n + k - 1) * h2.component(n)
+                    + (h2.component(n + 1) * c.differential(n)).scale(sgn))
+
+
+def test_lift_and_colift_of_odd_degree_cycles_are_chain_maps():
+    # over a non-semisimple algebra the chain condition's sign (H2) matters:
+    # a lift or colift with d f = f d in odd degree need not exist
+    a3 = alg.path_algebra(3, [(0, 1), (1, 2)])
+    rng = random.Random(5)
+    for bimodule in (alg.regular_bimodule(a3), alg.dual_bimodule(a3)):
+        p, _ = alg.projective_resolution(bimodule)
+        for s in range(-2, 3):
+            t = cx.shift(p, s)
+            hc = cx.hom_complex(p, t)
+            for k in hc.complex.degrees():
+                z = nullspace_basis(hc.complex.differential(k))
+                if k % 2 == 0 or not z.cols:
+                    continue
+                for _ in range(4):
+                    vec = {}
+                    for j in range(z.cols):
+                        c = rng.randrange(-3, 4)
+                        for i, x in z.col_items(j):
+                            vec[i] = vec.get(i, 0) + c * x
+                    g = hc.chain_map_from({i: x for i, x in vec.items() if x}, k)
+                    for f in (cx.lift_through(g, cx.ChainMap.identity(t)),
+                              cx.colift_through(g, cx.ChainMap.identity(p))):
+                        assert f is not None
+                        f = cx.ChainMap(p, t, k, f.components, check=True)
+                        assert cx.chain_maps_equal(f, g)
 
 def test_tensor_associator_literal_identity_on_free_triples():
     import hhengine.kernels as kn

@@ -100,7 +100,7 @@ def test_dual_of_point_module():
 
 
 def test_double_dual_identity_on_identity_kernel(a2):
-    dd = a2.double_dual_map()
+    dd = kn.kernel_double_dual(a2.identity_kernel())
     assert dd.chain.component(0) == Matrix.identity(a2.identity_kernel().complex.dim(0))
 
 
