@@ -34,15 +34,21 @@ from .linalg import (Echelon, Matrix, Q1, SpanSolver, _clear_denominators,
 def _memo(owner, key, build):
     """build(), stored on owner under key and returned on every later call.
 
-    An entry lives exactly as long as its owner.  A key holds the other
-    objects it depends on, never their id(): the engine's objects hash by
-    identity, and holding them keeps an id from being reused by a different
-    object while the entry lives.
+    The one place above linalg where a value built once is kept.  An entry
+    lives exactly as long as its owner.  A key holds the other objects it
+    depends on, never their id(): the engine's objects hash by identity,
+    and holding them keeps an id from being reused by a different object
+    while the entry lives.
     """
     memo = owner.__dict__.setdefault("_memo", {})
     if key not in memo:
         memo[key] = build()
     return memo[key]
+
+
+def _memoised(owner, key):
+    """The entry _memo keeps on owner under key, or None if none was built."""
+    return owner.__dict__.get("_memo", {}).get(key)
 
 
 def _kron_vec(u, v, n):
@@ -76,8 +82,6 @@ class Algebra:
         self.label = label
         # complete orthogonal idempotent family used to split covers
         self.idempotents = tuple(idempotents or [unit])
-        self._right_mult = None
-        self._gens = None
         if check:
             self._check()
 
@@ -95,14 +99,14 @@ class Algebra:
     @property
     def right_mult(self):
         """R_j with column i = b_i b_j."""
-        if self._right_mult is None:
+        def build():
             n = self.dim
             entries = [{} for _ in range(n)]
             for i, lm in enumerate(self.left_mult):
                 for r, j, x in lm.items():
                     entries[j][r * n + i] = x
-            self._right_mult = tuple(Matrix.sparse(n, n, e) for e in entries)
-        return self._right_mult
+            return tuple(Matrix.sparse(n, n, e) for e in entries)
+        return _memo(self, "right_mult", build)
 
     def right_mult_matrix(self, vec):
         return _combination(vec, self.right_mult, self.dim)
@@ -133,33 +137,32 @@ class Algebra:
 
     def generators(self):
         """A small generating list of basis-element indices (greedy, pruned)."""
-        if self._gens is not None:
-            return self._gens
-        span = Echelon(self.dim)
-        span.insert(self.unit)
-        vecs = [self.unit]
-        gens = []
+        def build():
+            span = Echelon(self.dim)
+            span.insert(self.unit)
+            vecs = [self.unit]
+            gens = []
 
-        def close(new):
-            work = [new]
-            while work:
-                w = work.pop()
-                for v in list(vecs):
-                    for prod in (self.multiply(w, v), self.multiply(v, w)):
-                        if span.insert(_clear_denominators(prod)) is not None:
-                            vecs.append(prod)
-                            work.append(prod)
+            def close(new):
+                work = [new]
+                while work:
+                    w = work.pop()
+                    for v in list(vecs):
+                        for prod in (self.multiply(w, v), self.multiply(v, w)):
+                            if span.insert(_clear_denominators(prod)) is not None:
+                                vecs.append(prod)
+                                work.append(prod)
 
-        for i in range(self.dim):
-            if span.rank == self.dim:
-                break
-            e = {i: Q1}
-            if span.insert(e) is not None:
-                vecs.append(e)
-                gens.append(i)
-                close(e)
-        self._gens = tuple(gens)
-        return self._gens
+            for i in range(self.dim):
+                if span.rank == self.dim:
+                    break
+                e = {i: Q1}
+                if span.insert(e) is not None:
+                    vecs.append(e)
+                    gens.append(i)
+                    close(e)
+            return tuple(gens)
+        return _memo(self, "generators", build)
 
     # -- cyclic pieces R.u and u.R --------------------------------------------
 
@@ -285,23 +288,20 @@ def matrix_algebra(n, label=None):
 
 def opposite(a: Algebra):
     lm = [a.right_mult[i] for i in range(a.dim)]
-    op = Algebra(lm, a.unit, label=f"{a.label}^op",
-                 idempotents=a.idempotents, check=False)
-    return op
+    return Algebra(lm, a.unit, label=f"{a.label}^op",
+                   idempotents=a.idempotents, check=False)
 
 
 def tensor_product(a: Algebra, b: Algebra):
     """A (x) B with basis (i, j) |-> i * dim B + j."""
-    dim = a.dim * b.dim
     lm = []
     for i in range(a.dim):
         for j in range(b.dim):
             lm.append(a.left_mult[i].kronecker(b.left_mult[j]))
     unit = _kron_vec(a.unit, b.unit, b.dim)
     idems = [_kron_vec(u, v, b.dim) for u in a.idempotents for v in b.idempotents]
-    t = Algebra(lm, unit, label=f"{a.label}(x){b.label}",
-                idempotents=idems, check=False)
-    return t
+    return Algebra(lm, unit, label=f"{a.label}(x){b.label}",
+                   idempotents=idems, check=False)
 
 
 def enveloping(a: Algebra):
@@ -322,9 +322,6 @@ class Bimodule:
         self.left_action = tuple(left_action)
         self.right_action = tuple(right_action)
         self.label = label
-        self._env = None
-        self._proj = None
-        self._env_gen_acts = None
         if check:
             self._check()
 
@@ -367,9 +364,7 @@ class Bimodule:
 
     @property
     def env(self):
-        if self._env is None:
-            self._env = enveloping_of(self.left, self.right)
-        return self._env
+        return enveloping_of(self.left, self.right)
 
     def act_env(self, vec):
         """Action of an element of env = left (x) right^op."""
@@ -379,14 +374,9 @@ class Bimodule:
         return linear_combination(terms, self.dim, self.dim)
 
     def env_generator_actions(self):
-        if self._env_gen_acts is None:
-            acts = []
-            for i in self.left.generators():
-                acts.append(self.left_action[i])
-            for j in self.right.generators():
-                acts.append(self.right_action[j])
-            self._env_gen_acts = tuple(acts)
-        return self._env_gen_acts
+        return _memo(self, "env_generator_actions", lambda: tuple(
+            [self.left_action[i] for i in self.left.generators()]
+            + [self.right_action[j] for j in self.right.generators()]))
 
 
 def enveloping_of(left: Algebra, right: Algebra):
@@ -515,9 +505,8 @@ class Cover:
             la.append(self._piece_block(_kron_vec({i: Q1}, m.right.unit, nr)))
         for j in range(nr):
             ra.append(self._piece_block(_kron_vec(m.left.unit, {j: Q1}, nr)))
-        f = Bimodule(m.left, m.right, self.dim, la, ra,
-                     label=f"cover({m.label})", check=False)
-        return f
+        return Bimodule(m.left, m.right, self.dim, la, ra,
+                        label=f"cover({m.label})", check=False)
 
     def _piece_block(self, env_vec):
         lmat = self.module.env.left_mult_matrix(env_vec)
@@ -618,25 +607,32 @@ class ProjData:
         return out
 
 
-def proj_data(m: Bimodule):
-    """Compute (and cache) a projectivity witness, or None.
+def _derive_proj(m: Bimodule, build):
+    """Make build() m's witness builder: m is projective by construction
+    (a tensor, dual or direct sum of witnessed modules, or its own cover)."""
+    _memo(m, "proj_builder", lambda: build)
 
-    m._proj may hold a thunk installed by a derived construction (tensor,
-    dual, sum); it is forced on first use.
+
+def proj_data(m: Bimodule):
+    """m's projectivity witness, or None if m is not projective.
+
+    One memo entry, built on first use by the builder a derived
+    construction installed, or else by solving a section of m's cover.
     """
-    if callable(m._proj):
-        m._proj = m._proj()
-    if m._proj is None:
+    def build():
+        derived = _memoised(m, "proj_builder")
+        if derived is not None:
+            return derived()
         cover = build_cover(m)
         section = solve_section(m, cover)
-        m._proj = (ProjData(cover, section) if section is not None else False)
-    return m._proj if m._proj else None
+        return ProjData(cover, section) if section is not None else None
+    return _memo(m, "proj", build)
 
 
 def is_projective(m: Bimodule):
-    if m._proj is not None:
-        return callable(m._proj) or bool(m._proj)
-    return proj_data(m) is not None
+    """Whether m has a projectivity witness.  A derived module answers True
+    without building its witness."""
+    return _memoised(m, "proj_builder") is not None or proj_data(m) is not None
 
 
 def sum_proj_data(ab: Bimodule, a: Bimodule, b: Bimodule):
@@ -692,7 +688,8 @@ def attach_self_cover(f: Bimodule, cover_pieces):
         pieces.append((uidx, gen, basis, solver))
         off += basis.cols
     cover = Cover(f, pieces, Matrix.identity(f.dim))
-    f._proj = ProjData(cover, Matrix.identity(f.dim))
+    pd = ProjData(cover, Matrix.identity(f.dim))
+    _derive_proj(f, lambda: pd)
     return f
 
 
@@ -854,7 +851,7 @@ def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
         for act in n.right_action]
     t = Bimodule(m.left, n.right, t_dim, la, ra,
                  label=label or f"{m.label}(x){n.label}", check=False)
-    t._proj = lambda: _tensor_proj_data(t, m, n, proj, sect)
+    _derive_proj(t, lambda: _tensor_proj_data(t, m, n, proj, sect))
     return t, proj, sect
 
 
@@ -1030,7 +1027,7 @@ def bimodule_dual(m: Bimodule, label=None):
     md = Bimodule(m.right, m.left, dim_d, la, ra,
                   label=label or f"{m.label}^v", check=False)
     md._dual_data = dd
-    md._proj = lambda: _dual_proj_data(md, m, dd, s_blocks)
+    _derive_proj(md, lambda: _dual_proj_data(md, m, dd, s_blocks))
     return md, dd
 
 

@@ -22,6 +22,7 @@ import time
 from .errors import EngineError, SchemaError, TaskError, UnknownTask
 from .linalg import Matrix, Q1, format_scalar, rank, scalar
 from . import algebras as alg
+from .algebras import _memo
 from . import kernels as kn
 from . import hochschild as hh
 from . import diagrams as dg
@@ -66,7 +67,6 @@ class Workspace:
         self.kernels = {}
         self.classes = {}
         self.module_bimodules = {}
-        self._pt = None
         try:
             self._check_references()
             self._build()
@@ -80,14 +80,12 @@ class Workspace:
     # -- constructors -----------------------------------------------------
 
     def point_space(self):
-        if self._pt is None:
-            for name, sp in self.spaces.items():
+        def build():
+            for sp in self.spaces.values():
                 if sp.algebra.dim == 1:
-                    self._pt = sp
-                    break
-            else:
-                self._pt = kn.Space(alg.point_algebra(), "pt")
-        return self._pt
+                    return sp
+            return kn.Space(alg.point_algebra(), "pt")
+        return _memo(self, "pt", build)
 
     def _check_references(self):
         """Every task has an op and at most a positive integer `count`, and
@@ -178,7 +176,7 @@ class Workspace:
         if t == "identity":
             return self.spaces[spec["space"]].identity_kernel()
         if t == "serre":
-            return self.spaces[spec["space"]].serre_kernel(verify=False)
+            return self.spaces[spec["space"]].serre_kernel()
         if t == "anti-serre":
             return self.spaces[spec["space"]].anti_serre_kernel()
         if t == "module":
@@ -274,7 +272,7 @@ def run_task(ws: Workspace, task, rng):
     if op == "euler":
         ka = ws.kernels[task["kernels"][0]]
         kb = ws.kernels[task["kernels"][1]]
-        return {"euler": _fr(hh.euler(ka.target, ka, kb))}
+        return {"euler": _fr(hh.euler(ka, kb))}
     if op == "pushforward":
         k = ws.kernels[task["kernel"]]
         if "class" in task:
@@ -344,7 +342,7 @@ def run_verify(ws: Workspace, task, rng):
             for nb in names:
                 ka, kb = ws.kernels[na], ws.kernels[nb]
                 m = hh.mukai_pairing(hh.chern(ka, one), hh.chern(kb, one))
-                e = hh.euler(ka.target, ka, kb)
+                e = hh.euler(ka, kb)
                 if m != e:
                     raise TaskError(f"semi-hrr failed at ({na}, {nb}): {m} != {e}")
                 row.append(_fr(m))
@@ -396,7 +394,7 @@ def run_verify(ws: Workspace, task, rng):
             e, f = ws.kernels[ne], ws.kernels[nf]
             s = _random_endo(e, rng)
             t = _random_endo(f, rng)
-            lhs, rhs = hh.cardy_check(e.target, e, f, s, t)
+            lhs, rhs = hh.cardy_check(e, f, s, t)
             if lhs != rhs:
                 raise TaskError(f"cardy failed on ({ne}, {nf}): {lhs} != {rhs}")
             vals.append(_fr(lhs))
@@ -404,10 +402,9 @@ def run_verify(ws: Workspace, task, rng):
         for na in names:
             for nb in names:
                 e, f = ws.kernels[na], ws.kernels[nb]
-                lhs, rhs = hh.cardy_check(e.target, e, f,
-                                          kn.TwoMorphism.identity(e),
+                lhs, rhs = hh.cardy_check(e, f, kn.TwoMorphism.identity(e),
                                           kn.TwoMorphism.identity(f))
-                if not (lhs == rhs == hh.euler(e.target, e, f)):
+                if not (lhs == rhs == hh.euler(e, f)):
                     raise TaskError(f"cardy identity case failed ({na},{nb})")
         return {"values": vals}
     if check == "snake":
@@ -431,8 +428,8 @@ def run_verify(ws: Workspace, task, rng):
         count = task.get("count", 4)
         x, y = phi.source, phi.target
         z = psi.source
-        sky = y.serre_kernel(verify=False)
-        skz = z.serre_kernel(verify=False)
+        sky = y.serre_kernel()
+        skz = z.serre_kernel()
         big = kn.convolve(phi, psi)
         tgt = kn.conv_kernel(sky.factors + phi.factors + psi.factors
                              + skz.factors)
@@ -543,7 +540,7 @@ def explain_task(doc, path, tid):
         out.append("composite: tr( id2(id1(X)) ; id2(serre(X)) | hhclass(v)"
                    " ; id2(serre(X)) | hhclass(w) | id2(serre(X)) )"
                    f"   with X = {x.label}")
-        sk = x.serre_kernel(verify=False)
+        sk = x.serre_kernel()
         pair = kn.convolve(sk, sk)
         dims = {n: pair.complex.dim(n) for n in pair.complex.degrees()}
         out.append(f"intermediate serre.serre dimensions: {dims}")
@@ -557,7 +554,7 @@ def explain_task(doc, path, tid):
         out.append("composite: gamma'(ker(Phi)) ; id2(ker(Phi)) | hhclass(v) |"
                    " id2(serre(X) ∘ dual(ker(Phi))) ; eps(ker(Phi))")
         dk = kn.dual_kernel(k)
-        mid = kn.conv_kernel(k.factors + k.source.serre_kernel(verify=False).factors
+        mid = kn.conv_kernel(k.factors + k.source.serre_kernel().factors
                              + dk.factors)
         out.append("intermediate phi.serre.phi^v dimensions: "
                    f"{ {n: mid.complex.dim(n) for n in mid.complex.degrees()} }")

@@ -222,7 +222,7 @@ def direct_sum(c: Complex, d: Complex):
     diffs = {}
     for n in terms:
         if (n + 1) in terms:
-            diffs[n] = _sum_matrix(c.differential(n), d.differential(n))
+            diffs[n] = block_diag([c.differential(n), d.differential(n)])
     return Complex(terms, diffs, c.left, c.right, check=False)
 
 
@@ -235,12 +235,8 @@ def _sum_bimodule(a, b):
     ra = [block_diag([x, y]) for x, y in zip(a.right_action, b.right_action)]
     ab = alg.Bimodule(a.left, a.right, a.dim + b.dim, la, ra,
                       label=f"{a.label}(+){b.label}", check=False)
-    ab._proj = lambda: alg.sum_proj_data(ab, a, b)
+    alg._derive_proj(ab, lambda: alg.sum_proj_data(ab, a, b))
     return ab
-
-
-def _sum_matrix(x, y):
-    return block_diag([x, y])
 
 
 def cone(f: ChainMap):
@@ -376,11 +372,6 @@ def _accumulate(entries, w, row_off, cols, col, sign=Q1):
     return wrote
 
 
-def tensor_over(c: Complex, d: Complex):
-    """The convolution total complex (strictly perfect in, strictly perfect out)."""
-    return TensorComplex(c, d).complex
-
-
 def tensor_map(tc_src: TensorComplex, tc_tgt: TensorComplex, f: ChainMap, g: ChainMap):
     """(f (x) g) between tensor complexes, with the (T2) sign.
 
@@ -426,7 +417,8 @@ class HomComplex:
 
     Degree-n piece has a basis of blocks (i, basis element of Hom(C_i, D_{i+n}));
     realized as a Complex of plain vector spaces, with converters between
-    coordinate vectors and ChainMap-shaped component dicts.
+    coordinate vectors and ChainMap-shaped component dicts.  The source's
+    terms must be projective, so degreewise hom computes derived hom.
     """
 
     def __init__(self, source: Complex, target: Complex):
@@ -533,12 +525,6 @@ class HomComplex:
     def chain_map_from(self, vec, n):
         return ChainMap(self.source, self.target, n,
                         self.components_from(vec, n), check=False)
-
-
-def hom_complex(c: Complex, d: Complex):
-    """Hom complex; degreewise hom computes derived hom because the source
-    is required to have projective terms."""
-    return HomComplex(c, d)
 
 
 # -- homotopy equations: nullhomotopies, lifts, colifts --------------------------

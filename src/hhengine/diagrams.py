@@ -20,6 +20,7 @@ canonical 2-morphisms.
 from __future__ import annotations
 
 from .errors import BoundaryMismatch, DiagramSyntaxError, UnknownPrimitive
+from .algebras import _memoised
 from . import kernels as kn
 from . import hochschild as hh
 
@@ -241,7 +242,7 @@ def realize_kernel(node: Node, env: Environment) -> kn.Kernel:
     if k == "ker":
         return env.kernel(node.args[0].args[0])
     if k == "serre":
-        return env.space(node.args[0].args[0]).serre_kernel(verify=False)
+        return env.space(node.args[0].args[0]).serre_kernel()
     if k == "antiserre":
         return env.space(node.args[0].args[0]).anti_serre_kernel()
     if k == "dual":
@@ -260,8 +261,8 @@ def realize_kernel(node: Node, env: Environment) -> kn.Kernel:
 
 def _factor_descriptor(space_map, f):
     for name, sp in space_map.items():
-        if sp.serre_kernel(verify=False).factors and \
-                f is sp.serre_kernel(verify=False).factors[0]:
+        if sp.serre_kernel().factors and \
+                f is sp.serre_kernel().factors[0]:
             return f"serre({name})"
         if sp.anti_serre_kernel().factors and \
                 f is sp.anti_serre_kernel().factors[0]:
@@ -275,8 +276,9 @@ def boundary_of(t: kn.TwoMorphism, env: Environment):
     for n, k in env.kernels.items():
         for f in k.factors:
             names[id(f)] = f"ker({n})"
-        if k._dual is not None:
-            for f in k._dual.factors:
+        dual = _memoised(k, "dual")    # None: no factor of the dual exists
+        if dual is not None:
+            for f in dual.factors:
                 names[id(f)] = f"dual(ker({n}))"
     def describe(kernel):
         if kernel.is_identity:
@@ -296,7 +298,6 @@ def reconcile(src: kn.Kernel, tgt: kn.Kernel):
     steps = []
     cur = list(src.factors)
     goal = list(tgt.factors)
-    i = 0
     guard = 0
     while True:
         guard += 1
@@ -349,18 +350,14 @@ def reconcile(src: kn.Kernel, tgt: kn.Kernel):
 
 
 def _pair_kind(a, b):
-    for sp in _spaces_of(a):
-        sk = sp.serre_kernel(verify=False).factors[0]
+    for sp in (a.source, a.target):
+        sk = sp.serre_kernel().factors[0]
         anti = sp.anti_serre_kernel().factors[0]
         if a is anti and b is sk:
             return sp, "can2", "can6"
         if a is sk and b is anti:
             return sp, "can4", "can5"
     return None
-
-
-def _spaces_of(f):
-    return [f.source, f.target]
 
 
 def _cancel_step(cur, k, a, b):
@@ -371,7 +368,6 @@ def _cancel_step(cur, k, a, b):
     can = sp.can6() if cancel == "can6" else sp.can5()
     left = kn.conv_kernel(tuple(cur[:k])) if k else None
     right = kn.conv_kernel(tuple(cur[k + 2:])) if k + 2 < len(cur) else None
-    left = left if k else None
     return kn.whisker(left, can, right)
 
 
@@ -388,10 +384,10 @@ def _insert_step(cur, k, a, b):
 
 def _point_serre_space(f):
     """The space whose trivial Serre factor f is, or None."""
-    for sp in _spaces_of(f):
+    for sp in (f.source, f.target):
         if sp.algebra.dim == 1 and \
-                sp.serre_kernel(verify=False).factors and \
-                f is sp.serre_kernel(verify=False).factors[0]:
+                sp.serre_kernel().factors and \
+                f is sp.serre_kernel().factors[0]:
             return sp
     return None
 
@@ -459,9 +455,9 @@ def evaluate(node: Node, env: Environment):
         inner = evaluate(node.args[0], env)
         phi = inner.source
         x, y = phi.source, phi.target
-        expected = kn.conv_kernel(y.serre_kernel(verify=False).factors
+        expected = kn.conv_kernel(y.serre_kernel().factors
                                   + phi.factors
-                                  + x.serre_kernel(verify=False).factors)
+                                  + x.serre_kernel().factors)
         med = reconcile(inner.target, expected)
         if med is None:
             raise BoundaryMismatch("tr() boundary is not serre . phi . serre")
@@ -476,7 +472,7 @@ def evaluate(node: Node, env: Environment):
             else src.source.identity_kernel()
         y = strand.target
         tgt = inner.target
-        sky_f = y.serre_kernel(verify=False).factors
+        sky_f = y.serre_kernel().factors
         if tgt.factors[:len(sky_f)] != sky_f or \
                 tgt.factors[len(sky_f):len(sky_f) + 1] != strand.factors:
             raise BoundaryMismatch("ptr_l target is not serre . phi . psi")
@@ -493,7 +489,7 @@ def evaluate(node: Node, env: Environment):
             else src.target.identity_kernel()
         x = strand.source
         tgt = inner.target
-        skx_f = x.serre_kernel(verify=False).factors
+        skx_f = x.serre_kernel().factors
         if tgt.factors[-len(skx_f):] != skx_f or \
                 tgt.factors[-len(skx_f) - 1:-len(skx_f)] != strand.factors:
             raise BoundaryMismatch("ptr_r target is not psi . phi . serre")

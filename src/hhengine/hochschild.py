@@ -98,7 +98,7 @@ def hh_data(space) -> GradedData:
     def build():
         anti = space.anti_serre_kernel()
         idk = space.identity_kernel()
-        return GradedData(kn.two_morphism_space(anti, idk, 0))
+        return GradedData(kn.two_morphism_space(anti, idk))
     return _memo(space, "hh", build)
 
 
@@ -106,7 +106,7 @@ def hcoh_data(space) -> GradedData:
     """Hochschild cohomology data: Hom(Id, Id), HH^i at degree +i."""
     def build():
         idk = space.identity_kernel()
-        return GradedData(kn.two_morphism_space(idk, idk, 0))
+        return GradedData(kn.two_morphism_space(idk, idk))
     return _memo(space, "hcoh", build)
 
 
@@ -166,7 +166,6 @@ def hh_via_tor(space):
     """
     res, _ = space.id_resolution()
     a = space.algebra
-    reg = space.regular
     pieces = {}
     for n in res.degrees():
         m = res.term(n)
@@ -285,7 +284,7 @@ def _push_composite(phi: kn.Kernel, v: HochschildClass):
     mg = kn.mirrored_gamma(phi)                 # anti_Y => phi . phi^v
     ins = kn.hcompose([kn.TwoMorphism.identity(phi), x.can2(),
                        kn.TwoMorphism.identity(dk)])
-    skx = x.serre_kernel(verify=False)
+    skx = x.serre_kernel()
     tail = kn.conv_kernel(skx.factors + dk.factors)
     act = kn.hcompose([kn.TwoMorphism.identity(phi), tv,
                        kn.TwoMorphism.identity(tail)])
@@ -302,7 +301,7 @@ def _pull_composite(phi: kn.Kernel, w: HochschildClass):
     g = kn.gamma(phi)                            # anti_X => phi^v . phi
     ins = kn.hcompose([kn.TwoMorphism.identity(dk), y.can2(),
                        kn.TwoMorphism.identity(phi)])
-    sky = y.serre_kernel(verify=False)
+    sky = y.serre_kernel()
     tail = kn.conv_kernel(sky.factors + phi.factors)
     act = kn.hcompose([kn.TwoMorphism.identity(dk), tw,
                        kn.TwoMorphism.identity(tail)])
@@ -356,7 +355,7 @@ def tau_r_class(v: HochschildClass) -> kn.TwoMorphism:
     x = v.space
     tv = class_to_two_morphism(v)
     can4 = x.can4()
-    sk = x.serre_kernel(verify=False)
+    sk = x.serre_kernel()
     step = kn.whisker(sk, tv)       # serre . anti => serre
     return step.compose(can4)
 
@@ -366,7 +365,7 @@ def tau_l_class(v: HochschildClass) -> kn.TwoMorphism:
     x = v.space
     tv = class_to_two_morphism(v)
     can2 = x.can2()
-    sk = x.serre_kernel(verify=False)
+    sk = x.serre_kernel()
     step = kn.whisker(None, tv, sk)  # anti . serre => serre
     return step.compose(can2)
 
@@ -376,7 +375,7 @@ def _mukai_composite(v: HochschildClass, w: HochschildClass):
     x = v.space
     tr_v = tau_r_class(v)
     tl_w = tau_l_class(w)
-    sk = x.serre_kernel(verify=False)
+    sk = x.serre_kernel()
     bent = kn.whisker(sk, tl_w)       # serre => serre . serre
     total = bent.compose(tr_v)        # Id => serre . serre
     return kn.serre_trace(x.identity_kernel(), total)
@@ -430,15 +429,14 @@ def chern_via_iota(e: kn.Kernel):
     return iota_upper(e, kn.TwoMorphism.identity(e))
 
 
-def ext_data(x, e: kn.Kernel, f: kn.Kernel) -> GradedData:
+def ext_data(e: kn.Kernel, f: kn.Kernel) -> GradedData:
     """Ext^bullet(E, F) as homology of the hom complex of resolutions."""
-    hc = kn.two_morphism_space(e, f, 0)
-    return GradedData(hc)
+    return GradedData(kn.two_morphism_space(e, f))
 
 
-def euler(x, e: kn.Kernel, f: kn.Kernel):
+def euler(e: kn.Kernel, f: kn.Kernel):
     """chi(E, F) = sum (-1)^i dim Ext^i(E, F)."""
-    data = ext_data(x, e, f)
+    data = ext_data(e, f)
     total = 0
     for n, d in data.dims().items():
         total += d if n % 2 == 0 else -d
@@ -452,7 +450,7 @@ def iota_lower(e: kn.Kernel, v: HochschildClass) -> kn.TwoMorphism:
         raise SpaceMismatch("iota_lower class on the wrong space")
     tv = class_to_two_morphism(v)
     step1 = kn.whisker(None, x.can4(), e)      # E => serre.anti.E
-    sk = x.serre_kernel(verify=False)
+    sk = x.serre_kernel()
     step2 = kn.hcompose([kn.TwoMorphism.identity(sk), tv,
                          kn.TwoMorphism.identity(e)])
     return step2.compose(step1)
@@ -474,14 +472,14 @@ def iota_upper(e: kn.Kernel, t: kn.TwoMorphism) -> HochschildClass:
 def serre_trace_on_module(e: kn.Kernel, t: kn.TwoMorphism):
     """Tr of t: E => serre(X).E through the trace shape with Serre(pt)."""
     x = e.target
-    sk = x.serre_kernel(verify=False)
+    sk = x.serre_kernel()
     ins = kn.point_serre_insert(e.source)
     pre = kn.conv_kernel(sk.factors + e.factors)
     shaped = kn.whisker(pre, ins).compose(t)
     return kn.serre_trace(e, shaped)
 
 
-def cardy_check(x, e: kn.Kernel, f: kn.Kernel, s: kn.TwoMorphism,
+def cardy_check(e: kn.Kernel, f: kn.Kernel, s: kn.TwoMorphism,
                 t: kn.TwoMorphism):
     """(lhs, rhs) of the two-boundary trace identity.
 
@@ -489,7 +487,7 @@ def cardy_check(x, e: kn.Kernel, f: kn.Kernel, s: kn.TwoMorphism,
     computed on homology of the hom complex.
     rhs: <iota^E(s), iota^F(t)> under the Mukai pairing.
     """
-    data = ext_data(x, e, f)
+    data = ext_data(e, f)
     total = Q0
     for n, (dim, section, projector) in data.data.items():
         mat_cols = []

@@ -67,7 +67,6 @@ class Kernel:
         self.factors = tuple(factors)
         self.complex = complex_
         self.tc = tc
-        self._dual = None
 
     @property
     def is_identity(self):
@@ -164,58 +163,46 @@ class TwoMorphism:
 
 
 class Space:
-    """A smooth finite-dimensional algebra with cached resolutions and the
-    canonical Serre cancelation 2-morphisms."""
+    """A smooth finite-dimensional algebra with memoised resolutions, structure
+    kernels and canonical Serre cancelation 2-morphisms; can5() and can6()
+    are the checks that the Serre kernel cancels against the anti-Serre."""
 
-    def __init__(self, algebra, label=None, max_length=None):
+    def __init__(self, algebra, label=None):
         self.algebra = algebra
         self.label = label or algebra.label
         self.regular = alg.regular_bimodule(algebra)
         self.dual = alg.dual_bimodule(algebra)
-        self._max_length = max_length
-        self._idres = None
-        self._serre_res = None
-        self._id_kernel = None
-        self._serre_kernel = None
-        self._anti_serre = None
 
     def __repr__(self):
         return f"Space({self.label})"
 
     def id_resolution(self):
-        if self._idres is None:
-            c, aug = alg.projective_resolution(self.regular, self._max_length)
-            reg = cx.single_term_complex(self.regular)
-            self._idres = (c, cx.ChainMap(c, reg, 0, {0: aug}, check=False))
-        return self._idres
+        return self._resolution(self.regular)
 
     def serre_resolution(self):
-        if self._serre_res is None:
-            c, aug = alg.projective_resolution(self.dual, self._max_length)
-            d = cx.single_term_complex(self.dual)
-            self._serre_res = (c, cx.ChainMap(c, d, 0, {0: aug}, check=False))
-        return self._serre_res
+        return self._resolution(self.dual)
+
+    def _resolution(self, m):
+        """(resolution of m, augmentation onto m as a one-term complex)."""
+        def build():
+            c, aug = alg.projective_resolution(m)
+            one = cx.single_term_complex(m)
+            return c, cx.ChainMap(c, one, 0, {0: aug}, check=False)
+        return _memo(self, ("resolution", m), build)
 
     def identity_kernel(self):
-        if self._id_kernel is None:
-            c, _ = self.id_resolution()
-            self._id_kernel = Kernel(self, self, (), c)
-        return self._id_kernel
+        return _memo(self, "identity",
+                     lambda: Kernel(self, self, (), self.id_resolution()[0]))
 
-    def serre_kernel(self, verify=True):
-        if self._serre_kernel is None:
+    def serre_kernel(self):
+        def build():
             c, _ = self.serre_resolution()
-            a = AtomicKernel(self, self, c, f"S({self.label})", check=False)
-            self._serre_kernel = conv_kernel((a,))
-        if verify:
-            self.can5()
-            self.can6()
-        return self._serre_kernel
+            return conv_kernel((AtomicKernel(self, self, c, f"S({self.label})",
+                                             check=False),))
+        return _memo(self, "serre", build)
 
     def anti_serre_kernel(self):
-        if self._anti_serre is None:
-            self._anti_serre = dual_kernel(self.identity_kernel())
-        return self._anti_serre
+        return dual_kernel(self.identity_kernel())
 
     # canonical cancelation 2-morphisms --------------------------------------
 
@@ -226,7 +213,7 @@ class Space:
             eta = unit_eta1(anti)  # Id => anti . anti^v . serre
             fix = hcompose([TwoMorphism.identity(anti),
                             kernel_double_dual_inverse(self.identity_kernel()),
-                            TwoMorphism.identity(self.serre_kernel(verify=False))])
+                            TwoMorphism.identity(self.serre_kernel())])
             return fix.compose(eta)
         return _memo(self, "can2", build)
 
@@ -235,7 +222,7 @@ class Space:
         def build():
             anti = self.anti_serre_kernel()
             eta = unit_eta2(anti)  # Id => serre . anti^v . anti
-            fix = hcompose([TwoMorphism.identity(self.serre_kernel(verify=False)),
+            fix = hcompose([TwoMorphism.identity(self.serre_kernel()),
                             kernel_double_dual_inverse(self.identity_kernel()),
                             TwoMorphism.identity(anti)])
             return fix.compose(eta)
@@ -296,13 +283,12 @@ def dual_complex(c: cx.Complex):
 
 
 def dual_kernel(phi: Kernel):
-    """The dual kernel Y -> X; always a fresh atomic factor."""
-    if phi._dual is None:
-        dc = dual_complex(phi.complex)
-        a = AtomicKernel(phi.target, phi.source, dc,
+    """The dual kernel Y -> X: one fresh atomic factor, memoised on phi."""
+    def build():
+        a = AtomicKernel(phi.target, phi.source, dual_complex(phi.complex),
                          f"({phi!r})^v", check=False)
-        phi._dual = conv_kernel((a,))
-    return phi._dual
+        return conv_kernel((a,))
+    return _memo(phi, "dual", build)
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +477,18 @@ def _assoc_mediator(x: cx.Complex, y: cx.Complex, z: cx.Complex):
     return outer_r, outer_l, Mediator(fwd, inv)
 
 
-def _join(a_factors, b_factors, ka, kb):
-    """(tc, Mediator): conv(a+b) <-> TC(conv(a).complex, conv(b).complex)."""
-    if not a_factors:
+def _join(ka, kb):
+    """(tc, Mediator): conv(ka.factors + kb.factors) <-> TC(ka, kb)."""
+    if ka.is_identity:
         return _insert_identity(kb, "left")
-    if not b_factors:
+    if kb.is_identity:
         return _insert_identity(ka, "right")
-    whole = conv_kernel(tuple(a_factors) + tuple(b_factors))
-    if len(a_factors) == 1:
+    whole = conv_kernel(ka.factors + kb.factors)
+    if len(ka.factors) == 1:
         return whole.tc, Mediator.identity(whole.complex)
-    a1 = a_factors[0]
-    ar = a_factors[1:]
-    ka_rest = conv_kernel(ar)
-    sub_tc, sub_med = _join(ar, b_factors, ka_rest, kb)
+    a1 = ka.factors[0]
+    ka_rest = conv_kernel(ka.factors[1:])
+    sub_tc, sub_med = _join(ka_rest, kb)
     upper = cx.tc_of(a1.complex, sub_tc.complex)
     lift_fwd = cx.tensor_map(whole.tc, upper, _idc(a1.complex), sub_med.fwd)
     lift_inv = cx.tensor_map(upper, whole.tc, _idc(a1.complex), sub_med.inv)
@@ -521,8 +506,8 @@ def hcompose_pair(alpha: TwoMorphism, beta: TwoMorphism):
         raise ShapeMismatch("horizontal composition space mismatch")
     src = convolve(asrc, bsrc)
     tgt = convolve(atgt, btgt)
-    tc_s, med_s = _join(asrc.factors, bsrc.factors, asrc, bsrc)
-    tc_t, med_t = _join(atgt.factors, btgt.factors, atgt, btgt)
+    tc_s, med_s = _join(asrc, bsrc)
+    tc_t, med_t = _join(atgt, btgt)
     mid = cx.tensor_map(tc_s, tc_t, alpha.chain, beta.chain)
     return TwoMorphism(src, tgt, med_t.inv.compose(mid.compose(med_s.fwd)))
 
@@ -573,14 +558,14 @@ def counit_eps(phi: Kernel):
     """eps_m(phi): phi . serre(src) . phi^v => Id_target."""
     def build():
         x, y = phi.source, phi.target
-        sk = x.serre_kernel(verify=False)
+        sk = x.serre_kernel()
         dk = dual_kernel(phi)
         src = conv_kernel(phi.factors + sk.factors + dk.factors)
         inner = conv_kernel(sk.factors + dk.factors)          # TC(serre, dual)
         _, aug = x.serre_resolution()
         n_in = cx.tc_of(aug.target, dk.complex)
         q_in = cx.tensor_map(inner.tc, n_in, aug, _idc(dk.complex))
-        tc_nice, med = _join(phi.factors, inner.factors, phi, inner)
+        tc_nice, med = _join(phi, inner)
         n_out = cx.tc_of(tc_nice.c, n_in.complex)
         q_out = cx.tensor_map(tc_nice, n_out, _idc(tc_nice.c), q_in)
         _, aug_y = y.id_resolution()
@@ -598,7 +583,7 @@ def counit_eps_mirror(phi: Kernel):
     """eps_m(phi^v)-shaped counit: phi^v . serre(tgt) . phi => Id_source."""
     def build():
         x, y = phi.source, phi.target
-        sk = y.serre_kernel(verify=False)
+        sk = y.serre_kernel()
         dk = dual_kernel(phi)
         src = conv_kernel(dk.factors + sk.factors + phi.factors)
         _, aug = y.serre_resolution()
@@ -698,7 +683,7 @@ def unit_eta2(phi: Kernel):
     """eta2(phi): Id_src => serre(src) . phi^v . phi."""
     def build():
         x = phi.source
-        sk = x.serre_kernel(verify=False)
+        sk = x.serre_kernel()
         dk = dual_kernel(phi)
         tgt = conv_kernel(sk.factors + dk.factors + phi.factors)
         inner_tc = cx.tc_of(dk.complex, phi.complex)
@@ -730,7 +715,7 @@ def unit_eta1(phi: Kernel):
     """eta1(phi): Id_tgt => phi . phi^v . serre(tgt)."""
     def build():
         y = phi.target
-        sk = y.serre_kernel(verify=False)
+        sk = y.serre_kernel()
         dk = dual_kernel(phi)
         tgt = conv_kernel(phi.factors + dk.factors + sk.factors)
         tail = conv_kernel(dk.factors + sk.factors)            # TC(dual, serre)
@@ -750,7 +735,7 @@ def unit_eta1(phi: Kernel):
             _, med = _insert_identity(tail, "left")
             q_total = q_out.compose(med.fwd)
         else:
-            tc_nice, med = _join(phi.factors, tail.factors, phi, tail)
+            tc_nice, med = _join(phi, tail)
             if tc_nice.complex is not unc.complex:
                 raise InvariantViolation("regrouped unit target is not unc")
             q_total = q_out.compose(med.fwd)
@@ -818,7 +803,7 @@ def point_serre_insert(space: Space):
     """Id => Serre on a one-dimensional algebra (both are Q in degree 0)."""
     if space.algebra.dim != 1:
         raise InvariantViolation(f"{space.label} is not a point")
-    sk = space.serre_kernel(verify=False)
+    sk = space.serre_kernel()
     idk = space.identity_kernel()
     chain = cx.ChainMap(idk.complex, sk.complex, 0, {0: Matrix.identity(1)},
                         check=False)
@@ -828,7 +813,7 @@ def point_serre_insert(space: Space):
 def point_serre_drop(space: Space):
     if space.algebra.dim != 1:
         raise InvariantViolation(f"{space.label} is not a point")
-    sk = space.serre_kernel(verify=False)
+    sk = space.serre_kernel()
     idk = space.identity_kernel()
     chain = cx.ChainMap(sk.complex, idk.complex, 0, {0: Matrix.identity(1)},
                         check=False)
@@ -895,13 +880,13 @@ def mirrored_gamma(phi: Kernel):
 def tau_r(phi: Kernel):
     """Right adjoint kernel serre(src) . phi^v."""
     x = phi.source
-    return convolve(x.serre_kernel(verify=False), dual_kernel(phi))
+    return convolve(x.serre_kernel(), dual_kernel(phi))
 
 
 def tau_l(phi: Kernel):
     """Left adjoint kernel phi^v . serre(tgt)."""
     y = phi.target
-    return convolve(dual_kernel(phi), y.serre_kernel(verify=False))
+    return convolve(dual_kernel(phi), y.serre_kernel())
 
 
 def tau_r_on_2(alpha: TwoMorphism):
@@ -930,14 +915,14 @@ def partial_trace_left(alpha: TwoMorphism, phi: Kernel, theta: Kernel,
     """Left partial trace of alpha: phi.theta => serre(Y).phi.psi."""
     x, y = phi.source, phi.target
     exp_src = convolve(phi, theta)
-    exp_tgt = convolve(convolve(y.serre_kernel(verify=False), phi), psi)
+    exp_tgt = convolve(convolve(y.serre_kernel(), phi), psi)
     if alpha.source is not exp_src or alpha.target is not exp_tgt:
         raise ShapeMismatch("partial_trace_left boundary mismatch")
     step1 = whisker(None, unit_eta2(phi), theta)
-    pre = conv_kernel(x.serre_kernel(verify=False).factors
+    pre = conv_kernel(x.serre_kernel().factors
                       + dual_kernel(phi).factors)
     step2 = whisker(pre, alpha)
-    step3 = whisker(x.serre_kernel(verify=False), counit_eps_mirror(phi), psi)
+    step3 = whisker(x.serre_kernel(), counit_eps_mirror(phi), psi)
     return step3.compose(step2.compose(step1))
 
 
@@ -946,14 +931,14 @@ def partial_trace_right(alpha: TwoMorphism, phi: Kernel, theta: Kernel,
     """Right partial trace of alpha: theta.phi => psi.phi.serre(X)."""
     x, y = phi.source, phi.target
     exp_src = convolve(theta, phi)
-    exp_tgt = convolve(convolve(psi, phi), x.serre_kernel(verify=False))
+    exp_tgt = convolve(convolve(psi, phi), x.serre_kernel())
     if alpha.source is not exp_src or alpha.target is not exp_tgt:
         raise ShapeMismatch("partial_trace_right boundary mismatch")
     step1 = whisker(theta, unit_eta1(phi))
     post = conv_kernel(dual_kernel(phi).factors
-                       + y.serre_kernel(verify=False).factors)
+                       + y.serre_kernel().factors)
     step2 = whisker(None, alpha, post)
-    step3 = whisker(psi, counit_eps(phi), y.serre_kernel(verify=False))
+    step3 = whisker(psi, counit_eps(phi), y.serre_kernel())
     return step3.compose(step2.compose(step1))
 
 
@@ -970,13 +955,13 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
     (zeta, m, xi) |-> zeta(phi_p(m)_B) xi(phi_p(m)_A).
     """
     x, y = phi.source, phi.target
-    sky, skx = y.serre_kernel(verify=False), x.serre_kernel(verify=False)
+    sky, skx = y.serre_kernel(), x.serre_kernel()
     expected = conv_kernel(sky.factors + phi.factors + skx.factors)
     if alpha.source is not phi or alpha.target is not expected or alpha.degree != 0:
         raise ShapeMismatch("serre_trace boundary mismatch")
     # regroup target to TC(serre_Y, TC(conv(phi), serre_X)) and contract augs
     tailk = conv_kernel(phi.factors + skx.factors)
-    tc_tail, med_tail = _join(phi.factors, skx.factors, phi, skx)
+    tc_tail, med_tail = _join(phi, skx)
     _, aug_x = x.serre_resolution()
     _, aug_y = y.serre_resolution()
     n_tail = cx.tc_of(tc_tail.c, aug_x.target)
@@ -1031,7 +1016,7 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
 # ---------------------------------------------------------------------------
 
 
-def two_morphism_space(src: Kernel, tgt: Kernel, degree):
+def two_morphism_space(src: Kernel, tgt: Kernel):
     """HomComplex between realizations (memoised on the source kernel)."""
     return _memo(src, ("homs", tgt),
                  lambda: cx.HomComplex(src.complex, tgt.complex))
@@ -1039,7 +1024,7 @@ def two_morphism_space(src: Kernel, tgt: Kernel, degree):
 
 def cycle_basis(src: Kernel, tgt: Kernel, degree):
     """Chain maps src => tgt of the given degree (a basis of cycles)."""
-    hc = two_morphism_space(src, tgt, degree)
+    hc = two_morphism_space(src, tgt)
     d = hc.complex.differential(degree)
     z = nullspace_basis(d)
     out = []

@@ -57,42 +57,48 @@ def m(rows):
 @pytest.fixture(scope="session")
 def pt():
     sp = kn.Space(alg.point_algebra(), "pt")
-    sp.serre_kernel()
+    sp.can5()
+    sp.can6()
     return sp
 
 
 @pytest.fixture(scope="session")
 def bz2():
     sp = kn.Space(alg.group_algebra([[0, 1], [1, 0]], "Z2"), "BZ2")
-    sp.serre_kernel()
+    sp.can5()
+    sp.can6()
     return sp
 
 
 @pytest.fixture(scope="session")
 def bs3():
     sp = kn.Space(alg.group_algebra(s3_cayley_table(), "S3"), "BS3")
-    sp.serre_kernel()
+    sp.can5()
+    sp.can6()
     return sp
 
 
 @pytest.fixture(scope="session")
 def a2():
     sp = kn.Space(alg.path_algebra(2, [(0, 1)], "A2"), "A2")
-    sp.serre_kernel()
+    sp.can5()
+    sp.can6()
     return sp
 
 
 @pytest.fixture(scope="session")
 def a3():
     sp = kn.Space(alg.path_algebra(3, [(0, 1), (1, 2)], "A3"), "A3")
-    sp.serre_kernel()
+    sp.can5()
+    sp.can6()
     return sp
 
 
 @pytest.fixture(scope="session")
 def m2():
     sp = kn.Space(alg.matrix_algebra(2), "M2")
-    sp.serre_kernel()
+    sp.can5()
+    sp.can6()
     return sp
 
 

@@ -45,12 +45,12 @@ def test_criterion_02_semi_hrr(pt, bz2, bs3, a2, one,
     for a, b in itertools.product(["triv", "sgn"], repeat=2):
         ka, kb = z2_modules[a], z2_modules[b]
         assert (hh.mukai_pairing(hh.chern(ka, one), hh.chern(kb, one))
-                == hh.euler(bz2, ka, kb))
+                == hh.euler(ka, kb))
     names = ["triv", "sgn", "std"]
     for a, b in itertools.product(names, repeat=2):
         ka, kb = s3_modules[a], s3_modules[b]
         p = hh.mukai_pairing(hh.chern(ka, one), hh.chern(kb, one))
-        assert p == hh.euler(bs3, ka, kb) == (Q1 if a == b else Q0)
+        assert p == hh.euler(ka, kb) == (Q1 if a == b else Q0)
     # A2 against the quiver Euler form <d, e> = sum d_i e_i - sum_{a:i->j} d_i e_j
     dimvec = {"S1": (1, 0), "S2": (0, 1), "P1": (1, 1)}
     for a, b in itertools.product(a2_modules, repeat=2):
@@ -58,8 +58,8 @@ def test_criterion_02_semi_hrr(pt, bz2, bs3, a2, one,
         d, e = dimvec[a], dimvec[b]
         quiver_form = d[0] * e[0] + d[1] * e[1] - d[0] * e[1]
         p = hh.mukai_pairing(hh.chern(ka, one), hh.chern(kb, one))
-        assert p == hh.euler(a2, ka, kb) == quiver_form
-    assert hh.euler(a2, a2_modules["S1"], a2_modules["S2"]) == -1
+        assert p == hh.euler(ka, kb) == quiver_form
+    assert hh.euler(a2_modules["S1"], a2_modules["S2"]) == -1
     print("PASS criterion 2: Semi-HRR on BZ2, BS3 (identity matrix), A2 (quiver form)")
 
 
@@ -178,14 +178,14 @@ def test_criterion_10_baggy_cardy(bz2, a2, z2_modules, a2_modules):
         x, e, f = cases[i % len(cases)]
         s = kn.random_two_morphism(e, e, 0, rng)
         t = kn.random_two_morphism(f, f, 0, rng)
-        lhs, rhs = hh.cardy_check(x, e, f, s, t)
+        lhs, rhs = hh.cardy_check(e, f, s, t)
         assert lhs == rhs
         checked += 1
     # identity case reduces to criterion 2
     for x, e, f in cases:
-        lhs, rhs = hh.cardy_check(x, e, f, kn.TwoMorphism.identity(e),
+        lhs, rhs = hh.cardy_check(e, f, kn.TwoMorphism.identity(e),
                                   kn.TwoMorphism.identity(f))
-        assert lhs == rhs == hh.euler(x, e, f)
+        assert lhs == rhs == hh.euler(e, f)
     print(f"PASS criterion 10: Cardy lhs = rhs on {checked} seeded instances "
           f"plus identity reductions")
 

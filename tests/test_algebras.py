@@ -204,14 +204,62 @@ def test_witness_checks_fire_under_python_O():
     assert "direct sum witness failed" in out.stdout
 
 
-def test_engine_sources_hold_no_assert_statements():
-    # invariant checks raise InvariantViolation, which python -O keeps
+def test_is_projective_does_not_build_a_derived_witness(monkeypatch):
+    calls = []
+    for name in ("_tensor_proj_data", "_dual_proj_data"):
+        def counted(*args, _name=name, _real=getattr(alg, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(alg, name, counted)
+    z2 = alg.group_algebra([[0, 1], [1, 0]])
+    f = alg.free_bimodule(z2, z2)
+    t, _, _ = alg.bimodule_tensor(f, f)
+    d, _ = alg.bimodule_dual(f)
+    assert alg.is_projective(t) and alg.is_projective(d)
+    assert calls == []
+    for x in (t, d):
+        assert alg.proj_data(x) is alg.proj_data(x) is not None
+    assert calls == ["_tensor_proj_data", "_dual_proj_data"]
+
+
+def _engine_sources():
+    """(file name, parsed module) of every engine source file."""
     pkg = os.path.dirname(os.path.abspath(alg.__file__))
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as f:
-                tree = ast.parse(f.read(), name)
-            found += [f"{name}:{n.lineno}" for n in ast.walk(tree)
-                      if isinstance(n, ast.Assert)]
+                yield name, ast.parse(f.read(), name)
+
+
+def test_engine_sources_hold_no_assert_statements():
+    # invariant checks raise InvariantViolation, which python -O keeps
+    found = [f"{name}:{n.lineno}" for name, tree in _engine_sources()
+             for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+def test_values_built_once_are_memo_entries():
+    # no hand-written `if self._x is None: self._x = ...` cache: a value
+    # built once is an algebras._memo entry.  Matrix keeps its transpose in
+    # a slot, because Matrix has __slots__ and linalg sits below algebras.
+    allowed = {"linalg.py:transpose"}
+    found = []
+    for name, tree in _engine_sources():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                continue
+            compared, assigned = set(), set()
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Compare):
+                    sides = [n.left, *n.comparators]
+                    if any(isinstance(x, ast.Constant) and x.value is None
+                           for x in sides):
+                        compared |= {x.attr for x in sides
+                                     if isinstance(x, ast.Attribute)
+                                     and x.attr.startswith("_")}
+                elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                      and n.attr.startswith("_")):
+                    assigned.add(n.attr)
+            if compared & assigned and f"{name}:{fn.name}" not in allowed:
+                found.append(f"{name}:{fn.lineno} {fn.name}")
     assert found == []

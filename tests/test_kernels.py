@@ -86,9 +86,18 @@ def test_res_ind_composites(ind_res):
     assert sum(cx.homology_dims(ind_res_k.complex).values()) == 18
 
 
+def test_serre_cancelations_invert(pt, bz2, a2, a3):
+    # can5 and can6 are homotopy inverses of the insertions can4 and can2
+    for sp in (pt, bz2, a2, a3):
+        one = kn.TwoMorphism.identity(sp.identity_kernel())
+        assert sp.can5().compose(sp.can4()).equals(one)
+        assert sp.can6().compose(sp.can2()).equals(one)
+
+
 def test_dual_of_point_module():
     ptsp = kn.Space(alg.point_algebra(), "ptx")
-    ptsp.serre_kernel()
+    ptsp.can5()
+    ptsp.can6()
     q2 = alg.module_as_bimodule(alg.point_algebra(), [Matrix.identity(2)], "Q2")
     c = cx.single_term_complex(q2)
     k = kn.conv_kernel((kn.AtomicKernel(ptsp, ptsp, c, "Q2"),))
