@@ -19,7 +19,10 @@ engine touches carries a cover by cyclic summands R.u (u running over a
 complete orthogonal idempotent family of R) together with a module-linear
 section of the covering map.  Sections are solved for once and then
 propagated through tensor products and duals by explicit formulas, which is
-what keeps the larger composite kernels affordable.
+what keeps the larger composite kernels affordable.  A dual's actions and
+its cover evaluation are read off the witness it was built from (the
+dual-basis lemma): each is a combination, solved inside one cover piece,
+of the coordinates of the functionals the witness spans.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from __future__ import annotations
 from .errors import (AlgebraMismatch, CyclicQuiver, InvariantViolation,
                      NotAGroup, NotPerfect, ResolutionTooLong)
 from .linalg import (Echelon, Matrix, Q1, SpanSolver, _clear_denominators,
-                     _solve_rows, block_diag, linear_combination, nullspace_basis,
-                     quotient_basis)
+                     _exact, _solve_rows, block_diag, linear_combination,
+                     nullspace_basis, quotient_basis)
 
 
 def _memo(owner, key, build):
@@ -49,6 +52,11 @@ def _memo(owner, key, build):
 def _memoised(owner, key):
     """The entry _memo keeps on owner under key, or None if none was built."""
     return owner.__dict__.get("_memo", {}).get(key)
+
+
+def _forget(owner, key):
+    """Drop the entry _memo keeps on owner under key, if there is one."""
+    owner.__dict__.get("_memo", {}).pop(key, None)
 
 
 def _kron_vec(u, v, n):
@@ -622,7 +630,9 @@ def proj_data(m: Bimodule):
     def build():
         derived = _memoised(m, "proj_builder")
         if derived is not None:
-            return derived()
+            pd = derived()
+            _forget(m, "proj_builder")   # its closure pins the inputs
+            return pd
         cover = build_cover(m)
         section = solve_section(m, cover)
         return ProjData(cover, section) if section is not None else None
@@ -990,7 +1000,15 @@ class DualData:
 
 
 def bimodule_dual(m: Bimodule, label=None):
-    """(m_dual, dual_data): Hom_env(m, env) as a (right, left)-bimodule."""
+    """(m_dual, dual_data): Hom_env(m, env) as a (right, left)-bimodule.
+
+    Read off m's witness (the dual-basis lemma): Hom_env(m, env) is spanned
+    by the functionals f_{p,c} = x |-> phi_p(x) . r_c, with r_c running over
+    the basis of the right piece u_p.env.  The first independent ones form
+    the dual basis; every candidate's coordinates in it are kept, and the
+    actions, f_{p,c} . z = sum_c' a_c' f_{p,c'} where r_c z = sum a_c' r_c',
+    are combinations of them.
+    """
     pd = proj_data(m)
     if pd is None:
         raise NotPerfect(f"{m.label} has no projectivity witness")
@@ -998,41 +1016,57 @@ def bimodule_dual(m: Bimodule, label=None):
     dl, dr = m.left.dim, m.right.dim
     s_blocks = [(uidx, gen, phi) for (uidx, _, _, _), (gen, phi)
                 in zip(pd.cover.pieces, pd.coordinates())]
-    candidates = []
+    basis_f = []
+    origin = []      # (uidx, coords_p, r_c) of each dual basis functional
+    cand = []        # cand[p][c]: dual-basis coordinates of f_{p,c}
+    solver = SpanSolver(env.dim * m.dim)
     for uidx, gen, s_p in s_blocks:
         rbasis, _ = env.piece("right", uidx)
+        coords_p = []
         for c in range(rbasis.cols):
-            fmat = env.right_mult_matrix(dict(rbasis.col_items(c))) * s_p
-            candidates.append(fmat)
-    ech = Echelon(env.dim * m.dim)
-    basis_f = []
-    solver = SpanSolver(env.dim * m.dim)
-    for fmat in candidates:
-        row = fmat.flat_items()
-        if row and ech.insert(_clear_denominators(row)) is not None:
-            basis_f.append(fmat)
-            solver.add(row)
+            r_c = dict(rbasis.col_items(c))
+            fmat = env.right_mult_matrix(r_c) * s_p
+            row = fmat.flat_items()
+            coords = solver.express(row)
+            if coords is None:
+                coords = {len(basis_f): Q1}
+                basis_f.append(fmat)
+                origin.append((uidx, coords_p, r_c))
+                solver.add(row)
+            coords_p.append(coords)
+        cand.append(coords_p)
     dim_d = len(basis_f)
     dd = DualData(basis_f, solver, m)
+
     # actions: (r . f . l)(x) = f(x) . (l (x) r)
-    la, ra = [], []
-    for ridx in range(dr):
-        rm = env.right_mult_matrix(_kron_vec(m.left.unit, {ridx: Q1}, dr))
-        la.append(Matrix.from_column_maps([dd.express(rm * f) for f in basis_f],
-                                          dim_d))
-    for lidx in range(dl):
-        rm = env.right_mult_matrix(_kron_vec({lidx: Q1}, m.right.unit, dr))
-        ra.append(Matrix.from_column_maps([dd.express(rm * f) for f in basis_f],
-                                          dim_d))
+    def act(z):
+        rm = env.right_mult_matrix(z)
+        return Matrix.from_column_maps(
+            [_piece_functional(env, uidx, coords_p, rm.apply_map(r_c), "dual action")
+             for uidx, coords_p, r_c in origin], dim_d)
+    la = [act(_kron_vec(m.left.unit, {ridx: Q1}, dr)) for ridx in range(dr)]
+    ra = [act(_kron_vec({lidx: Q1}, m.right.unit, dr)) for lidx in range(dl)]
     md = Bimodule(m.right, m.left, dim_d, la, ra,
                   label=label or f"{m.label}^v", check=False)
     md._dual_data = dd
-    _derive_proj(md, lambda: _dual_proj_data(md, m, dd, s_blocks))
+    _derive_proj(md, lambda: _dual_proj_data(md, m, dd, s_blocks, cand))
     return md, dd
 
 
-def _dual_proj_data(md, m, dd, s_blocks):
-    env = m.env
+def _piece_functional(env, uidx, coords, w, what):
+    """Dual-basis coordinates of x |-> phi_p(x) . w, for w in the right
+    piece u.env of p's idempotent u = env.idempotents[uidx]: the sum of
+    a_c * coords[c] over w = sum_c a_c r_c, coords[c] those of f_{p,c}."""
+    a = env.piece("right", uidx)[1].express(w)
+    if a is None:
+        raise InvariantViolation(f"{what} escaped the dual basis")
+    out = {}
+    for c, x in a.items():
+        _add_into(out, coords[c], x)
+    return {k: _exact(x) for k, x in out.items() if x}
+
+
+def _dual_proj_data(md, m, dd, s_blocks, cand):
     envd = md.env
     dl, dr = m.left.dim, m.right.dim
     n_left_fam = len(m.left.idempotents)
@@ -1046,14 +1080,13 @@ def _dual_proj_data(md, m, dd, s_blocks):
             raise InvariantViolation("dual generator escaped the dual basis")
         pieces.append((itd, f0, basis_d, solver_d))
     ev_cols = []
-    for (itd, f0, basis_d, _), (uidx, gen, s_p) in zip(pieces, s_blocks):
+    for (itd, f0, basis_d, _), (uidx, _, _), coords_p in zip(
+            pieces, s_blocks, cand):
         for c in range(basis_d.cols):
-            # back to L (x) R^op coords
+            # back to L (x) R^op coords, where the column lies in u_p.env
             z = swap_env_coords(dict(basis_d.col_items(c)), dr, dl)
-            col = dd.express(env.right_mult_matrix(z) * s_p)
-            if col is None:
-                raise InvariantViolation("dual cover image escaped the dual basis")
-            ev_cols.append(col)
+            ev_cols.append(_piece_functional(m.env, uidx, coords_p, z,
+                                             "dual cover image"))
     ev = Matrix.from_column_maps(ev_cols, md.dim)
     cover = Cover(md, pieces, ev)
     ranges = cover.piece_ranges()

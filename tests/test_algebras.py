@@ -178,6 +178,61 @@ def test_dual_data_spans_and_double_dual():
     assert cmpm == Matrix.identity(p0.dim)
 
 
+def _dual_oracle_modules():
+    """Projective bimodules whose duals are checked against the product
+    route: regular bimodules of separable algebras (kZ/2 also split by its
+    idempotents (1 +- g)/2, so piece coordinates are not all 1), a free
+    bimodule of rank 2, and both terms of the A2 and A3 bimodule
+    resolutions (term 0 is the non-final one)."""
+    z2 = alg.group_algebra([[0, 1], [1, 0]])
+    half = Fraction(1, 2)
+    z2split = alg.Algebra(z2.left_mult, z2.unit, label="kZ2split",
+                          idempotents=[{0: half, 1: half}, {0: half, 1: -half}])
+    out = [alg.regular_bimodule(z2), alg.regular_bimodule(z2split),
+           alg.regular_bimodule(alg.group_algebra(s3_cayley_table())),
+           alg.regular_bimodule(alg.matrix_algebra(2)),
+           alg.free_bimodule(z2, z2, rank=2)]
+    for a in (alg.path_algebra(2, [(0, 1)]), alg.path_algebra(3, [(0, 1), (1, 2)])):
+        c, _ = alg.projective_resolution(alg.regular_bimodule(a))
+        assert len(c.degrees()) == 2
+        out.extend(c.term(n) for n in c.degrees())
+    return out
+
+
+def test_dual_actions_and_cover_match_the_product_route():
+    # the dual's actions and cover evaluation are read off m's witness;
+    # rebuild them by multiplying each functional and expressing the product
+    dependent = 0
+    for mod in _dual_oracle_modules():
+        md, dd = alg.bimodule_dual(mod)
+        env = mod.env
+        dl, dr = mod.left.dim, mod.right.dim
+
+        def product_route(z, fs):
+            rm = env.right_mult_matrix(z)
+            return Matrix.from_column_maps([dd.express(rm * f) for f in fs], md.dim)
+
+        for r in range(dr):
+            z = alg._kron_vec(mod.left.unit, {r: 1}, dr)
+            assert md.left_action[r] == product_route(z, dd.functionals)
+        for l in range(dl):
+            z = alg._kron_vec({l: 1}, mod.right.unit, dr)
+            assert md.right_action[l] == product_route(z, dd.functionals)
+        md._check()
+        pieces = alg.proj_data(mod).coordinates()
+        cover = alg.proj_data(md).cover
+        ev = []
+        for (_, _, basis_d, _), (_, phi) in zip(cover.pieces, pieces):
+            ev.extend(dd.express(env.right_mult_matrix(alg.swap_env_coords(
+                dict(basis_d.col_items(c)), dr, dl)) * phi)
+                for c in range(basis_d.cols))
+        assert cover.ev == Matrix.from_column_maps(ev, md.dim)
+        candidates = sum(env.piece("right", p[0])[0].cols
+                         for p in alg.proj_data(mod).cover.pieces)
+        dependent += candidates - md.dim
+    assert dependent > 0
+
+
 def test_witness_checks_fire_under_python_O():
     # a doctored summand section must still be caught with asserts stripped
     code = textwrap.dedent("""
@@ -202,6 +257,47 @@ def test_witness_checks_fire_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("debug False raised")
     assert "direct sum witness failed" in out.stdout
+
+
+def test_dual_piece_checks_fire_under_python_O():
+    # an element outside the piece u_p.env has no coordinates there: both
+    # the action combination and the cover evaluation of a dual refuse it
+    code = textwrap.dedent("""
+        import hhengine.algebras as alg
+        from hhengine.errors import InvariantViolation
+        a2 = alg.path_algebra(2, [(0, 1)])
+        c, _ = alg.projective_resolution(alg.regular_bimodule(a2))
+        p0 = c.term(0)
+        env = p0.env
+        try:
+            alg._piece_functional(env, 0, [], env.idempotents[1], "dual action")
+        except InvariantViolation as e:
+            print("debug", __debug__, "raised", e)
+        md, _ = alg.bimodule_dual(p0)
+        real, n = env.piece, len(env.idempotents)
+        env.piece = lambda side, u: real(side, (u + 1) % n if side == "right" else u)
+        try:
+            alg.proj_data(md)
+        except InvariantViolation as e:
+            print("debug", __debug__, "raised", e)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(alg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "debug False raised dual action escaped the dual basis",
+        "debug False raised dual cover image escaped the dual basis"]
+
+
+def test_derived_witness_builder_is_dropped_once_built():
+    z2 = alg.group_algebra([[0, 1], [1, 0]])
+    d, _ = alg.bimodule_dual(alg.free_bimodule(z2, z2))
+    assert alg._memoised(d, "proj_builder") is not None
+    pd = alg.proj_data(d)
+    assert alg._memoised(d, "proj_builder") is None
+    assert alg.is_projective(d) and alg.proj_data(d) is pd
 
 
 def test_is_projective_does_not_build_a_derived_witness(monkeypatch):
