@@ -23,6 +23,13 @@ what keeps the larger composite kernels affordable.  A dual's actions and
 its cover evaluation are read off the witness it was built from (the
 dual-basis lemma): each is a combination, solved inside one cover piece,
 of the coordinates of the functionals the witness spans.
+
+The numeric core of a tensor product m (x)_B n (its projector, section and
+actions) and of a hom system is a function of the action matrices alone,
+so it is built once per distinct content: its memo key holds those
+matrices, and the entry is owned by a workspace's algebra, never by the
+shared point algebra.  The bimodule T and its witness are still built per
+pair of factors, since a witness depends on the factors' witnesses.
 """
 
 from __future__ import annotations
@@ -41,12 +48,28 @@ def _memo(owner, key, build):
     lives exactly as long as its owner.  A key holds the other objects it
     depends on, never their id(): the engine's objects hash by identity,
     and holding them keeps an id from being reused by a different object
-    while the entry lives.
+    while the entry lives.  A key may instead hold the action matrices a
+    value is a function of (Matrix hashes by content), so content-equal
+    inputs share one entry; such an entry is owned by one workspace's
+    algebra (_content_memo), never by the shared point algebra.
     """
     memo = owner.__dict__.setdefault("_memo", {})
     if key not in memo:
         memo[key] = build()
     return memo[key]
+
+
+def _content_memo(algebras, key, build):
+    """_memo on the first of algebras that is not the shared point algebra,
+    for a key of action matrices; build() afresh if every one is the point.
+
+    The point algebra outlives every workspace, so an entry on it would
+    outlive its workspace and let the next workspace reuse it.
+    """
+    for owner in algebras:
+        if owner is not _POINT:
+            return _memo(owner, key, build)
+    return build()
 
 
 def _memoised(owner, key):
@@ -506,15 +529,17 @@ class Cover:
 
     def as_bimodule(self):
         """F as an honest (left, right)-bimodule, block per piece."""
-        m = self.module
-        la, ra = [], []
-        nr = m.right.dim
-        for i in range(m.left.dim):
-            la.append(self._piece_block(_kron_vec({i: Q1}, m.right.unit, nr)))
-        for j in range(nr):
-            ra.append(self._piece_block(_kron_vec(m.left.unit, {j: Q1}, nr)))
-        return Bimodule(m.left, m.right, self.dim, la, ra,
-                        label=f"cover({m.label})", check=False)
+        def build():
+            m = self.module
+            la, ra = [], []
+            nr = m.right.dim
+            for i in range(m.left.dim):
+                la.append(self._piece_block(_kron_vec({i: Q1}, m.right.unit, nr)))
+            for j in range(nr):
+                ra.append(self._piece_block(_kron_vec(m.left.unit, {j: Q1}, nr)))
+            return Bimodule(m.left, m.right, self.dim, la, ra,
+                            label=f"cover({m.label})", check=False)
+        return _memo(self, "bimodule", build)
 
     def _piece_block(self, env_vec):
         lmat = self.module.env.left_mult_matrix(env_vec)
@@ -526,15 +551,13 @@ class Cover:
         return block_diag(blocks)
 
 
-def build_cover(m: Bimodule, gens=None):
+def build_cover(m: Bimodule):
     """Cover m by cyclic summands env.u, splitting generators over the
     declared idempotent family of the enveloping algebra."""
     env = m.env
-    if gens is None:
-        gens = module_generators(m)
     pieces = []
     ev_cols = []
-    for g in gens:
+    for g in module_generators(m):
         for uidx, u in enumerate(env.idempotents):
             ug = m.act_env(u).apply_map(g)
             if not ug:
@@ -544,6 +567,11 @@ def build_cover(m: Bimodule, gens=None):
             for c in range(basis.cols):
                 ev_cols.append(m.act_env(dict(basis.col_items(c))).apply_map(ug))
     return Cover(m, pieces, Matrix.from_column_maps(ev_cols, m.dim))
+
+
+def module_cover(m: Bimodule):
+    """m's cover, built once: the section solve and the resolution share it."""
+    return _memo(m, "cover", lambda: build_cover(m))
 
 
 def solve_section(m: Bimodule, cover: Cover):
@@ -633,7 +661,7 @@ def proj_data(m: Bimodule):
             pd = derived()
             _forget(m, "proj_builder")   # its closure pins the inputs
             return pd
-        cover = build_cover(m)
+        cover = module_cover(m)
         section = solve_section(m, cover)
         return ProjData(cover, section) if section is not None else None
     return _memo(m, "proj", build)
@@ -715,7 +743,7 @@ def projective_resolution(m: Bimodule, max_length=None):
     if is_projective(m):
         c = Complex({0: m}, {}, m.left, m.right, check=False)
         return c, Matrix.identity(m.dim)
-    cover = build_cover(m)
+    cover = module_cover(m)
     f0 = cover.as_bimodule()
     attach_self_cover(f0, [(uidx, basis, solver)
                            for uidx, gen, basis, solver in cover.pieces])
@@ -737,7 +765,7 @@ def projective_resolution(m: Bimodule, max_length=None):
             terms[deg] = k
             diffs[deg] = incl
             break
-        kcover = build_cover(k)
+        kcover = module_cover(k)
         fk = kcover.as_bimodule()
         attach_self_cover(fk, [(uidx, basis, solver)
                                for uidx, gen, basis, solver in kcover.pieces])
@@ -753,23 +781,31 @@ def projective_resolution(m: Bimodule, max_length=None):
 
 
 def _hom_system(m: Bimodule, n: Bimodule):
-    """(basis, coordinate solver) of the bimodule maps m -> n."""
+    """(basis tuple, coordinate solver) of the bimodule maps m -> n, shared
+    by every pair with the same generator actions."""
     def build():
         if m.left is not n.left or m.right is not n.right:
             raise AlgebraMismatch("hom between bimodules over different pairs")
         gm = m.env_generator_actions()
         gn = n.env_generator_actions()
-        nm, nn = m.dim, n.dim
-        ech = Echelon(nn * nm)
-        for am, an in zip(gm, gn):
-            for row in _commutator_rows(am, an, nm, nn):
-                ech.insert(row)
-        basis = [Matrix.sparse(nn, nm, v) for v in ech.nullspace_maps()]
-        solver = SpanSolver(nn * nm)
-        for b in basis:
-            solver.add(b.flat_items())
-        return basis, solver
+        return _content_memo((m.left, m.right),
+                             ("hom core", m.dim, n.dim, gm, gn),
+                             lambda: _hom_core(gm, gn, m.dim, n.dim))
     return _memo(m, ("hom", n), build)
+
+
+def _hom_core(gm, gn, nm, nn):
+    """(basis, solver) of the nn x nm matrices f with f . am = an . f for
+    every pair of generator actions (am, an)."""
+    ech = Echelon(nn * nm)
+    for am, an in zip(gm, gn):
+        for row in _commutator_rows(am, an, nm, nn):
+            ech.insert(row)
+    basis = tuple(Matrix.sparse(nn, nm, v) for v in ech.nullspace_maps())
+    solver = SpanSolver(nn * nm)
+    for b in basis:
+        solver.add(b.flat_items())
+    return basis, solver
 
 
 def hom_basis(m: Bimodule, n: Bimodule):
@@ -830,11 +866,26 @@ def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
     """(T, proj, sect) realizing T = m (x)_B n as a quotient of m (x) n.
 
     Raw index (i, j) -> i * dim n + j.  T inherits a lazy projectivity
-    witness assembled from the witnesses of the factors.
+    witness assembled from the witnesses of the factors.  proj, sect and
+    T's actions are shared by every pair with the same action matrices.
     """
     if m.right is not n.left:
         raise AlgebraMismatch(
             f"tensor middle mismatch: {m.right.label} vs {n.left.label}")
+    key = ("tensor core", m.dim, n.dim, m.left_action, m.right_action,
+           n.left_action, n.right_action)
+    proj, sect, la, ra = _content_memo((m.left, m.right, n.right), key,
+                                       lambda: _tensor_core(m, n))
+    t = Bimodule(m.left, n.right, proj.rows, la, ra,
+                 label=label or f"{m.label}(x){n.label}", check=False)
+    _derive_proj(t, lambda: _tensor_proj_data(t, m, n, proj, sect))
+    return t, proj, sect
+
+
+def _tensor_core(m: Bimodule, n: Bimodule):
+    """(proj, sect, la, ra) of m (x)_B n: the quotient of m (x) n by the
+    balance relations and the actions on it, a function of the action
+    matrices alone (the relations of B's generators span those of B)."""
     b = m.right
     raw = m.dim * n.dim
     nd = n.dim
@@ -853,16 +904,13 @@ def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
     proj, sect = quotient_basis(raw, sub)
     t_dim = proj.rows
     sect_cols = [dict(sect.col_items(c)) for c in range(t_dim)]
-    la = [Matrix.from_column_maps(
+    la = tuple(Matrix.from_column_maps(
         [proj.apply_map(_apply_left_factor(act, v, nd)) for v in sect_cols], t_dim)
-        for act in m.left_action]
-    ra = [Matrix.from_column_maps(
+        for act in m.left_action)
+    ra = tuple(Matrix.from_column_maps(
         [proj.apply_map(_apply_right_factor(act, v, nd)) for v in sect_cols], t_dim)
-        for act in n.right_action]
-    t = Bimodule(m.left, n.right, t_dim, la, ra,
-                 label=label or f"{m.label}(x){n.label}", check=False)
-    _derive_proj(t, lambda: _tensor_proj_data(t, m, n, proj, sect))
-    return t, proj, sect
+        for act in n.right_action)
+    return proj, sect, la, ra
 
 
 def _tensor_proj_data(t, m, n, proj, sect):

@@ -6,8 +6,9 @@ bimodules.  Composite kernels are normalized to right-nested convolutions
 of their atomic factors and memoised, so equal factor lists yield the *same*
 Kernel object, and identity kernels (no factors) are contracted eagerly.
 Horizontal composition of 2-morphisms runs through explicit regrouping
-mediators; associators are built from the stored quotient sections and
-memoised on their first complex.  Equality of 2-morphisms is always modulo homotopy.
+mediators, each memoised on its left kernel; associators are built from the
+stored quotient sections and memoised on their first complex.  Equality of
+2-morphisms is always modulo homotopy.
 
 The canonical units and counits come from explicit formulas on witnessed
 projective coordinates:
@@ -478,7 +479,12 @@ def _assoc_mediator(x: cx.Complex, y: cx.Complex, z: cx.Complex):
 
 
 def _join(ka, kb):
-    """(tc, Mediator): conv(ka.factors + kb.factors) <-> TC(ka, kb)."""
+    """(tc, Mediator): conv(ka.factors + kb.factors) <-> TC(ka, kb),
+    memoised on ka."""
+    return _memo(ka, ("join", kb), lambda: _join_mediator(ka, kb))
+
+
+def _join_mediator(ka, kb):
     if ka.is_identity:
         return _insert_identity(kb, "left")
     if kb.is_identity:

@@ -166,6 +166,51 @@ def test_tensor_witness_and_coordinates():
         assert {i: x for i, x in acc.items() if x} == target
 
 
+@pytest.mark.parametrize("make", [
+    lambda: alg.regular_bimodule(alg.group_algebra(s3_cayley_table(), "S3")),
+    lambda: alg.free_bimodule(*[alg.path_algebra(2, [(0, 1)], "A2")] * 2)],
+    ids=["kS3-regular", "A2-free"])
+def test_content_equal_pairs_share_one_tensor_and_hom_core(make):
+    r1 = make()
+    # the same actions in newly built matrices: only the content is shared
+    r2 = alg.Bimodule(r1.left, r1.right, r1.dim,
+                      [Matrix(x.rows, x.cols, x.data) for x in r1.left_action],
+                      [Matrix(x.rows, x.cols, x.data) for x in r1.right_action],
+                      check=False)
+    assert r2.left_action[0] is not r1.left_action[0]
+    t1, p1, s1 = alg.bimodule_tensor(r1, r1)
+    t2, p2, s2 = alg.bimodule_tensor(r2, r2)
+    assert t1 is not t2 and p1 is p2 and s1 is s2
+    assert t1.left_action == t2.left_action
+    assert t1.right_action == t2.right_action
+    for t in (t1, t2):
+        pd = alg.proj_data(t)
+        assert pd.cover.module is t
+        assert pd.cover.ev * pd.section == Matrix.identity(t.dim)
+    key = ("tensor core", r1.dim, r1.dim, r1.left_action, r1.right_action,
+           r1.left_action, r1.right_action)
+    assert alg._memoised(r1.left, key) == alg._tensor_core(r2, r2)
+    assert alg.hom_basis(r1, r1) is alg.hom_basis(r2, r2)
+    assert isinstance(alg.hom_basis(r1, r1), tuple)
+
+
+def test_projective_resolution_covers_each_module_once(monkeypatch):
+    covered = []
+    real = alg.build_cover
+
+    def counted(m):
+        covered.append(m)
+        return real(m)
+    monkeypatch.setattr(alg, "build_cover", counted)
+    a2 = alg.path_algebra(2, [(0, 1)], "A2")
+    for m in (alg.regular_bimodule(a2), alg.dual_bimodule(a2)):
+        covered.clear()
+        c, _ = alg.projective_resolution(m)
+        assert len(c.degrees()) == 2
+        assert covered[0] is m
+        assert len({id(x) for x in covered}) == len(covered)
+
+
 def test_dual_data_spans_and_double_dual():
     a2 = alg.path_algebra(2, [(0, 1)])
     reg = alg.regular_bimodule(a2)

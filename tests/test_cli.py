@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from importlib import resources
 
-from hhengine import cli
+from hhengine import algebras as alg, cli
 from hhengine.errors import SchemaError
 
 
@@ -327,3 +327,28 @@ def test_dropped_workspace_leaves_no_spaces_or_kernels_alive():
         del ws
         gc.collect()
         assert [r() for r in refs if r() is not None] == [], name
+
+
+def test_no_workspace_state_lands_on_the_point_algebra():
+    # content-keyed tensor and hom cores live on a workspace's algebras; on
+    # the shared point algebra they would outlive the workspace and let the
+    # second pass reuse the first
+    pt = alg.point_algebra()
+
+    def content_keys():
+        return [k for k in pt.__dict__.get("_memo", {})
+                if isinstance(k, tuple) and k[0] in ("tensor core", "hom core")]
+
+    def strip(r):
+        return [{k: v for k, v in t.items() if k != "seconds"} for t in r["tasks"]]
+
+    passes = [[strip(cli.run_workspace(load_ws(name), f"{name}.json", seed=1)[0])
+               for name in ("bz2", "a2")] for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert content_keys() == []
+    v, w = alg.point_bimodule(2), alg.point_bimodule(3)
+    before = set(pt.__dict__.get("_memo", {}))
+    t, _, _ = alg.bimodule_tensor(v, w)
+    assert t.dim == 6 and len(alg.hom_basis(v, w)) == 6
+    assert set(pt.__dict__.get("_memo", {})) == before
+    assert content_keys() == []
