@@ -8,12 +8,15 @@ produced by the deterministic homology solver, so they are stable across
 runs.  A class keeps its coordinates as a dense tuple, the form reports
 print; everything below it passes {index: value} maps.
 
-Pushforward phi_*, pullback phi^*, the Chern character ch(E) = E_*(1) and
-the Mukai pairing are linear (the pairing bilinear), so each is computed
-categorically only on basis classes: the bent composites fill the columns of
-`pushforward_matrix` / `pullback_matrix`, memoised on the kernel, and the
-entries of `pairing_matrix`, memoised on the space.  A class is then mapped
-or paired through those matrices, in exact arithmetic.
+Pushforward phi_*, the Chern character ch(E) = E_*(1) and the Mukai pairing
+are linear (the pairing bilinear), so each is computed categorically only on
+basis classes: the bent composite fills the columns of `pushforward_matrix`,
+memoised on the kernel under ("push", degree), and the Serre-trace
+composite the entries of `pairing_matrix`, memoised on the space.  The
+pullback is the pushforward along the left adjoint,
+phi^* = (tau_L phi)_* = (phi^v)_* . (serre_Y)_*, a product of two memoised
+pushforward matrices with no memo or composite of its own.  A class is then
+mapped or paired through those matrices, in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ class HochschildClass:
                 and self.coords == other.coords)
 
     def add(self, other):
-        if self.space is not other.space or self.degree != other.degree:
+        if (self.space is not other.space or self.variance != other.variance
+                or self.degree != other.degree):
             raise InvariantViolation(f"cannot add {other!r} to {self!r}")
         return HochschildClass(self.space, self.variance, self.degree,
                                [a + b for a, b in zip(self.coords, other.coords)])
@@ -293,44 +297,23 @@ def _push_composite(phi: kn.Kernel, v: HochschildClass):
     return two_morphism_to_class(y, total, "homology")
 
 
-def _pull_composite(phi: kn.Kernel, w: HochschildClass):
-    """phi^*(w) through the mirrored bent composite."""
-    x, y = phi.source, phi.target
-    tw = class_to_two_morphism(w)
-    dk = kn.dual_kernel(phi)
-    g = kn.gamma(phi)                            # anti_X => phi^v . phi
-    ins = kn.hcompose([kn.TwoMorphism.identity(dk), y.can2(),
-                       kn.TwoMorphism.identity(phi)])
-    sky = y.serre_kernel()
-    tail = kn.conv_kernel(sky.factors + phi.factors)
-    act = kn.hcompose([kn.TwoMorphism.identity(dk), tw,
-                       kn.TwoMorphism.identity(tail)])
-    epsm = kn.counit_eps_mirror(phi)             # phi^v . serre_Y . phi => Id_X
-    total = epsm.compose(act.compose(ins.compose(g)))
-    return two_morphism_to_class(x, total, "homology")
-
-
-def _map_matrix(phi, key, composite, source, target, degree):
-    """The matrix of composite(phi, .) from HH_degree(source) to
-    HH_degree(target), its columns the composite on the basis classes, built
-    once per kernel."""
-    def build():
-        cols = [dict(enumerate(composite(phi, v).coords))
-                for v in hh_basis(source, degree)]
-        return Matrix.from_column_maps(cols, hh_data(target).dim(-degree))
-    return _memo(phi, (key, degree), build)
-
-
 def pushforward_matrix(phi: kn.Kernel, degree=0):
-    """Matrix of phi_* on HH_degree in the solver bases."""
-    return _map_matrix(phi, "push", _push_composite, phi.source, phi.target,
-                       degree)
+    """Matrix of phi_* on HH_degree in the solver bases, its columns the
+    composite on the basis classes, built once per kernel."""
+    def build():
+        cols = [dict(enumerate(_push_composite(phi, v).coords))
+                for v in hh_basis(phi.source, degree)]
+        return Matrix.from_column_maps(cols, hh_data(phi.target).dim(-degree))
+    return _memo(phi, ("push", degree), build)
 
 
 def pullback_matrix(phi: kn.Kernel, degree=0):
-    """Matrix of phi^* on HH_degree in the solver bases."""
-    return _map_matrix(phi, "pull", _pull_composite, phi.target, phi.source,
-                       degree)
+    """Matrix of phi^* = tau_L(phi)_* = (phi^v)_* . (serre_Y)_* on HH_degree,
+    the pushforward along the left adjoint phi^v . serre_Y, taken factor by
+    factor: pushing along the convolution itself bends through tensor
+    complexes of a two-factor kernel with its dual, which is far dearer."""
+    return (pushforward_matrix(kn.dual_kernel(phi), degree)
+            * pushforward_matrix(phi.target.serre_kernel(), degree))
 
 
 def pushforward(phi: kn.Kernel, v: HochschildClass):

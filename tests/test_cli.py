@@ -281,6 +281,28 @@ def test_partial_trace_over_a_zero_convolution_fails_per_task():
         "fail", {"error": "no 2-morphisms available for partial-trace"})
 
 
+def test_identity_on_a2_is_its_own_adjoint_and_pulls_back_to_the_identity():
+    # A2 is not symmetric, so its Serre kernel is not the identity and the
+    # pullback has to carry the Serre factor of the left adjoint
+    doc = load_ws("a2")
+    doc["kernels"]["idA"] = {"type": "identity", "space": "A2"}
+    doc["kernels"]["SA"] = {"type": "serre", "space": "A2"}
+    doc["tasks"] = [
+        {"id": "adj", "op": "verify", "check": "adjointness",
+         "left": "idA", "right": "idA"},
+        {"id": "fun", "op": "verify", "check": "functoriality",
+         "outer": "SA", "inner": "idA"},
+        {"id": "pull", "op": "pullback", "kernel": "idA"},
+    ]
+    report, ok = cli.run_workspace(doc, "a2.json")
+    p = payloads(report)
+    ident = [["1/1", "0/1"], ["0/1", "1/1"]]
+    assert p["adj"] == ("ok", {"matrix": ident})
+    assert p["fun"][0] == "ok"
+    assert p["pull"] == ("ok", {"matrix": ident})
+    assert ok
+
+
 @pytest.mark.parametrize("where, bad", [
     ("task", {"id": "t", "op": "chern", "kernel": "nope"}),
     ("task", {"id": "t", "op": "euler", "kernels": ["sgn", "nope"]}),
