@@ -51,7 +51,8 @@ class HochschildClass:
 
     def add(self, other):
         if (self.space is not other.space or self.variance != other.variance
-                or self.degree != other.degree):
+                or self.degree != other.degree
+                or len(self.coords) != len(other.coords)):
             raise InvariantViolation(f"cannot add {other!r} to {self!r}")
         return HochschildClass(self.space, self.variance, self.degree,
                                [a + b for a, b in zip(self.coords, other.coords)])

@@ -21,7 +21,9 @@ with (x_p, phi_p) the cover coordinates of the degree-i term and xi^l the
 dual basis of the algebra; counits are lifted through the augmentation of
 the identity resolution, units through the augmentation of the Serre
 resolution.  Exactness of every such lift is solved for, and the homotopy
-class is unique, which is what pins the calculus down.
+class is unique, which is what pins the calculus down.  The mirror counit
+phi^v . serre . phi => Id has no formula of its own: it is the counit of
+phi^v after the double-dual comparison phi => phi^vv.
 """
 
 from __future__ import annotations
@@ -575,8 +577,7 @@ def counit_eps(phi: Kernel):
         n_out = cx.tc_of(tc_nice.c, n_in.complex)
         q_out = cx.tensor_map(tc_nice, n_out, _idc(tc_nice.c), q_in)
         _, aug_y = y.id_resolution()
-        ev = _eval_chain(phi, dk, n_out, n_in, mirror=False,
-                         reg_complex=aug_y.target)
+        ev = _eval_chain(phi, dk, n_out, n_in, reg_complex=aug_y.target)
         g = ev.compose(q_out.compose(med.fwd))
         f = cx.lift_through(g, aug_y)
         if f is None:
@@ -586,95 +587,56 @@ def counit_eps(phi: Kernel):
 
 
 def counit_eps_mirror(phi: Kernel):
-    """eps_m(phi^v)-shaped counit: phi^v . serre(tgt) . phi => Id_source."""
+    """eps_m(phi^v) read through delta: phi^v . serre(tgt) . phi => Id_source."""
     def build():
-        x, y = phi.source, phi.target
-        sk = y.serre_kernel()
         dk = dual_kernel(phi)
-        src = conv_kernel(dk.factors + sk.factors + phi.factors)
-        _, aug = y.serre_resolution()
-        tail_tc = cx.tc_of(sk.complex, phi.complex)
-        n_in = cx.tc_of(aug.target, phi.complex)
-        q_in = cx.tensor_map(tail_tc, n_in, aug, _idc(phi.complex))
-        n_out = cx.tc_of(dk.complex, n_in.complex)
-        unc = cx.tc_of(dk.complex, tail_tc.complex)
-        q_out = cx.tensor_map(unc, n_out, _idc(dk.complex), q_in)
-        if phi.is_identity:
-            # src = conv([dual, serre]); reinsert the contracted identity factor
-            _, med = _insert_identity(sk, "right")
-            pre = cx.tensor_map(src.tc, unc, _idc(dk.complex), med.fwd)
-        else:
-            pre = _idc(src.complex)  # src realization is literally unc
-            if src.complex is not unc.complex:
-                raise InvariantViolation("mirror counit source is not unc")
-        _, aug_x = x.id_resolution()
-        ev = _eval_chain(phi, dk, n_out, n_in, mirror=True,
-                         reg_complex=aug_x.target)
-        g = ev.compose(q_out.compose(pre))
-        f = cx.lift_through(g, aug_x)
-        if f is None:
-            raise InvariantViolation("mirror counit lift failed")
-        return TwoMorphism(src, x.identity_kernel(), f)
+        lead = conv_kernel(dk.factors + phi.target.serre_kernel().factors)
+        return counit_eps(dk).compose(whisker(lead, kernel_double_dual(phi)))
     return _memo(phi, "eps_mirror", build)
 
 
-def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, mirror, reg_complex):
-    """Blockwise (E1) evaluation out of the contracted triple tensor.
-
-    Straight case: blocks (i, (0, -i)) of phi (x) (D(A) (x) phi^v) map by
+def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, reg_complex):
+    """Blockwise (E1) evaluation out of the contracted triple tensor: blocks
+    (i, (0, -i)) of phi (x) (D(A) (x) phi^v) map by
     (m, xi, f) |-> (-1)^i (id (x) xi)(f(m)) into B_reg.
-    Mirror case: blocks (-i, (0, i)) of phi^v (x) (D(B) (x) phi) map by
-    (f, zeta, m) |-> (-1)^i (zeta (x) id)(f(m)) into A_reg.
     """
     x, y = phi.source, phi.target
     a_dim = x.algebra.dim
-    target_reg = x.regular if mirror else y.regular
-    breg = reg_complex
-    rows = target_reg.dim
+    rows = y.regular.dim
     cols = n_out.complex.dim(0)
     comps = {}
     if cols:
         entries = {}
         wrote = False
-        for (bi, bj, off, size) in n_out.blocks.get(0, []):
-            i = bi if not mirror else -bi
+        for (i, bj, off, size) in n_out.blocks.get(0, []):
             mterm = phi.complex.term(i)
             dterm = dk.complex.term(-i)
             if mterm is None or dterm is None:
                 continue
-            _, _, sect_o = cx.term_tensor(n_out.c.term(bi), n_out.d.term(bj))
+            _, _, sect_o = cx.term_tensor(n_out.c.term(i), n_out.d.term(bj))
             in_off = None
             for (ci, cj, o2, s2) in n_in.blocks.get(bj, []):
-                if (not mirror and cj == -i) or (mirror and cj == i):
+                if cj == -i:
                     in_off, in_size = o2, s2
                     _, _, sect_i = cx.term_tensor(n_in.c.term(ci), n_in.d.term(cj))
                     break
             if in_off is None:
                 continue
             dd = dterm._dual_data
-            sgn = Q1 if (mirror or i % 2 == 0) else -Q1
+            sgn = Q1 if i % 2 == 0 else -Q1
             inner_dim = n_in.complex.dim(bj)
             for col in range(size):
                 out = {}
                 for idx, c0 in sect_o.col_items(col):
-                    o_idx, q_idx = divmod(idx, inner_dim)
+                    m_idx, q_idx = divmod(idx, inner_dim)
                     ql = q_idx - in_off
                     if ql < 0 or ql >= in_size:
                         continue
                     for idx2, c1 in sect_i.col_items(ql):
-                        if not mirror:
-                            m_idx = o_idx
-                            xi_idx, f_idx = divmod(idx2, dterm.dim)
-                        else:
-                            f_idx = o_idx
-                            zeta_idx, m_idx = divmod(idx2, mterm.dim)
+                        xi_idx, f_idx = divmod(idx2, dterm.dim)
                         for e_idx, val in dd.functionals[f_idx].col_items(m_idx):
-                            bb, aa = divmod(e_idx, a_dim)
-                            if not mirror and aa == xi_idx:
-                                r = bb
-                            elif mirror and bb == zeta_idx:
-                                r = aa
-                            else:
+                            r, aa = divmod(e_idx, a_dim)
+                            if aa != xi_idx:
                                 continue
                             p = sgn * c0 * c1 * val
                             out[r] = out[r] + p if r in out else p
@@ -682,7 +644,7 @@ def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, mirror, reg_complex):
                     wrote = True
         if wrote:
             comps[0] = Matrix.sparse(rows, cols, entries)
-    return cx.ChainMap(n_out.complex, breg, 0, comps, check=False)
+    return cx.ChainMap(n_out.complex, reg_complex, 0, comps, check=False)
 
 
 def unit_eta2(phi: Kernel):
@@ -893,27 +855,6 @@ def tau_l(phi: Kernel):
     """Left adjoint kernel phi^v . serre(tgt)."""
     y = phi.target
     return convolve(dual_kernel(phi), y.serre_kernel())
-
-
-def tau_r_on_2(alpha: TwoMorphism):
-    """tau_R on a 2-morphism phi => psi, contravariantly tau_r(psi) => tau_r(phi)."""
-    phi, psi = alpha.source, alpha.target
-    trp = tau_r(phi)
-    trs = tau_r(psi)
-    step1 = whisker(None, unit_eta2(phi), trs)
-    mid = hcompose([TwoMorphism.identity(trp), alpha, TwoMorphism.identity(trs)])
-    step3 = whisker(trp, counit_eps(psi))
-    return step3.compose(mid.compose(step1))
-
-
-def tau_l_on_2(alpha: TwoMorphism):
-    phi, psi = alpha.source, alpha.target
-    tlp = tau_l(phi)
-    tls = tau_l(psi)
-    step1 = whisker(tls, unit_eta1(phi))
-    mid = hcompose([TwoMorphism.identity(tls), alpha, TwoMorphism.identity(tlp)])
-    step3 = whisker(None, counit_eps_mirror(psi), tlp)
-    return step3.compose(mid.compose(step1))
 
 
 def partial_trace_left(alpha: TwoMorphism, phi: Kernel, theta: Kernel,

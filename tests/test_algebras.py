@@ -404,3 +404,37 @@ def test_values_built_once_are_memo_entries():
             if compared & assigned and f"{name}:{fn.name}" not in allowed:
                 found.append(f"{name}:{fn.lineno} {fn.name}")
     assert found == []
+
+
+def test_every_engine_function_has_an_engine_caller():
+    # a top-level function is named (as a name or an attribute) somewhere in
+    # the package outside its own body; docstring mentions do not count.
+    # The names below are called only from the tests, each for a reason.
+    test_only = {
+        "algebras.py:free_bimodule": "free test bimodules: projectivity, exact kernels",
+        "algebras.py:enveloping": "A (x) A^op of one algebra, checked on its dims",
+        "complexes.py:direct_sum": "additivity of homology and of the Serre trace",
+        "complexes.py:cone": "builds acyclic and mapping-cone test kernels",
+        "diagrams.py:typecheck": "boundary of a DSL term without a task kind",
+        "hochschild.py:hcoh_product": "the HH^* ring the module action respects",
+        "hochschild.py:module_action": "HH^* acting on HH_*, checked bilinear",
+        "hochschild.py:hcoh_unit": "unit of HH^*, checked to act as the identity",
+        "hochschild.py:chern_via_iota": "the reference path tests compare chern with",
+        "kernels.py:kernels_equivalent": "quasi-isomorphism oracle for kernel identities",
+    }
+    sources = list(_engine_sources())
+    uses = {}
+    for _, tree in sources:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                uses.setdefault(n.id, []).append(n)
+            elif isinstance(n, ast.Attribute):
+                uses.setdefault(n.attr, []).append(n)
+    found = []
+    for name, tree in sources:
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                own = set(map(id, ast.walk(fn)))
+                if all(id(n) in own for n in uses.get(fn.name, ())):
+                    found.append(f"{name}:{fn.name}")
+    assert sorted(found) == sorted(test_only)

@@ -85,6 +85,15 @@ def test_classes_of_different_variance_do_not_add(a2):
         v.add(f)
 
 
+def test_classes_of_different_lengths_do_not_add(bz2):
+    # a coordinate outside HH_0(BZ2) must not be dropped by the sum
+    long, short = hh.hh_class(bz2, 0, [1, 0, 1]), hh.hh_class(bz2, 0, [1, 0])
+    with pytest.raises(InvariantViolation):
+        long.add(short)
+    with pytest.raises(InvariantViolation):
+        short.add(long)
+
+
 def test_pushforward_along_identity(bz2):
     idk = bz2.identity_kernel()
     for v in basis_classes(bz2):

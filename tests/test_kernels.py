@@ -126,12 +126,16 @@ def test_gamma_of_restriction_kernel_nonzero(pt, bz2, z2_modules):
     assert not g.is_nullhomotopic()
 
 
-def test_snakes_shipped_kernels(z2_modules, a2_modules, ind_res):
+def test_snakes_shipped_kernels(pt, bz2, a2, z2_modules, a2_modules, ind_res):
     for k in [z2_modules["sgn"], a2_modules["S1"]]:
         assert all_snakes_hold(k)
         assert all_snakes_hold(kn.dual_kernel(k))
     ind, res = ind_res
     assert all_snakes_hold(res)
+    # the mirror counit of the identity goes through the double dual like
+    # any other kernel; s3 and s4 pair it with the independently built eta1
+    for sp in (pt, bz2, a2):
+        assert all_snakes_hold(sp.identity_kernel())
 
 
 def test_reflexive_politeness(z2_modules, a2_modules):
@@ -153,24 +157,6 @@ def test_tau_r_of_composite(ind_res):
     t1 = kn.tau_r(comp)
     t2 = kn.convolve(kn.tau_r(ind), kn.tau_r(res))
     assert kn.kernels_equivalent(t1, t2)
-
-
-def test_tau_on_2_morphisms_identity(a2_modules):
-    k = a2_modules["S1"]
-    assert kn.tau_r_on_2(kn.TwoMorphism.identity(k)).equals(
-        kn.TwoMorphism.identity(kn.tau_r(k)))
-    assert kn.tau_l_on_2(kn.TwoMorphism.identity(k)).equals(
-        kn.TwoMorphism.identity(kn.tau_l(k)))
-
-
-def test_tau_contravariant_on_composites(z2_modules):
-    k = z2_modules["sgn"]
-    rng = random.Random(2)
-    a = kn.random_two_morphism(k, k, 0, rng)
-    b = kn.random_two_morphism(k, k, 0, rng)
-    lhs = kn.tau_r_on_2(b.compose(a))
-    rhs = kn.tau_r_on_2(a).compose(kn.tau_r_on_2(b))
-    assert lhs.equals(rhs)
 
 
 def _point_trace_kernel(ptsp, n):
