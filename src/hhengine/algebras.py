@@ -27,9 +27,12 @@ of the coordinates of the functionals the witness spans.
 The numeric core of a tensor product m (x)_B n (its projector, section and
 actions) and of a hom system is a function of the action matrices alone,
 so it is built once per distinct content: its memo key holds those
-matrices, and the entry is owned by a workspace's algebra, never by the
-shared point algebra.  The bimodule T and its witness are still built per
-pair of factors, since a witness depends on the factors' witnesses.
+matrices, and the entry is owned by m's left algebra.  The bimodule T and
+its witness are still built per pair of factors, since a witness depends
+on the factors' witnesses.
+
+There is no process-wide algebra: each point algebra is a new object, so
+every entry, like the algebras it lives on, goes with its workspace.
 """
 
 from __future__ import annotations
@@ -50,26 +53,12 @@ def _memo(owner, key, build):
     and holding them keeps an id from being reused by a different object
     while the entry lives.  A key may instead hold the action matrices a
     value is a function of (Matrix hashes by content), so content-equal
-    inputs share one entry; such an entry is owned by one workspace's
-    algebra (_content_memo), never by the shared point algebra.
+    inputs over the same owner share one entry.
     """
     memo = owner.__dict__.setdefault("_memo", {})
     if key not in memo:
         memo[key] = build()
     return memo[key]
-
-
-def _content_memo(algebras, key, build):
-    """_memo on the first of algebras that is not the shared point algebra,
-    for a key of action matrices; build() afresh if every one is the point.
-
-    The point algebra outlives every workspace, so an entry on it would
-    outlive its workspace and let the next workspace reuse it.
-    """
-    for owner in algebras:
-        if owner is not _POINT:
-            return _memo(owner, key, build)
-    return build()
 
 
 def _memoised(owner, key):
@@ -217,14 +206,9 @@ class Algebra:
 # -- constructors -----------------------------------------------------------
 
 
-_POINT = None
-
-
 def point_algebra():
-    global _POINT
-    if _POINT is None:
-        _POINT = Algebra([Matrix.identity(1)], {0: Q1}, label="pt", check=False)
-    return _POINT
+    """A new copy of Q, the algebra of the point; each call is a new object."""
+    return Algebra([Matrix.identity(1)], {0: Q1}, label="pt", check=False)
 
 
 def group_algebra(cayley_table, label=None):
@@ -335,10 +319,6 @@ def tensor_product(a: Algebra, b: Algebra):
                    idempotents=idems, check=False)
 
 
-def enveloping(a: Algebra):
-    return tensor_product(a, opposite(a))
-
-
 # -- bimodules ---------------------------------------------------------------
 
 
@@ -411,34 +391,15 @@ class Bimodule:
 
 
 def enveloping_of(left: Algebra, right: Algebra):
-    """left (x) right^op, stored on the algebra that is not the shared point
-    algebra, so the singleton never holds an entry naming another algebra."""
-    owner = right if left is _POINT else left
-    return _memo(owner, ("env", left, right),
+    """left (x) right^op, stored on left."""
+    return _memo(left, ("env", left, right),
                  lambda: tensor_product(left, opposite(right)))
 
 
-def point_bimodule(dim, label="V"):
-    """A plain vector space as a (pt, pt)-bimodule."""
-    pt = point_algebra()
+def point_bimodule(pt: Algebra, dim, label="V"):
+    """A plain vector space as a (pt, pt)-bimodule over the point algebra pt."""
     idm = Matrix.identity(dim)
     return Bimodule(pt, pt, dim, [idm], [idm], label=label, check=False)
-
-
-def free_bimodule(left, right, rank=1, label=None):
-    """(left (x) right^op)^rank as a (left, right)-bimodule."""
-    env = enveloping_of(left, right)
-    dim = env.dim * rank
-    la, ra = [], []
-    for i in range(left.dim):
-        m = env.left_mult_matrix(_kron_vec({i: Q1}, right.unit, right.dim))
-        la.append(block_diag([m] * rank))
-    for j in range(right.dim):
-        m = env.left_mult_matrix(_kron_vec(left.unit, {j: Q1}, right.dim))
-        ra.append(block_diag([m] * rank))
-    return Bimodule(left, right, dim, la, ra,
-                    label=label or f"free({left.label}|{right.label})^{rank}",
-                    check=False)
 
 
 def regular_bimodule(a: Algebra):
@@ -453,10 +414,10 @@ def dual_bimodule(a: Algebra):
     return Bimodule(a, a, a.dim, la, ra, label=f"D({a.label})", check=False)
 
 
-def module_as_bimodule(a: Algebra, action, label="E"):
-    """Left A-module (list of action matrices per basis element) as (A, pt)-bimodule."""
+def module_as_bimodule(a: Algebra, pt: Algebra, action, label="E"):
+    """Left A-module (list of action matrices per basis element) as an
+    (A, pt)-bimodule over the point algebra pt."""
     dim = action[0].rows if action else 0
-    pt = point_algebra()
     return Bimodule(a, pt, dim, list(action), [Matrix.identity(dim)],
                     label=label, check=True)
 
@@ -788,9 +749,8 @@ def _hom_system(m: Bimodule, n: Bimodule):
             raise AlgebraMismatch("hom between bimodules over different pairs")
         gm = m.env_generator_actions()
         gn = n.env_generator_actions()
-        return _content_memo((m.left, m.right),
-                             ("hom core", m.dim, n.dim, gm, gn),
-                             lambda: _hom_core(gm, gn, m.dim, n.dim))
+        return _memo(m.left, ("hom core", m.dim, n.dim, gm, gn),
+                     lambda: _hom_core(gm, gn, m.dim, n.dim))
     return _memo(m, ("hom", n), build)
 
 
@@ -874,8 +834,7 @@ def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
             f"tensor middle mismatch: {m.right.label} vs {n.left.label}")
     key = ("tensor core", m.dim, n.dim, m.left_action, m.right_action,
            n.left_action, n.right_action)
-    proj, sect, la, ra = _content_memo((m.left, m.right, n.right), key,
-                                       lambda: _tensor_core(m, n))
+    proj, sect, la, ra = _memo(m.left, key, lambda: _tensor_core(m, n))
     t = Bimodule(m.left, n.right, proj.rows, la, ra,
                  label=label or f"{m.label}(x){n.label}", check=False)
     _derive_proj(t, lambda: _tensor_proj_data(t, m, n, proj, sect))

@@ -66,7 +66,7 @@ class Workspace:
         self.maps = {}
         self.kernels = {}
         self.classes = {}
-        self.module_bimodules = {}
+        self.point = alg.point_algebra()
         try:
             self._check_references()
             self._build()
@@ -80,11 +80,13 @@ class Workspace:
     # -- constructors -----------------------------------------------------
 
     def point_space(self):
+        """The space over this workspace's point algebra: the first `point`
+        space by name, or one of its own if none is declared."""
         def build():
             for sp in self.spaces.values():
-                if sp.algebra.dim == 1:
+                if sp.algebra is self.point:
                     return sp
-            return kn.Space(alg.point_algebra(), "pt")
+            return kn.Space(self.point, "pt")
         return _memo(self, "pt", build)
 
     def _check_references(self):
@@ -127,7 +129,7 @@ class Workspace:
             spec = self.doc["spaces"][name]
             t = spec["type"]
             if t == "point":
-                a = alg.point_algebra()
+                a = self.point
             elif t == "group_cayley":
                 a = alg.group_algebra(spec["table"], name)
             elif t == "path_quiver":
@@ -185,8 +187,7 @@ class Workspace:
             action = [_parse_matrix(m) for m in spec["action"]]
             if len(action) != a.dim:
                 raise SchemaError(f"kernel {name}: one matrix per basis element")
-            mod = alg.module_as_bimodule(a, action, name)
-            self.module_bimodules[name] = mod
+            mod = alg.module_as_bimodule(a, self.point, action, name)
             return hh.module_kernel(sp, self.point_space(), mod, name)
         if t == "induction":
             src, tgt, m, sname, tname = self.maps[spec["map"]]

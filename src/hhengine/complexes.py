@@ -203,26 +203,13 @@ def homology_dims(c: Complex):
     return {n: homology(c, n)[0] for n in c.degrees()}
 
 
-# -- shift, sum, cone ----------------------------------------------------------
+# -- shift, sum of terms ------------------------------------------------------
 
 
 def shift(c: Complex, k: int):
     sgn = Q1 if k % 2 == 0 else -Q1
     terms = {n - k: t for n, t in c.terms.items()}
     diffs = {n - k: d.scale(sgn) for n, d in c.diff.items()}
-    return Complex(terms, diffs, c.left, c.right, check=False)
-
-
-def direct_sum(c: Complex, d: Complex):
-    if c.left is not d.left or c.right is not d.right:
-        raise AlgebraMismatch("direct sum over different algebra pairs")
-    terms = {}
-    for n in set(c.terms) | set(d.terms):
-        terms[n] = _sum_bimodule(c.term(n), d.term(n))
-    diffs = {}
-    for n in terms:
-        if (n + 1) in terms:
-            diffs[n] = block_diag([c.differential(n), d.differential(n)])
     return Complex(terms, diffs, c.left, c.right, check=False)
 
 
@@ -237,37 +224,6 @@ def _sum_bimodule(a, b):
                       label=f"{a.label}(+){b.label}", check=False)
     alg._derive_proj(ab, lambda: alg.sum_proj_data(ab, a, b))
     return ab
-
-
-def cone(f: ChainMap):
-    """cone(f)_n = C_{n+1} (+) D_n with d(c, e) = (-dc, f(c) + de)."""
-    if f.degree != 0:
-        raise ValueError("cone needs a degree-0 chain map")
-    c, d = f.source, f.target
-    terms = {}
-    lo = min(c.degrees() + d.degrees())
-    hi = max(c.degrees() + d.degrees())
-    for n in range(lo - 1, hi + 1):
-        t = _sum_bimodule(c.term(n + 1), d.term(n))
-        if t is not None and t.dim:
-            terms[n] = t
-    diffs = {}
-    for n in terms:
-        if (n + 1) not in terms:
-            continue
-        c1, d0 = c.dim(n + 1), d.dim(n)
-        c2, d1 = c.dim(n + 2), d.dim(n + 1)
-        rows = c2 + d1
-        cols = c1 + d0
-        m = {}
-        for i, j, x in c.differential(n + 1).items():
-            m[i * cols + j] = -x
-        for i, j, x in f.component(n + 1).items():
-            m[(c2 + i) * cols + j] = x
-        for i, j, x in d.differential(n).items():
-            m[(c2 + i) * cols + c1 + j] = x
-        diffs[n] = Matrix.sparse(rows, cols, m)
-    return Complex(terms, diffs, c.left, c.right, check=False)
 
 
 # -- tensor of complexes ---------------------------------------------------------
@@ -416,7 +372,8 @@ class HomComplex:
     """Hom-complex between bimodule complexes over their shared context.
 
     Degree-n piece has a basis of blocks (i, basis element of Hom(C_i, D_{i+n}));
-    realized as a Complex of plain vector spaces, with converters between
+    realized as a Complex of plain vector spaces over a point algebra of its
+    own (it is read only for homology), with converters between
     coordinate vectors and ChainMap-shaped component dicts.  The source's
     terms must be projective, so degreewise hom computes derived hom.
     """
@@ -448,7 +405,8 @@ class HomComplex:
             if blocks:
                 self.blocks[n] = blocks
                 self._dims[n] = off
-        terms = {n: alg.point_bimodule(d, label=f"hom^{n}")
+        pt = alg.point_algebra()
+        terms = {n: alg.point_bimodule(pt, d, label=f"hom^{n}")
                  for n, d in self._dims.items()}
         diffs = {}
         for n in sorted(self._dims):
@@ -460,7 +418,6 @@ class HomComplex:
                     df = self._differential_of({i: b}, n)
                     cols.append(self.coordinates(df, n + 1))
             diffs[n] = Matrix.from_column_maps(cols, self._dims[n + 1])
-        pt = alg.point_algebra()
         self.complex = Complex(terms, diffs, pt, pt, check=False)
 
     def _nrange(self):

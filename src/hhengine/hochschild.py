@@ -195,7 +195,7 @@ def hh_via_tor(space):
         proj, sect = quotient_basis(raw, sub)
         pieces[n] = (proj, sect)
     pt = alg.point_algebra()
-    terms = {n: alg.point_bimodule(p.rows, label=f"tor^{n}")
+    terms = {n: alg.point_bimodule(pt, p.rows, label=f"tor^{n}")
              for n, (p, s) in pieces.items()}
     diffs = {}
     for n in res.degrees():
@@ -494,7 +494,8 @@ def cardy_check(e: kn.Kernel, f: kn.Kernel, s: kn.TwoMorphism,
 def _regular_module_kernel(space, pt_space):
     def build():
         a = space.algebra
-        regmod = alg.module_as_bimodule(a, list(a.left_mult), f"reg({a.label})")
+        regmod = alg.module_as_bimodule(a, pt_space.algebra, list(a.left_mult),
+                                        f"reg({a.label})")
         return module_kernel(space, pt_space, regmod)
     return _memo(space, "regular module kernel", build)
 

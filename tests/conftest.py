@@ -110,9 +110,10 @@ def one(pt):
 @pytest.fixture(scope="session")
 def z2_modules(pt, bz2):
     a = bz2.algebra
-    triv = alg.module_as_bimodule(a, [Matrix.identity(1)] * 2, "triv")
-    sgn = alg.module_as_bimodule(a, [Matrix.identity(1), m([[-1]])], "sgn")
-    reg = alg.module_as_bimodule(a, list(a.left_mult), "regZ2")
+    p = pt.algebra
+    triv = alg.module_as_bimodule(a, p, [Matrix.identity(1)] * 2, "triv")
+    sgn = alg.module_as_bimodule(a, p, [Matrix.identity(1), m([[-1]])], "sgn")
+    reg = alg.module_as_bimodule(a, p, list(a.left_mult), "regZ2")
     return {
         "triv": hh.module_kernel(bz2, pt, triv),
         "sgn": hh.module_kernel(bz2, pt, sgn),
@@ -124,12 +125,13 @@ def z2_modules(pt, bz2):
 def s3_modules(pt, bs3):
     table = s3_cayley_table()
     a = bs3.algebra
+    p = pt.algebra
     triv = alg.module_as_bimodule(
-        a, rep_from_generators(table, {1: Matrix.identity(1), 4: Matrix.identity(1)}, 1), "triv3")
+        a, p, rep_from_generators(table, {1: Matrix.identity(1), 4: Matrix.identity(1)}, 1), "triv3")
     sgn = alg.module_as_bimodule(
-        a, rep_from_generators(table, {1: m([[-1]]), 4: Matrix.identity(1)}, 1), "sgn3")
+        a, p, rep_from_generators(table, {1: m([[-1]]), 4: Matrix.identity(1)}, 1), "sgn3")
     std = alg.module_as_bimodule(
-        a, rep_from_generators(table, {1: m([[-1, 1], [0, 1]]),
+        a, p, rep_from_generators(table, {1: m([[-1, 1], [0, 1]]),
                                        4: m([[0, -1], [1, -1]])}, 2), "std3")
     return {
         "triv": hh.module_kernel(bs3, pt, triv),
@@ -141,10 +143,11 @@ def s3_modules(pt, bs3):
 @pytest.fixture(scope="session")
 def a2_modules(pt, a2):
     a = a2.algebra
-    s1 = alg.module_as_bimodule(a, [Matrix.identity(1), m([[0]]), m([[0]])], "S1")
-    s2 = alg.module_as_bimodule(a, [m([[0]]), Matrix.identity(1), m([[0]])], "S2")
+    p = pt.algebra
+    s1 = alg.module_as_bimodule(a, p, [Matrix.identity(1), m([[0]]), m([[0]])], "S1")
+    s2 = alg.module_as_bimodule(a, p, [m([[0]]), Matrix.identity(1), m([[0]])], "S2")
     p1 = alg.module_as_bimodule(
-        a, [m([[1, 0], [0, 0]]), m([[0, 0], [0, 1]]), m([[0, 0], [1, 0]])], "P1")
+        a, p, [m([[1, 0], [0, 0]]), m([[0, 0], [0, 1]]), m([[0, 0], [1, 0]])], "P1")
     return {
         "S1": hh.module_kernel(a2, pt, s1),
         "S2": hh.module_kernel(a2, pt, s2),
@@ -155,10 +158,11 @@ def a2_modules(pt, a2):
 @pytest.fixture(scope="session")
 def a3_modules(pt, a3):
     a = a3.algebra
+    p = pt.algebra
     out = {}
     for v in range(3):
         act = [Matrix.identity(1) if i == v else m([[0]]) for i in range(6)]
-        mod = alg.module_as_bimodule(a, act, f"T{v + 1}")
+        mod = alg.module_as_bimodule(a, p, act, f"T{v + 1}")
         out[f"T{v + 1}"] = hh.module_kernel(a3, pt, mod)
     return out
 

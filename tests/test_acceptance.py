@@ -86,7 +86,7 @@ def test_criterion_04_adjointness(bz2, bs3, ind_res):
 
 def test_criterion_05_isometry(pt, m2, one):
     col = alg.module_as_bimodule(
-        m2.algebra, [m([[1, 0], [0, 0]]), m([[0, 1], [0, 0]]),
+        m2.algebra, pt.algebra, [m([[1, 0], [0, 0]]), m([[0, 1], [0, 0]]),
                      m([[0, 0], [1, 0]]), m([[0, 0], [0, 1]])], "col")
     k = hh.module_kernel(m2, pt, col)
     v = hh.pushforward(k, one)
@@ -134,7 +134,7 @@ def test_criterion_08_snakes_and_reflexivity(pt, bz2, a2, m2, z2_modules,
     from test_kernels import all_snakes_hold, reflexively_polite
     ind, res = ind_res
     col = alg.module_as_bimodule(
-        m2.algebra, [m([[1, 0], [0, 0]]), m([[0, 1], [0, 0]]),
+        m2.algebra, pt.algebra, [m([[1, 0], [0, 0]]), m([[0, 1], [0, 0]]),
                      m([[0, 0], [1, 0]]), m([[0, 0], [0, 1]])], "col8")
     kcol = hh.module_kernel(m2, pt, col)
     shipped = [z2_modules["triv"], z2_modules["sgn"], z2_modules["reg"],
@@ -158,7 +158,7 @@ def test_criterion_09_k0_descent(pt, bz2, a2, one, z2_modules, a2_modules):
     assert reg == hh.chern(z2_modules["triv"], one).add(
         hh.chern(z2_modules["sgn"], one))
     summod = alg.module_as_bimodule(
-        a2.algebra,
+        a2.algebra, pt.algebra,
         [m([[1, 0], [0, 0]]), m([[0, 0], [0, 1]]), m([[0, 0], [0, 0]])], "S1+S2")
     ksum = hh.module_kernel(a2, pt, summod)
     assert hh.chern(ksum, one) == ch1.add(ch2)

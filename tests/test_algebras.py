@@ -11,6 +11,7 @@ from hhengine.errors import CyclicQuiver, NotAGroup
 from hhengine.linalg import Matrix, rank
 import hhengine.algebras as alg
 
+import builders
 from conftest import s3_cayley_table
 
 
@@ -75,9 +76,9 @@ def test_opposite_group_algebra_inversion_iso():
 
 def test_tensor_and_enveloping_dims():
     a2 = alg.path_algebra(2, [(0, 1)])
-    assert alg.enveloping(alg.point_algebra()).dim == 1
-    assert alg.enveloping(a2).dim == 9
-    assert len(alg.enveloping(a2).idempotents) == 4
+    assert builders.enveloping(alg.point_algebra()).dim == 1
+    assert builders.enveloping(a2).dim == 9
+    assert len(builders.enveloping(a2).idempotents) == 4
 
 
 def test_dual_bimodule_examples():
@@ -125,18 +126,19 @@ def test_a2_regular_bimodule_resolution_is_the_quiver_resolution():
 
 
 def test_module_resolutions_over_a2():
-    a2 = alg.path_algebra(2, [(0, 1)])
-    s2 = alg.module_as_bimodule(a2, [m([[0]]), Matrix.identity(1), m([[0]])], "S2")
+    a2, pt = alg.path_algebra(2, [(0, 1)]), alg.point_algebra()
+    s2 = alg.module_as_bimodule(a2, pt, [m([[0]]), Matrix.identity(1), m([[0]])], "S2")
     c, _ = alg.projective_resolution(s2)
     assert len(c.degrees()) <= 2
-    s1 = alg.module_as_bimodule(a2, [Matrix.identity(1), m([[0]]), m([[0]])], "S1")
+    s1 = alg.module_as_bimodule(a2, pt, [Matrix.identity(1), m([[0]]), m([[0]])], "S1")
     c1, _ = alg.projective_resolution(s1)
     assert c1.degrees() == [-1, 0]
 
 
 def test_averaging_makes_modules_projective_in_char_zero():
     z2 = alg.group_algebra([[0, 1], [1, 0]])
-    triv = alg.module_as_bimodule(z2, [Matrix.identity(1)] * 2, "triv")
+    pt = alg.point_algebra()
+    triv = alg.module_as_bimodule(z2, pt, [Matrix.identity(1)] * 2, "triv")
     assert alg.is_projective(triv)
 
 
@@ -168,7 +170,7 @@ def test_tensor_witness_and_coordinates():
 
 @pytest.mark.parametrize("make", [
     lambda: alg.regular_bimodule(alg.group_algebra(s3_cayley_table(), "S3")),
-    lambda: alg.free_bimodule(*[alg.path_algebra(2, [(0, 1)], "A2")] * 2)],
+    lambda: builders.free_bimodule(*[alg.path_algebra(2, [(0, 1)], "A2")] * 2)],
     ids=["kS3-regular", "A2-free"])
 def test_content_equal_pairs_share_one_tensor_and_hom_core(make):
     r1 = make()
@@ -236,7 +238,7 @@ def _dual_oracle_modules():
     out = [alg.regular_bimodule(z2), alg.regular_bimodule(z2split),
            alg.regular_bimodule(alg.group_algebra(s3_cayley_table())),
            alg.regular_bimodule(alg.matrix_algebra(2)),
-           alg.free_bimodule(z2, z2, rank=2)]
+           builders.free_bimodule(z2, z2, rank=2)]
     for a in (alg.path_algebra(2, [(0, 1)]), alg.path_algebra(3, [(0, 1), (1, 2)])):
         c, _ = alg.projective_resolution(alg.regular_bimodule(a))
         assert len(c.degrees()) == 2
@@ -288,8 +290,7 @@ def test_witness_checks_fire_under_python_O():
         reg = alg.regular_bimodule(z2)
         pd = alg.proj_data(reg)
         pd.section = pd.section.scale(2)
-        one = cx.single_term_complex(reg)
-        ab = cx.direct_sum(one, one).term(0)
+        ab = cx._sum_bimodule(reg, reg)
         try:
             alg.proj_data(ab)
         except InvariantViolation as e:
@@ -338,7 +339,7 @@ def test_dual_piece_checks_fire_under_python_O():
 
 def test_derived_witness_builder_is_dropped_once_built():
     z2 = alg.group_algebra([[0, 1], [1, 0]])
-    d, _ = alg.bimodule_dual(alg.free_bimodule(z2, z2))
+    d, _ = alg.bimodule_dual(builders.free_bimodule(z2, z2))
     assert alg._memoised(d, "proj_builder") is not None
     pd = alg.proj_data(d)
     assert alg._memoised(d, "proj_builder") is None
@@ -353,7 +354,7 @@ def test_is_projective_does_not_build_a_derived_witness(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(alg, name, counted)
     z2 = alg.group_algebra([[0, 1], [1, 0]])
-    f = alg.free_bimodule(z2, z2)
+    f = builders.free_bimodule(z2, z2)
     t, _, _ = alg.bimodule_tensor(f, f)
     d, _ = alg.bimodule_dual(f)
     assert alg.is_projective(t) and alg.is_projective(d)
@@ -376,6 +377,13 @@ def test_engine_sources_hold_no_assert_statements():
     # invariant checks raise InvariantViolation, which python -O keeps
     found = [f"{name}:{n.lineno}" for name, tree in _engine_sources()
              for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+def test_engine_sources_hold_no_global_statements():
+    # no process-wide state: every value lives on an object a workspace owns
+    found = [f"{name}:{n.lineno}" for name, tree in _engine_sources()
+             for n in ast.walk(tree) if isinstance(n, ast.Global)]
     assert found == []
 
 
@@ -411,10 +419,6 @@ def test_every_engine_function_has_an_engine_caller():
     # the package outside its own body; docstring mentions do not count.
     # The names below are called only from the tests, each for a reason.
     test_only = {
-        "algebras.py:free_bimodule": "free test bimodules: projectivity, exact kernels",
-        "algebras.py:enveloping": "A (x) A^op of one algebra, checked on its dims",
-        "complexes.py:direct_sum": "additivity of homology and of the Serre trace",
-        "complexes.py:cone": "builds acyclic and mapping-cone test kernels",
         "diagrams.py:typecheck": "boundary of a DSL term without a task kind",
         "hochschild.py:hcoh_product": "the HH^* ring the module action respects",
         "hochschild.py:module_action": "HH^* acting on HH_*, checked bilinear",

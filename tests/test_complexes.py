@@ -7,6 +7,11 @@ from hhengine.linalg import Matrix, nullspace_basis, rank
 import hhengine.algebras as alg
 import hhengine.complexes as cx
 
+import builders
+
+# one point algebra for every vector-space complex here, so they combine
+PT = alg.point_algebra()
+
 
 def m(rows):
     return Matrix.from_rows(rows)
@@ -14,9 +19,8 @@ def m(rows):
 
 def vect_complex(dims, diffs):
     """Complex of plain vector spaces from dimension and matrix dicts."""
-    pt = alg.point_algebra()
-    terms = {n: alg.point_bimodule(d) for n, d in dims.items() if d}
-    return cx.Complex(terms, diffs, pt, pt)
+    terms = {n: alg.point_bimodule(PT, d) for n, d in dims.items() if d}
+    return cx.Complex(terms, diffs, PT, PT)
 
 
 def test_homology_examples():
@@ -61,14 +65,14 @@ def test_shift_and_cone():
     assert cx.shift(s, -1).degrees() == c.degrees()
     assert s.differential(-1) == Matrix.identity(1).scale(-1)
     idm = cx.ChainMap.identity(vect_complex({0: 1}, {}))
-    cone = cx.cone(idm)
+    cone = builders.cone(idm)
     assert all(cx.homology(cone, n)[0] == 0 for n in cone.degrees())
 
 
 def test_direct_sum_homology_additive():
     a = vect_complex({0: 1}, {})
     b = vect_complex({0: 2, 1: 1}, {0: m([[1, 0]])})
-    s = cx.direct_sum(a, b)
+    s = builders.direct_sum(a, b)
     for n in s.degrees():
         ha = cx.homology(a, n)[0] if a.dim(n) or a.dim(n - 1) or a.dim(n + 1) else 0
         hb = cx.homology(b, n)[0] if b.dim(n) or b.dim(n - 1) or b.dim(n + 1) else 0
@@ -106,8 +110,8 @@ def test_tensor_unit_law_and_rank_count():
     t = cx.TensorComplex(reg, reg).complex
     assert t.degrees() == [0] and t.dim(0) == 2
     # one-term frees of ranks r, s over B of dim b: rank r.b.s over the pair
-    f2 = cx.single_term_complex(alg.free_bimodule(z2, z2, rank=1))
-    f3 = cx.single_term_complex(alg.free_bimodule(z2, z2, rank=2))
+    f2 = cx.single_term_complex(builders.free_bimodule(z2, z2, rank=1))
+    f3 = cx.single_term_complex(builders.free_bimodule(z2, z2, rank=2))
     tt = cx.TensorComplex(f2, f3).complex
     assert tt.dim(0) == 1 * 2 * 2 * 2 * 2  # (2x2 env) x b x rank... dims multiply
     assert tt.dim(0) == f2.dim(0) * f3.dim(0) // z2.dim
@@ -253,7 +257,7 @@ def test_lift_and_colift_of_odd_degree_cycles_are_chain_maps():
 def test_tensor_associator_literal_identity_on_free_triples():
     import hhengine.kernels as kn
     z2 = alg.group_algebra([[0, 1], [1, 0]])
-    f = cx.single_term_complex(alg.free_bimodule(z2, z2, rank=1))
+    f = cx.single_term_complex(builders.free_bimodule(z2, z2, rank=1))
     _, _, med = kn._assoc(f, f, f)
     for n, mat in med.fwd.components.items():
         assert mat == Matrix.identity(mat.rows)

@@ -11,6 +11,8 @@ import hhengine.complexes as cx
 import hhengine.kernels as kn
 import hhengine.hochschild as hh
 
+import builders
+
 
 def m(rows):
     return Matrix.from_rows(rows)
@@ -155,7 +157,7 @@ def test_pull_is_mukai_adjoint_to_push(a2_modules):
 
 def test_isometry_of_morita_kernel(pt, m2, one):
     col = alg.module_as_bimodule(
-        m2.algebra,
+        m2.algebra, pt.algebra,
         [m([[1, 0], [0, 0]]), m([[0, 1], [0, 0]]),
          m([[0, 0], [1, 0]]), m([[0, 0], [0, 1]])], "col")
     k = hh.module_kernel(m2, pt, col)
@@ -199,7 +201,8 @@ def test_linear_maps_are_built_once(monkeypatch):
     # fresh spaces, so that the first calls show the counters at work
     pt = kn.Space(alg.point_algebra(), "pt")
     bz2 = kn.Space(alg.group_algebra([[0, 1], [1, 0]], "Z2"), "BZ2")
-    sgn = alg.module_as_bimodule(bz2.algebra, [Matrix.identity(1), m([[-1]])], "sgn")
+    sgn = alg.module_as_bimodule(bz2.algebra, pt.algebra,
+                                 [Matrix.identity(1), m([[-1]])], "sgn")
     k = hh.module_kernel(bz2, pt, sgn)
     one = hh.one_point_class(pt)
     assert hh.one_point_class(pt) is one
@@ -250,7 +253,7 @@ def test_space_mismatch_raises(bz2, a2):
 
 
 def test_chern_of_regular_point_module(pt, one):
-    mod = alg.module_as_bimodule(alg.point_algebra(), [Matrix.identity(1)], "Q")
+    mod = alg.module_as_bimodule(pt.algebra, pt.algebra, [Matrix.identity(1)], "Q")
     k = hh.module_kernel(pt, pt, mod)
     assert hh.chern(k, one) == one
 
@@ -323,7 +326,7 @@ def test_chern_invariant_under_quasi_isomorphism(pt, a2, one, a2_modules):
     s2c = a2_modules["S2"].complex
     p1c = a2_modules["P1"].complex
     f = cx.ChainMap(s2c, p1c, 0, {0: m([[0], [1]])}, check=True)
-    cone = cx.cone(f)
+    cone = builders.cone(f)
     kcone = kn.conv_kernel((kn.AtomicKernel(pt, a2, cone, "cone"),))
     assert kn.kernels_equivalent(kcone, a2_modules["S1"])
     assert hh.pushforward(kcone, one) == hh.chern(a2_modules["S1"], one)

@@ -10,6 +10,8 @@ import hhengine.complexes as cx
 import hhengine.kernels as kn
 import hhengine.hochschild as hh
 
+import builders
+
 
 def m(rows):
     return Matrix.from_rows(rows)
@@ -98,7 +100,7 @@ def test_dual_of_point_module():
     ptsp = kn.Space(alg.point_algebra(), "ptx")
     ptsp.can5()
     ptsp.can6()
-    q2 = alg.module_as_bimodule(alg.point_algebra(), [Matrix.identity(2)], "Q2")
+    q2 = alg.module_as_bimodule(ptsp.algebra, ptsp.algebra, [Matrix.identity(2)], "Q2")
     c = cx.single_term_complex(q2)
     k = kn.conv_kernel((kn.AtomicKernel(ptsp, ptsp, c, "Q2"),))
     dk = kn.dual_kernel(k)
@@ -160,7 +162,8 @@ def test_tau_r_of_composite(ind_res):
 
 
 def _point_trace_kernel(ptsp, n):
-    mod = alg.module_as_bimodule(alg.point_algebra(), [Matrix.identity(n)], f"Q{n}")
+    p = ptsp.algebra
+    mod = alg.module_as_bimodule(p, p, [Matrix.identity(n)], f"Q{n}")
     c = cx.single_term_complex(mod)
     return kn.conv_kernel((kn.AtomicKernel(ptsp, ptsp, c, f"Q{n}"),))
 
@@ -179,10 +182,10 @@ def test_serre_trace_is_matrix_trace(pt):
 
 
 def test_serre_trace_parity(pt):
-    mod0 = alg.module_as_bimodule(alg.point_algebra(), [Matrix.identity(1)], "a")
-    mod1 = alg.module_as_bimodule(alg.point_algebra(), [Matrix.identity(1)], "b")
-    c = cx.Complex({0: mod0, 1: mod1}, {0: Matrix.zero(1, 1)},
-                   alg.point_algebra(), alg.point_algebra())
+    p = pt.algebra
+    mod0 = alg.module_as_bimodule(p, p, [Matrix.identity(1)], "a")
+    mod1 = alg.module_as_bimodule(p, p, [Matrix.identity(1)], "b")
+    c = cx.Complex({0: mod0, 1: mod1}, {0: Matrix.zero(1, 1)}, p, p)
     phi = kn.conv_kernel((kn.AtomicKernel(pt, pt, c, "Q01"),))
     ins = kn.point_serre_insert(pt)
     alpha = kn.hcompose([ins, kn.TwoMorphism.identity(phi), ins])
@@ -191,7 +194,7 @@ def test_serre_trace_parity(pt):
 
 def test_serre_trace_additive_and_shift(pt):
     # additive under direct sum, multiplies by -1 under shift by 1
-    mod = alg.module_as_bimodule(alg.point_algebra(), [Matrix.identity(2)], "Q2")
+    mod = alg.module_as_bimodule(pt.algebra, pt.algebra, [Matrix.identity(2)], "Q2")
     c = cx.single_term_complex(mod)
     phi = kn.conv_kernel((kn.AtomicKernel(pt, pt, c, "q2"),))
     shifted = kn.conv_kernel((kn.AtomicKernel(pt, pt, cx.shift(c, 1), "q2s"),))
@@ -292,7 +295,7 @@ def test_interchange_law(a2_modules):
 def test_two_morphism_equality_is_modulo_homotopy(a2):
     # the identity of an exact kernel complex is homotopic to zero
     a = a2.algebra
-    mod = alg.free_bimodule(a, a, rank=1)
+    mod = builders.free_bimodule(a, a, rank=1)
     c = cx.Complex({0: mod, 1: mod}, {0: Matrix.identity(mod.dim)}, a, a)
     k = kn.conv_kernel((kn.AtomicKernel(a2, a2, c, "exact"),))
     idm = kn.TwoMorphism.identity(k)
@@ -310,11 +313,12 @@ def test_strict_perfection_enforced(a2):
 
 
 def test_serre_trace_additive_under_direct_sum(pt):
-    mod2 = alg.module_as_bimodule(alg.point_algebra(), [Matrix.identity(2)], "x2")
-    mod3 = alg.module_as_bimodule(alg.point_algebra(), [Matrix.identity(3)], "x3")
+    p = pt.algebra
+    mod2 = alg.module_as_bimodule(p, p, [Matrix.identity(2)], "x2")
+    mod3 = alg.module_as_bimodule(p, p, [Matrix.identity(3)], "x3")
     c2 = cx.single_term_complex(mod2)
     c3 = cx.single_term_complex(mod3)
-    csum = cx.direct_sum(c2, c3)
+    csum = builders.direct_sum(c2, c3)
     ins = kn.point_serre_insert(pt)
     traces = []
     for c in (c2, c3, csum):
