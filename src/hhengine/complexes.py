@@ -15,6 +15,12 @@ SIGN TABLE (all other modules cite this, none re-derives signs):
 Cohomological indexing throughout; homological degree i is read from
 cohomological degree -i.
 
+This module is the one reader of the tensor-complex block layout: where
+a pure tensor sits in a TensorComplex (block offsets, the term tensor's
+section and projection, raw index a * dim D_j + b).  Every other module
+reads and writes tensor vectors as raw pairs (TensorComplex.split / join)
+or raw triples of a nested tensor (split3 / join3).
+
 Every 2-morphism equality and every lift or colift through a
 quasi-isomorphism is one homotopy equation, post . f . pre + d h + (-1)^k h d
 = g (H3 with an unknown chain map f in front), posed by one solver and
@@ -23,7 +29,7 @@ handed to the one augmented solve of linalg.
 
 from __future__ import annotations
 
-from .errors import AlgebraMismatch, NotPerfect
+from .errors import AlgebraMismatch, InvariantViolation, NotPerfect
 from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver, _clear_denominators,
                      _solve_rows, block_diag, nullspace_basis, quotient_basis)
 from . import algebras as alg
@@ -240,11 +246,15 @@ def tc_of(c, d):
 
 
 class TensorComplex:
-    """Total complex of C (x)_B D with per-degree block data.
+    """Total complex of C (x)_B D, and the one reader of its block layout.
 
-    blocks[n] = list of (i, j, offset, size); block (i, j) is the term
-    tensor C_i (x)_B D_j, with quotient data available via term_tensor.
-    Signs follow (T1).
+    Degree n is the sum of the blocks (i, j), i + j = n, by increasing i:
+    block (i, j) is the term tensor C_i (x)_B D_j, the quotient of the raw
+    pairs C_i (x) D_j (raw index a * dim D_j + b) by term_tensor's
+    projection.  blocks[n] lists (i, j, offset, size); a block whose term
+    tensor is zero is left out.  Other modules read and write vectors only
+    through split / join (pairs) and split3 / join3 (triples of a nested
+    tensor).  Signs follow (T1).
     """
 
     def __init__(self, c: Complex, d: Complex):
@@ -275,38 +285,22 @@ class TensorComplex:
             if blocklist:
                 self.blocks[n] = blocklist
                 terms[n] = summand
+
+        def parts(i, j):
+            # d_C into block (i+1, j), d_D into block (i, j+1) with (-1)^i
+            dc, dd, dj = c.differential(i), d.differential(j), d.dim(j)
+            return [((i + 1, j), lambda v: alg._apply_left_factor(dc, v, dj), Q1),
+                    ((i, j + 1), lambda v: alg._apply_right_factor(dd, v, dj),
+                     Q1 if i % 2 == 0 else -Q1)]
         diffs = {}
         for n in self.blocks:
-            if (n + 1) not in self.blocks:
-                continue
-            rows = terms[n + 1].dim
-            cols = terms[n].dim
-            entries = {}
-            for (i, j, off, size) in self.blocks[n]:
-                t, proj, sect = term_tensor(self.c.term(i), self.d.term(j))
-                # d_C part into block (i+1, j)
-                tgt = self._find_block(n + 1, i + 1, j)
-                if tgt is not None and self.c.dim(i + 1):
-                    t2, proj2, _ = term_tensor(self.c.term(i + 1), self.d.term(j))
-                    dc = self.c.differential(i)
-                    for col in range(size):
-                        v = alg._apply_left_factor(dc, dict(sect.col_items(col)),
-                                                   self.d.dim(j))
-                        _accumulate(entries, proj2.apply_map(v), tgt, cols,
-                                    off + col, Q1)
-                # d_D part into block (i, j+1), sign (-1)^i
-                tgt = self._find_block(n + 1, i, j + 1)
-                if tgt is not None and self.d.dim(j + 1):
-                    t3, proj3, _ = term_tensor(self.c.term(i), self.d.term(j + 1))
-                    dd = self.d.differential(j)
-                    sgn = Q1 if i % 2 == 0 else -Q1
-                    for col in range(size):
-                        v = alg._apply_right_factor(dd, dict(sect.col_items(col)),
-                                                    self.d.dim(j))
-                        _accumulate(entries, proj3.apply_map(v), tgt, cols,
-                                    off + col, sgn)
-            diffs[n] = Matrix.sparse(rows, cols, entries)
+            if (n + 1) in self.blocks:
+                diffs[n] = _blockwise(self, self, n, 1, parts)
         self.complex = Complex(terms, diffs, c.left, d.right, check=False)
+
+    def _dim(self, n):
+        blocks = self.blocks.get(n)
+        return blocks[-1][2] + blocks[-1][3] if blocks else 0
 
     def _find_block(self, n, i, j):
         for (bi, bj, off, size) in self.blocks.get(n, []):
@@ -314,18 +308,100 @@ class TensorComplex:
                 return off
         return None
 
+    def split(self, n, vec):
+        """{(i, j): raw pair vector} of a degree-n vector: the coordinates
+        of each block carried into C_i (x) D_j by its section."""
+        parts = {}
+        for i, j, off, size in self.blocks.get(n, ()):
+            local = {r - off: x for r, x in vec.items() if off <= r < off + size}
+            if local:
+                _, _, sect = term_tensor(self.c.term(i), self.d.term(j))
+                parts[(i, j)] = sect.apply_map(local)
+        return parts
 
-def _accumulate(entries, w, row_off, cols, col, sign=Q1):
-    """Add sign * w ({row: value}) into column `col` of a flat-indexed
-    {i * cols + j: value} matrix, rows shifted by row_off; True when some
-    nonzero value was added."""
-    wrote = False
-    for r, x in w.items():
-        if x:
-            key = (row_off + r) * cols + col
-            entries[key] = entries[key] + sign * x if key in entries else sign * x
-            wrote = True
-    return wrote
+    def join(self, n, parts):
+        """The degree-n vector whose blocks are the projections of the raw
+        pair vectors {(i, j): raw}, summed; zero-free.  A part on a block
+        absent from degree n lies in a zero term tensor and projects to 0."""
+        out = {}
+        for (i, j), raw in parts.items():
+            if i + j != n:
+                raise InvariantViolation(f"block ({i}, {j}) is not in degree {n}")
+            off = self._find_block(n, i, j)
+            if off is None:
+                continue
+            _, proj, _ = term_tensor(self.c.term(i), self.d.term(j))
+            alg._add_into(out, {off + r: x for r, x in proj.apply_map(raw).items()})
+        return alg._nonzero(out)
+
+
+def split3(outer, inner, n, vec, right):
+    """{(i, j, k): {(a, b, c): x}}: a degree-n vector of a nested tensor as
+    raw triples of X_i (x) Y_j (x) Z_k.  outer is TC(X, inner) with inner
+    TC(Y, Z) when right, else TC(inner, Z) with inner TC(X, Y).  The side
+    is passed, not read off the complexes: one complex may be both
+    factors."""
+    out = {}
+    for (p, q), raw in outer.split(n, vec).items():
+        # group the raw pairs by the plain factor's index w
+        groups = {}
+        width = outer.d.dim(q)
+        for idx, x in raw.items():
+            u, v = divmod(idx, width)
+            w, rest = (u, v) if right else (v, u)
+            groups.setdefault(w, {})[rest] = x
+        for w, sub in groups.items():
+            for (s, t), raw2 in inner.split(q if right else p, sub).items():
+                tri = out.setdefault((p, s, t) if right else (s, t, q), {})
+                dt = inner.d.dim(t)
+                for idx2, y in raw2.items():
+                    b, c = divmod(idx2, dt)
+                    tri[(w, b, c) if right else (b, c, w)] = y
+    return out
+
+
+def join3(outer, inner, n, parts, right):
+    """The degree-n vector of a nested tensor with raw triples
+    {(i, j, k): {(a, b, c): x}}; the inverse reading of split3, zero-free."""
+    pairs = {}
+    for (i, j, k), tri in parts.items():
+        p, q, s, t = (i, j + k, j, k) if right else (i + j, k, i, j)
+        groups = {}                     # the plain factor's index -> inner raw
+        dt = inner.d.dim(t)
+        for (a, b, c), x in tri.items():
+            w, u, v = (a, b, c) if right else (c, a, b)
+            groups.setdefault(w, {})[u * dt + v] = x
+        raw = pairs.setdefault((p, q), {})
+        width = outer.d.dim(q)
+        for w, sub in groups.items():
+            vec = inner.join(s + t, {(s, t): sub})
+            alg._add_into(raw, {w * width + r if right else r * width + w: y
+                                for r, y in vec.items()})
+    return outer.join(n, pairs)
+
+
+def _blockwise(src, tgt, n, k, maps):
+    """The degree-n -> n + k matrix between tensor complexes that sends
+    each block (i, j) of src through maps(i, j), a list of
+    ((i', j'), f, sign) with f a map of raw pair vectors into block (i', j')
+    of tgt.  Each block's section, projection and offset is looked up once,
+    outside its column loop."""
+    cols = src._dim(n)
+    entries = {}
+    for i, j, off, size in src.blocks.get(n, ()):
+        _, _, sect = term_tensor(src.c.term(i), src.d.term(j))
+        for (ti, tj), f, sign in maps(i, j):
+            tgt_off = tgt._find_block(n + k, ti, tj)
+            if tgt_off is None:
+                continue
+            _, proj, _ = term_tensor(tgt.c.term(ti), tgt.d.term(tj))
+            for col in range(size):
+                w = proj.apply_map(f(dict(sect.col_items(col))))
+                for r, x in w.items():
+                    key = (tgt_off + r) * cols + off + col
+                    entries[key] = entries[key] + sign * x if key in entries \
+                        else sign * x
+    return Matrix.sparse(tgt._dim(n + k), cols, entries)
 
 
 def tensor_map(tc_src: TensorComplex, tc_tgt: TensorComplex, f: ChainMap, g: ChainMap):
@@ -334,34 +410,20 @@ def tensor_map(tc_src: TensorComplex, tc_tgt: TensorComplex, f: ChainMap, g: Cha
     f: tc_src.c -> tc_tgt.c and g: tc_src.d -> tc_tgt.d.
     """
     kf, kg = f.degree, g.degree
+
+    def parts(i, j):
+        fi, gj = f.component(i), g.component(j)
+        if fi.rows == 0 or gj.rows == 0:
+            return []
+        dj = tc_src.d.dim(j)
+        return [((i + kf, j + kg), lambda v: alg._apply_right_factor(
+                    gj, alg._apply_left_factor(fi, v, dj), dj),
+                 Q1 if (kg * i) % 2 == 0 else -Q1)]
     comps = {}
-    for n, blocklist in tc_src.blocks.items():
-        rows = tc_tgt.complex.dim(n + kf + kg)
-        cols = tc_src.complex.dim(n)
-        if rows == 0 or cols == 0:
-            continue
-        entries = {}
-        wrote = False
-        for (i, j, off, size) in blocklist:
-            tgt_off = tc_tgt._find_block(n + kf + kg, i + kf, j + kg)
-            if tgt_off is None:
-                continue
-            fi = f.component(i)
-            gj = g.component(j)
-            if fi.rows == 0 or gj.rows == 0:
-                continue
-            _, proj_s, sect_s = term_tensor(tc_src.c.term(i), tc_src.d.term(j))
-            _, proj_t, _ = term_tensor(tc_tgt.c.term(i + kf), tc_tgt.d.term(j + kg))
-            sgn = Q1 if (kg * i) % 2 == 0 else -Q1
-            for col in range(size):
-                v = dict(sect_s.col_items(col))
-                v = alg._apply_left_factor(fi, v, tc_src.d.dim(j))
-                v = alg._apply_right_factor(gj, v, tc_src.d.dim(j))
-                if _accumulate(entries, proj_t.apply_map(v), tgt_off, cols,
-                               off + col, sgn):
-                    wrote = True
-        if wrote:
-            comps[n] = Matrix.sparse(rows, cols, entries)
+    for n in tc_src.blocks:
+        m = _blockwise(tc_src, tc_tgt, n, kf + kg, parts)
+        if not m.is_zero():
+            comps[n] = m
     return ChainMap(tc_src.complex, tc_tgt.complex, kf + kg, comps, check=False)
 
 
@@ -371,11 +433,12 @@ def tensor_map(tc_src: TensorComplex, tc_tgt: TensorComplex, f: ChainMap, g: Cha
 class HomComplex:
     """Hom-complex between bimodule complexes over their shared context.
 
-    Degree-n piece has a basis of blocks (i, basis element of Hom(C_i, D_{i+n}));
-    realized as a Complex of plain vector spaces over a point algebra of its
-    own (it is read only for homology), with converters between
-    coordinate vectors and ChainMap-shaped component dicts.  The source's
-    terms must be projective, so degreewise hom computes derived hom.
+    Degree-n piece has a basis of blocks (i, basis element of Hom(C_i, D_{i+n})),
+    the unknowns of _HomVars(source, target, n, 0); realized as a Complex
+    of plain vector spaces over a point algebra of its own (it is read only
+    for homology), with converters between coordinate vectors and
+    ChainMap-shaped component dicts.  The source's terms must be projective,
+    so degreewise hom computes derived hom.
     """
 
     def __init__(self, source: Complex, target: Complex):
@@ -387,37 +450,20 @@ class HomComplex:
                     f"hom source term in degree {n} is not projective")
         self.source = source
         self.target = target
-        self.blocks = {}      # n -> list of (i, [hom basis matrices])
-        self.offsets = {}     # (n, i) -> offset of block in degree n
-        self._dims = {}
+        self._vars = {}                # n -> _HomVars of the degree-n piece
         for n in self._nrange():
-            blocks = []
-            off = 0
-            for i in source.degrees():
-                j = i + n
-                if target.dim(j) == 0 or source.dim(i) == 0:
-                    continue
-                basis = alg.hom_basis(source.term(i), target.term(j))
-                if basis:
-                    self.offsets[(n, i)] = off
-                    blocks.append((i, basis))
-                    off += len(basis)
-            if blocks:
-                self.blocks[n] = blocks
-                self._dims[n] = off
+            hv = _HomVars(source, target, n, 0)
+            if hv.end:
+                self._vars[n] = hv
         pt = alg.point_algebra()
-        terms = {n: alg.point_bimodule(pt, d, label=f"hom^{n}")
-                 for n, d in self._dims.items()}
+        terms = {n: alg.point_bimodule(pt, hv.end, label=f"hom^{n}")
+                 for n, hv in self._vars.items()}
         diffs = {}
-        for n in sorted(self._dims):
-            if (n + 1) not in self._dims:
-                continue
-            cols = []
-            for i, basis in self.blocks[n]:
-                for b in basis:
-                    df = self._differential_of({i: b}, n)
-                    cols.append(self.coordinates(df, n + 1))
-            diffs[n] = Matrix.from_column_maps(cols, self._dims[n + 1])
+        for n, hv in self._vars.items():
+            if (n + 1) in self._vars:
+                cols = [self.coordinates(self._differential_of({i: b}, n), n + 1)
+                        for i, (_, basis) in hv.blocks.items() for b in basis]
+                diffs[n] = Matrix.from_column_maps(cols, self._vars[n + 1].end)
         self.complex = Complex(terms, diffs, pt, pt, check=False)
 
     def _nrange(self):
@@ -450,38 +496,25 @@ class HomComplex:
 
     def coordinates(self, comps, n):
         """Coordinate map of a block-map dict at hom-degree n."""
+        blocks = self._vars[n].blocks if n in self._vars else {}
         vec = {}
         for i, m in comps.items():
             if m.is_zero():
                 continue
-            key = (n, i)
-            if key not in self.offsets:
+            if i not in blocks:
                 raise ValueError("map has a component outside the hom complex")
             coeffs = alg.hom_coordinates(self.source.term(i),
                                          self.target.term(i + n), m)
             if coeffs is None:
                 raise ValueError("component is not a module map")
-            off = self.offsets[key]
+            off = blocks[i][0]
             for k, x in coeffs.items():
                 vec[off + k] = x
         return vec
 
-    def components_from(self, vec, n):
-        comps = {}
-        for i, basis in self.blocks.get(n, []):
-            off = self.offsets[(n, i)]
-            m = Matrix.zero(self.target.dim(i + n), self.source.dim(i))
-            for k, b in enumerate(basis):
-                c = vec.get(off + k)
-                if c:
-                    m = m + b.scale(c)
-            if not m.is_zero():
-                comps[i] = m
-        return comps
-
     def chain_map_from(self, vec, n):
-        return ChainMap(self.source, self.target, n,
-                        self.components_from(vec, n), check=False)
+        comps = self._vars[n].extract(vec) if n in self._vars else {}
+        return ChainMap(self.source, self.target, n, comps, check=False)
 
 
 # -- homotopy equations: nullhomotopies, lifts, colifts --------------------------
@@ -594,7 +627,7 @@ class _HomVars:
         self.blocks = {}
         off = start
         for n in src.degrees():
-            if tgt.dim(n + degree) == 0:
+            if src.dim(n) == 0 or tgt.dim(n + degree) == 0:
                 continue
             basis = alg.hom_basis(src.term(n), tgt.term(n + degree))
             if basis:

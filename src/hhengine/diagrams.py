@@ -295,91 +295,62 @@ def reconcile(src: kn.Kernel, tgt: kn.Kernel):
     and cancelations; None when the factor lists cannot be aligned."""
     if src is tgt:
         return kn.TwoMorphism.identity(src)
-    steps = []
+    out = None
     cur = list(src.factors)
     goal = list(tgt.factors)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 60:
-            return None
+    for _ in range(60):
         if cur == goal:
-            break
-        # find first position where they disagree
+            out = out or kn.TwoMorphism.identity(src)
+            return out if out.target is tgt else None
+        # first position where they disagree
         k = 0
         while k < min(len(cur), len(goal)) and cur[k] is goal[k]:
             k += 1
-        # try cancel in cur at k
-        did = False
-        if k + 1 < len(cur):
-            a, b = cur[k], cur[k + 1]
-            step = _cancel_step(cur, k, a, b)
-            if step is not None:
-                steps.append(step)
-                cur = cur[:k] + cur[k + 2:]
-                did = True
-        if not did and k + 1 < len(goal):
-            a, b = goal[k], goal[k + 1]
-            step = _insert_step(cur, k, a, b)
-            if step is not None:
-                steps.append(step)
-                cur = cur[:k] + [a, b] + cur[k:]
-                did = True
-        if not did and k < len(goal):
-            step = _point_insert_step(cur, k, goal[k])
-            if step is not None:
-                steps.append(step)
-                cur = cur[:k] + [goal[k]] + cur[k:]
-                did = True
-        if not did and k < len(cur):
-            step = _point_cancel_step(cur, k, cur[k])
-            if step is not None:
-                steps.append(step)
-                cur = cur[:k] + cur[k + 1:]
-                did = True
-        if not did:
+        can = _serre_step(cur, goal, k)
+        if can is None:
             return None
-    out = None
-    for s in steps:
-        out = s if out is None else s.compose(out)
-    if out is None:
-        out = kn.TwoMorphism.identity(src)
-    if out.target is not tgt:
-        return None
-    return out
+        # splice can in place of the factors k .. k + width of cur
+        width = len(can.source.factors)
+        left, right = cur[:k], cur[k + width:]
+        step = kn.whisker(kn.conv_kernel(left) if left else None, can,
+                          kn.conv_kernel(right) if right else None)
+        out = step if out is None else step.compose(out)
+        cur = left + list(can.target.factors) + right
+    return None
+
+
+def _serre_step(cur, goal, k):
+    """The canonical 2-morphism that aligns cur with goal at position k:
+    cancel a Serre pair of cur, insert one of goal, insert or drop a point's
+    trivial Serre factor; None when none applies."""
+    if k + 1 < len(cur):
+        pair = _pair_kind(cur[k], cur[k + 1])
+        if pair is not None:
+            return pair[1]()
+    if k + 1 < len(goal):
+        pair = _pair_kind(goal[k], goal[k + 1])
+        if pair is not None:
+            return pair[0]()
+    sp = _point_serre_space(goal[k]) if k < len(goal) else None
+    if sp is not None:
+        return kn.point_serre_insert(sp)
+    sp = _point_serre_space(cur[k]) if k < len(cur) else None
+    if sp is not None:
+        return kn.point_serre_drop(sp)
+    return None
 
 
 def _pair_kind(a, b):
+    """(insert, cancel) of the Serre pair a . b: the bound can2 / can6 or
+    can4 / can5 of its space; None when a . b is no such pair."""
     for sp in (a.source, a.target):
         sk = sp.serre_kernel().factors[0]
         anti = sp.anti_serre_kernel().factors[0]
         if a is anti and b is sk:
-            return sp, "can2", "can6"
+            return sp.can2, sp.can6
         if a is sk and b is anti:
-            return sp, "can4", "can5"
+            return sp.can4, sp.can5
     return None
-
-
-def _cancel_step(cur, k, a, b):
-    info = _pair_kind(a, b)
-    if info is None:
-        return None
-    sp, _, cancel = info
-    can = sp.can6() if cancel == "can6" else sp.can5()
-    left = kn.conv_kernel(tuple(cur[:k])) if k else None
-    right = kn.conv_kernel(tuple(cur[k + 2:])) if k + 2 < len(cur) else None
-    return kn.whisker(left, can, right)
-
-
-def _insert_step(cur, k, a, b):
-    info = _pair_kind(a, b)
-    if info is None:
-        return None
-    sp, ins, _ = info
-    can = sp.can2() if ins == "can2" else sp.can4()
-    left = kn.conv_kernel(tuple(cur[:k])) if k else None
-    right = kn.conv_kernel(tuple(cur[k:])) if k < len(cur) else None
-    return kn.whisker(left, can, right)
 
 
 def _point_serre_space(f):
@@ -390,26 +361,6 @@ def _point_serre_space(f):
                 f is sp.serre_kernel().factors[0]:
             return sp
     return None
-
-
-def _point_insert_step(cur, k, a):
-    sp = _point_serre_space(a)
-    if sp is None:
-        return None
-    can = kn.point_serre_insert(sp)
-    left = kn.conv_kernel(tuple(cur[:k])) if k else None
-    right = kn.conv_kernel(tuple(cur[k:])) if k < len(cur) else None
-    return kn.whisker(left, can, right)
-
-
-def _point_cancel_step(cur, k, a):
-    sp = _point_serre_space(a)
-    if sp is None:
-        return None
-    can = kn.point_serre_drop(sp)
-    left = kn.conv_kernel(tuple(cur[:k])) if k else None
-    right = kn.conv_kernel(tuple(cur[k + 1:])) if k + 1 < len(cur) else None
-    return kn.whisker(left, can, right)
 
 
 # -- evaluation ----------------------------------------------------------------------

@@ -6,9 +6,13 @@ bimodules.  Composite kernels are normalized to right-nested convolutions
 of their atomic factors and memoised, so equal factor lists yield the *same*
 Kernel object, and identity kernels (no factors) are contracted eagerly.
 Horizontal composition of 2-morphisms runs through explicit regrouping
-mediators, each memoised on its left kernel; associators are built from the
-stored quotient sections and memoised on their first complex.  Equality of
-2-morphisms is always modulo homotopy.
+mediators, each memoised on its left kernel; an associator reads each
+raw triple x (x) y (x) z of one nesting as the same triple of the other,
+and is memoised on its first complex.  Associators, identity
+contractions, evaluations, coevaluations and the Serre trace read tensors
+only as raw pairs and triples through complexes (split / join, split3 /
+join3), never through its block layout.  Equality of 2-morphisms is always
+modulo homotopy.
 
 The canonical units and counits come from explicit formulas on witnessed
 projective coordinates:
@@ -314,54 +318,44 @@ def _idc(c):
     return cx.ChainMap.identity(c)
 
 
-def _contract(space: Space, k: Kernel, side):
-    """Explicit contraction TC(R, k) -> k resp. TC(k, R) -> k."""
-    rc, aug = space.id_resolution()
-    if side == "left":
-        tc = cx.tc_of(rc, k.complex)
-    else:
-        tc = cx.tc_of(k.complex, rc)
-    augm = aug.component(0)
+def _chain_map(src: cx.Complex, tgt: cx.Complex, image, degrees):
+    """Degree-0 map src -> tgt whose degree-n column c is image(n, {c: 1});
+    components that come out zero are left out."""
     comps = {}
-    for n, blocklist in tc.blocks.items():
-        rows = k.complex.dim(n)
-        if rows == 0:
-            continue
-        cols = tc.complex.dim(n)
-        entries = {}
-        wrote = False
-        for (i, j, off, size) in blocklist:
-            if side == "left":
-                if i != 0:
-                    continue
-                _, _, sect = cx.term_tensor(rc.term(0), k.complex.term(j))
-                term = k.complex.term(j)
-                inner_dim = term.dim
-                act = term.act_left
+    for n in degrees:
+        rows, cols = tgt.dim(n), src.dim(n)
+        if rows and cols:
+            m = Matrix.from_column_maps([image(n, {c: Q1}) for c in range(cols)],
+                                        rows)
+            if not m.is_zero():
+                comps[n] = m
+    return cx.ChainMap(src, tgt, 0, comps, check=False)
+
+
+def _contract(space: Space, k: Kernel, side):
+    """Explicit contraction TC(R, k) -> k resp. TC(k, R) -> k: the pairs
+    (a, m) of R_0 (x) k_n resp. (m, a) of k_n (x) R_0 map to the action of
+    aug(a) on m."""
+    rc, aug = space.id_resolution()
+    left = side == "left"
+    tc = cx.tc_of(rc, k.complex) if left else cx.tc_of(k.complex, rc)
+    augm = aug.component(0)
+    acts = {}
+
+    def contract(n, vec):
+        term = k.complex.term(n)
+        out = {}
+        for idx, x in tc.split(n, vec).get((0, n) if left else (n, 0), {}).items():
+            if left:
+                a, m = divmod(idx, term.dim)
             else:
-                if j != 0:
-                    continue
-                _, _, sect = cx.term_tensor(k.complex.term(i), rc.term(0))
-                term = k.complex.term(i)
-                inner_dim = rc.term(0).dim
-                act = term.act_right
-            acts = {}
-            for col in range(size):
-                out = {}
-                for idx, xval in sect.col_items(col):
-                    if side == "left":
-                        a_idx, m_idx = divmod(idx, inner_dim)
-                    else:
-                        m_idx, a_idx = divmod(idx, inner_dim)
-                    if a_idx not in acts:
-                        acts[a_idx] = act(dict(augm.col_items(a_idx)))
-                    for r, yv in acts[a_idx].col_items(m_idx):
-                        out[r] = out[r] + xval * yv if r in out else xval * yv
-                if cx._accumulate(entries, out, 0, cols, off + col):
-                    wrote = True
-        if wrote:
-            comps[n] = Matrix.sparse(rows, cols, entries)
-    return tc, cx.ChainMap(tc.complex, k.complex, 0, comps, check=False)
+                m, a = divmod(idx, rc.dim(0))
+            if (n, a) not in acts:
+                act = term.act_left if left else term.act_right
+                acts[(n, a)] = act(dict(augm.col_items(a)))
+            alg._add_into(out, dict(acts[(n, a)].col_items(m)), x)
+        return out
+    return tc, _chain_map(tc.complex, k.complex, contract, tc.complex.degrees())
 
 
 def _insert_identity(k: Kernel, side):
@@ -387,97 +381,17 @@ def _assoc_mediator(x: cx.Complex, y: cx.Complex, z: cx.Complex):
     inner_l = cx.tc_of(x, y)
     outer_l = cx.tc_of(inner_l.complex, z)
 
-    def build(direction):
-        fwd = direction == "fwd"
-        src, tgt = (outer_r, outer_l) if fwd else (outer_l, outer_r)
-        comps = {}
-        for n in src.complex.degrees():
-            rows = tgt.complex.dim(n)
-            cols = src.complex.dim(n)
-            if rows == 0 or cols == 0:
-                continue
-            entries = {}
-            wrote = False
-            for (bi, bj, off, size) in src.blocks.get(n, []):
-                if fwd:
-                    xi_deg, inner_deg = bi, bj
-                    _, _, sect_outer = cx.term_tensor(x.term(xi_deg),
-                                                      inner_r.complex.term(inner_deg))
-                    inner_blocks = inner_r.blocks.get(inner_deg, [])
-                    outer_split = inner_r.complex.dim(inner_deg)
-                else:
-                    inner_deg, zk_deg = bi, bj
-                    _, _, sect_outer = cx.term_tensor(inner_l.complex.term(inner_deg),
-                                                      z.term(zk_deg))
-                    inner_blocks = inner_l.blocks.get(inner_deg, [])
-                for (ci, cj, off_in, size_in) in inner_blocks:
-                    if fwd:
-                        i, j, kdeg = xi_deg, ci, cj
-                        _, _, sect_in = cx.term_tensor(y.term(ci), z.term(cj))
-                    else:
-                        i, j, kdeg = ci, cj, zk_deg
-                        _, _, sect_in = cx.term_tensor(x.term(ci), y.term(cj))
-                    dy = y.dim(j)
-                    dz = z.dim(kdeg)
-                    if fwd:
-                        tgt_off = outer_l._find_block(n, i + j, kdeg)
-                        if tgt_off is None:
-                            continue
-                        _, proj_in_new, _ = cx.term_tensor(x.term(i), y.term(j))
-                        xy_off = inner_l._find_block(i + j, i, j)
-                        _, proj_out_new, _ = cx.term_tensor(
-                            inner_l.complex.term(i + j), z.term(kdeg))
-                    else:
-                        tgt_off = outer_r._find_block(n, i, j + kdeg)
-                        if tgt_off is None:
-                            continue
-                        _, proj_in_new, _ = cx.term_tensor(y.term(j), z.term(kdeg))
-                        yz_off = inner_r._find_block(j + kdeg, j, kdeg)
-                        _, proj_out_new, _ = cx.term_tensor(
-                            x.term(i), inner_r.complex.term(j + kdeg))
-                        dim_q_new_in = inner_r.complex.dim(j + kdeg)
-                    for col in range(size):
-                        # the outer section column as raw triples (a, b, c)
-                        raw3 = {}
-                        for idx, c0 in sect_outer.col_items(col):
-                            if fwd:
-                                a_idx, q_idx = divmod(idx, outer_split)
-                            else:
-                                q_idx, c_idx = divmod(idx, dz)
-                            ql = q_idx - off_in
-                            if ql < 0 or ql >= size_in:
-                                continue
-                            for idx2, c1 in sect_in.col_items(ql):
-                                if fwd:
-                                    b_idx, c_idx = divmod(idx2, dz)
-                                else:
-                                    a_idx, b_idx = divmod(idx2, dy)
-                                key3 = (a_idx, b_idx, c_idx)
-                                raw3[key3] = raw3.get(key3, Q0) + c0 * c1
-                        # regroup the pair on the other side, then project
-                        acc = {}
-                        for (a_idx, b_idx, c_idx), cv in raw3.items():
-                            if fwd:
-                                inner_col = a_idx * dy + b_idx
-                            else:
-                                inner_col = b_idx * dz + c_idx
-                            for r, pv in proj_in_new.col_items(inner_col):
-                                kk = (xy_off + r, c_idx) if fwd else (a_idx, yz_off + r)
-                                acc[kk] = acc.get(kk, Q0) + pv * cv
-                        out = {}
-                        for (u, v), cv in acc.items():
-                            outer_col = u * dz + v if fwd else u * dim_q_new_in + v
-                            for r, pv in proj_out_new.col_items(outer_col):
-                                out[r] = out.get(r, Q0) + pv * cv
-                        if cx._accumulate(entries, out, tgt_off, cols, off + col):
-                            wrote = True
-            if wrote:
-                comps[n] = Matrix.sparse(rows, cols, entries)
-        return comps
+    def regroup(src, src_inner, tgt, tgt_inner, right):
+        """Each raw triple of src (nested on the right when right) read as
+        the same triple of tgt, nested on the other side."""
+        def image(n, vec):
+            triples = cx.split3(src, src_inner, n, vec, right)
+            return cx.join3(tgt, tgt_inner, n, triples, not right)
+        return _chain_map(src.complex, tgt.complex, image, src.complex.degrees())
 
-    fwd = cx.ChainMap(outer_r.complex, outer_l.complex, 0, build("fwd"), check=False)
-    inv = cx.ChainMap(outer_l.complex, outer_r.complex, 0, build("inv"), check=False)
-    return outer_r, outer_l, Mediator(fwd, inv)
+    return outer_r, outer_l, Mediator(
+        regroup(outer_r, inner_r, outer_l, inner_l, True),
+        regroup(outer_l, inner_l, outer_r, inner_r, False))
 
 
 def _join(ka, kb):
@@ -543,16 +457,6 @@ def whisker(left, alpha: TwoMorphism, right=None):
 # ---------------------------------------------------------------------------
 
 
-def _embed_block(tc: cx.TensorComplex, n, i, j, raw_vec, acc):
-    """Project a raw pair vector into block (i, j) of degree n and add it to
-    the {index: value} map acc."""
-    _, proj, _ = cx.term_tensor(tc.c.term(i), tc.d.term(j))
-    off = tc._find_block(n, i, j)
-    if off is None:
-        raise InvariantViolation(f"no block ({i}, {j}) in degree {n}")
-    alg._add_into(acc, {off + r: v for r, v in proj.apply_map(raw_vec).items()})
-
-
 def _bimodule_map_from_element(reg, term, w):
     """Matrix of a |-> a . w; checks w is central so this is a bimodule map."""
     cols = [term.act_left({i: Q1}).apply_map(w) for i in range(reg.dim)]
@@ -596,55 +500,25 @@ def counit_eps_mirror(phi: Kernel):
 
 
 def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, reg_complex):
-    """Blockwise (E1) evaluation out of the contracted triple tensor: blocks
-    (i, (0, -i)) of phi (x) (D(A) (x) phi^v) map by
-    (m, xi, f) |-> (-1)^i (id (x) xi)(f(m)) into B_reg.
+    """(E1) evaluation out of the contracted triple tensor
+    phi (x) (D(A) (x) phi^v): its degree-0 triples (m, xi, f) of degrees
+    (i, 0, -i) map by (m, xi, f) |-> (-1)^i (id (x) xi)(f(m)) into B_reg.
     """
-    x, y = phi.source, phi.target
-    a_dim = x.algebra.dim
-    rows = y.regular.dim
-    cols = n_out.complex.dim(0)
-    comps = {}
-    if cols:
-        entries = {}
-        wrote = False
-        for (i, bj, off, size) in n_out.blocks.get(0, []):
-            mterm = phi.complex.term(i)
-            dterm = dk.complex.term(-i)
-            if mterm is None or dterm is None:
-                continue
-            _, _, sect_o = cx.term_tensor(n_out.c.term(i), n_out.d.term(bj))
-            in_off = None
-            for (ci, cj, o2, s2) in n_in.blocks.get(bj, []):
-                if cj == -i:
-                    in_off, in_size = o2, s2
-                    _, _, sect_i = cx.term_tensor(n_in.c.term(ci), n_in.d.term(cj))
-                    break
-            if in_off is None:
-                continue
-            dd = dterm._dual_data
+    a_dim = phi.source.algebra.dim
+
+    def evaluate(n, vec):
+        out = {}
+        for (i, _, k), triples in cx.split3(n_out, n_in, n, vec, True).items():
+            functionals = dk.complex.term(k)._dual_data.functionals
             sgn = Q1 if i % 2 == 0 else -Q1
-            inner_dim = n_in.complex.dim(bj)
-            for col in range(size):
-                out = {}
-                for idx, c0 in sect_o.col_items(col):
-                    m_idx, q_idx = divmod(idx, inner_dim)
-                    ql = q_idx - in_off
-                    if ql < 0 or ql >= in_size:
-                        continue
-                    for idx2, c1 in sect_i.col_items(ql):
-                        xi_idx, f_idx = divmod(idx2, dterm.dim)
-                        for e_idx, val in dd.functionals[f_idx].col_items(m_idx):
-                            r, aa = divmod(e_idx, a_dim)
-                            if aa != xi_idx:
-                                continue
-                            p = sgn * c0 * c1 * val
-                            out[r] = out[r] + p if r in out else p
-                if cx._accumulate(entries, out, 0, cols, off + col):
-                    wrote = True
-        if wrote:
-            comps[0] = Matrix.sparse(rows, cols, entries)
-    return cx.ChainMap(n_out.complex, reg_complex, 0, comps, check=False)
+            for (m, xi, f), c in triples.items():
+                for e, val in functionals[f].col_items(m):
+                    r, aa = divmod(e, a_dim)
+                    if aa == xi:
+                        p = sgn * c * val
+                        out[r] = out[r] + p if r in out else p
+        return out
+    return _chain_map(n_out.complex, reg_complex, evaluate, [0])
 
 
 def unit_eta2(phi: Kernel):
@@ -715,7 +589,8 @@ def unit_eta1(phi: Kernel):
 
 
 def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
-    """The Y-shaped coevaluation cycle in degree 0 of the contracted target.
+    """The Y-shaped coevaluation cycle in degree 0 of the contracted target,
+    a sum of raw triples.
 
     Straight (eta2):  sum_i (-1)^i sum_p sum_l xi^l (x) (phi_p (x) x_p . r_l)
     living in D(A) (x) Q(phi^v (x) phi).
@@ -723,9 +598,8 @@ def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
     living in Q(phi (x) Q(phi^v (x) D(B))).
     """
     x, y = phi.source, phi.target
-    a = x.algebra
-    b = y.algebra
-    acc = {}
+    dual_dim = y.algebra.dim if mirror else x.algebra.dim
+    triples = {}
     for i in phi.complex.degrees():
         mterm = phi.complex.term(i)
         dterm = dk.complex.term(-i)
@@ -736,30 +610,21 @@ def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
         pd = alg.proj_data(mterm)
         if pd is None:
             raise NotPerfect(f"{mterm.label}: no witness for unit element")
+        act = mterm.act_left if mirror else mterm.act_right
+        tri = triples.setdefault((i, -i, 0) if mirror else (0, -i, i), {})
         for gen, phi_mat in pd.coordinates():
             fcoords = dd.express(phi_mat)
             if fcoords is None:
                 raise InvariantViolation("coordinate functional escaped the dual basis")
-            fcoords = {fi: sgn * fc for fi, fc in fcoords.items()}
-            if not mirror:
-                inner_dim = tc_inner.complex.dim(0)
-                for l in range(a.dim):
-                    x_rl = mterm.act_right({l: Q1}).apply_map(gen)
-                    inner_vec = {}
-                    _embed_block(tc_inner, 0, -i, i,
-                                 alg._kron_vec(fcoords, x_rl, mterm.dim), inner_vec)
-                    raw_out = {l * inner_dim + r: val for r, val in inner_vec.items()}
-                    _embed_block(n_out, 0, 0, 0, raw_out, acc)
-            else:
-                mid_dim = tc_inner.complex.dim(-i)
-                for k in range(b.dim):
-                    ck_x = mterm.act_left({k: Q1}).apply_map(gen)
-                    raw_mid = {fi * b.dim + k: fc for fi, fc in fcoords.items()}
-                    mid_vec = {}
-                    _embed_block(tc_inner, -i, -i, 0, raw_mid, mid_vec)
-                    raw_out = alg._kron_vec(ck_x, mid_vec, mid_dim)
-                    _embed_block(n_out, 0, i, -i, raw_out, acc)
-    return alg._nonzero(acc)
+            for l in range(dual_dim):
+                # c_l . x_p (mirror) or x_p . r_l, against phi_p and the l-th
+                # dual basis vector of the algebra
+                for m, xm in act({l: Q1}).apply_map(gen).items():
+                    for f, fc in fcoords.items():
+                        key = (m, f, l) if mirror else (l, f, m)
+                        p = sgn * fc * xm
+                        tri[key] = tri[key] + p if key in tri else p
+    return cx.join3(n_out, tc_inner, 0, triples, True)
 
 
 # ---------------------------------------------------------------------------
@@ -931,30 +796,14 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
         if comp.rows == 0:
             continue
         sgn = Q1 if i % 2 == 0 else -Q1
-        # expand n_out degree i into (zeta, tail(i)) and tail into (m, xi)
+        # read n_out degree i as triples (zeta, m, xi) of D(B), phi_i, D(A)
         for gen, phi_mat in pd.coordinates():
             img = comp.apply_map(gen)
-            for (bi, bj, off, size) in n_out.blocks.get(i, []):
-                _, _, sect_o = cx.term_tensor(n_out.c.term(bi), n_out.d.term(bj))
-                inner_dim = n_tail.complex.dim(bj)
-                for r in range(size):
-                    c0 = img.get(off + r)
-                    if not c0:
-                        continue
-                    for idx, c1 in sect_o.col_items(r):
-                        zeta_idx, q_idx = divmod(idx, inner_dim)
-                        for (ci, cj, o2, s2) in n_tail.blocks.get(bj, []):
-                            if q_idx < o2 or q_idx >= o2 + s2:
-                                continue
-                            if ci != i or cj != 0:
-                                continue
-                            _, _, sect_t = cx.term_tensor(n_tail.c.term(ci),
-                                                          n_tail.d.term(0))
-                            for idx2, c2 in sect_t.col_items(q_idx - o2):
-                                m_idx, xi_idx = divmod(idx2, a_dim)
-                                val = phi_mat[zeta_idx * a_dim + xi_idx, m_idx]
-                                if val:
-                                    total += sgn * c0 * c1 * c2 * val
+            for triples in cx.split3(n_out, n_tail, i, img, True).values():
+                for (zeta, m, xi), c in triples.items():
+                    val = phi_mat[zeta * a_dim + xi, m]
+                    if val:
+                        total += sgn * c * val
     return total
 
 

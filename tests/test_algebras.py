@@ -387,6 +387,17 @@ def test_engine_sources_hold_no_global_statements():
     assert found == []
 
 
+def test_only_complexes_reads_the_tensor_block_layout():
+    # where a pure tensor sits in a TensorComplex is read and written only
+    # through complexes' split / join / split3 / join3
+    layout = {"term_tensor", "_find_block", "_accumulate", "blocks"}
+    found = [f"{name}:{n.lineno}" for name, tree in _engine_sources()
+             if name != "complexes.py" for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr in layout
+             or isinstance(n, ast.Name) and n.id in layout - {"blocks"}]
+    assert found == []
+
+
 def test_values_built_once_are_memo_entries():
     # no hand-written `if self._x is None: self._x = ...` cache: a value
     # built once is an algebras._memo entry.  Matrix keeps its transpose in

@@ -265,6 +265,26 @@ def test_tensor_associator_literal_identity_on_free_triples():
         assert mat == Matrix.identity(mat.rows)
 
 
+def test_associator_is_an_inverse_pair_of_chain_maps(a2, a3):
+    # R the identity resolution, S the Serre resolution; R (x) R (x) R nests
+    # one complex on both sides, and most of these regroupings are not
+    # identity matrices
+    import hhengine.kernels as kn
+    plain = []
+    for sp in (a2, a3):
+        r, s = sp.id_resolution()[0], sp.serre_resolution()[0]
+        for triple in ((r, r, r), (r, s, r), (s, r, s)):
+            _, _, med = kn._assoc(*triple)
+            for f, g in ((med.fwd, med.inv), (med.inv, med.fwd)):
+                cx.ChainMap(f.source, f.target, 0, f.components, check=True)
+                both = g.compose(f)
+                for n in f.source.degrees():
+                    assert both.component(n) == Matrix.identity(f.source.dim(n))
+                plain.append(all(mat == Matrix.identity(mat.rows)
+                                 for mat in f.components.values()))
+    assert plain.count(False) >= 3
+
+
 def test_resolution_too_long():
     from hhengine.errors import ResolutionTooLong
     a2 = alg.path_algebra(2, [(0, 1)])
