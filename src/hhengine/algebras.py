@@ -452,7 +452,7 @@ def module_generators(m: Bimodule):
     for i in range(m.dim):
         if ech.rank == m.dim:
             break
-        if ech.residual({i: Q1}):
+        if ech.reduce({i: Q1}):
             gens.append({i: Q1})
             ech, _ = span_closure(acts, m.dim, gens)
     # prune shadowed generators, earliest first
@@ -566,8 +566,9 @@ def solve_section(m: Bimodule, cover: Cover):
 
 def _commutator_rows(am, an, nm, nn):
     """Rows, over the unknowns f[i, k] at index i * nm + k, of the entries
-    (i, j) of f . am - an . f, in row-major (i, j) order; entries with no
-    term are left out."""
+    (i, j) of f . am - an . f, in row-major (i, j) order, zero-free;
+    entries with no term are left out, and one whose terms cancel is an
+    empty row."""
     am_cols = [list(am.col_items(j)) for j in range(nm)]
     out = []
     for i in range(nn):
@@ -577,8 +578,13 @@ def _commutator_rows(am, an, nm, nn):
             row = {base + k: v for k, v in am_cols[j]}
             for k, v in arow:
                 key = k * nm + j
-                row[key] = row[key] - v if key in row else -v
-            if row:
+                if key not in row:
+                    row[key] = -v
+                elif row[key] == v:
+                    del row[key]
+                else:
+                    row[key] -= v
+            if am_cols[j] or arow:
                 out.append(row)
     return out
 
@@ -813,12 +819,16 @@ def _balance_relation(xi, yj, i, j, n):
     """(X e_i) (x) e_j - e_i (x) (Y e_j) in raw coordinates (k, l) -> k*n + l,
     from the nonzeros xi of column i of X and yj of column j of Y: with X
     the right action of b on m and Y its left action on n, the relation
-    m.b (x) n = m (x) b.n on the pure tensor e_i (x) e_j.  Entries may
-    cancel to zero."""
+    m.b (x) n = m (x) b.n on the pure tensor e_i (x) e_j, zero-free."""
     col = {k * n + j: x for k, x in xi}
     for l, y in yj:
         key = i * n + l
-        col[key] = col[key] - y if key in col else -y
+        if key not in col:
+            col[key] = -y
+        elif col[key] == y:
+            del col[key]
+        else:
+            col[key] -= y
     return col
 
 
@@ -857,10 +867,9 @@ def _tensor_core(m: Bimodule, n: Bimodule):
             mi = list(rm.col_items(i))
             for j in range(nd):
                 col = _balance_relation(mi, ln_cols[j], i, j, nd)
-                if any(col.values()):
+                if col:
                     cols.append(col)
-    sub = Matrix.from_column_maps(cols, raw)
-    proj, sect = quotient_basis(raw, sub)
+    proj, sect = quotient_basis(raw, cols)
     t_dim = proj.rows
     sect_cols = [dict(sect.col_items(c)) for c in range(t_dim)]
     la = tuple(Matrix.from_column_maps(
@@ -1153,6 +1162,5 @@ def trace_quotient(a: Algebra):
         for j in range(a.dim):
             xy = a.multiply({i: Q1}, {j: Q1})
             yx = a.multiply({j: Q1}, {i: Q1})
-            cols.append(_add_into(xy, yx, -Q1))
-    sub = Matrix.from_column_maps(cols, a.dim)
-    return quotient_basis(a.dim, sub)
+            cols.append(_nonzero(_add_into(xy, yx, -Q1)))
+    return quotient_basis(a.dim, cols)

@@ -183,7 +183,7 @@ def homology(c: Complex, n: int):
         if coeffs is None:
             raise ValueError("boundary not a cycle; complex is corrupt")
         bcols.append(coeffs)
-    proj_q, sect_q = quotient_basis(z.cols, Matrix.from_column_maps(bcols, z.cols))
+    proj_q, sect_q = quotient_basis(z.cols, bcols)
     section = z * sect_q
     # projector on all of C_n: write each unit vector over (kernel basis +
     # a complement of the kernel); the complement part projects to 0

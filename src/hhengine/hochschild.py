@@ -189,10 +189,9 @@ def hh_via_tor(space):
                     for mg, gn in ((lm, ra), (rm, la)):
                         col = alg._balance_relation(mg.col_items(i),
                                                     gn.col_items(j), i, j, a.dim)
-                        if any(col.values()):
+                        if col:
                             cols.append(col)
-        sub = Matrix.from_column_maps(cols, raw)
-        proj, sect = quotient_basis(raw, sub)
+        proj, sect = quotient_basis(raw, cols)
         pieces[n] = (proj, sect)
     pt = alg.point_algebra()
     terms = {n: alg.point_bimodule(pt, p.rows, label=f"tor^{n}")

@@ -10,8 +10,11 @@ on maps, echelon rows are maps, solutions and coordinates come back as maps.
 The elimination is fraction-free on scaled integer rows (Bareiss-style
 pivoting discipline) with a fixed deterministic pivot rule: the pivot of each
 row is its first nonzero entry in column order, and rows are processed in the
-order given.  Every basis produced downstream (nullspaces, quotients, homology
-bases, Hochschild bases) is a function of this rule only, so repeated runs
+order given.  `Echelon` stores each row only semi-reduced, against the pivots
+that existed when it came in, and back-substitutes once, when the rows are
+read; the pivots and the fully reduced rows are unique for the row space, so
+every basis produced downstream (nullspaces, quotients, homology bases,
+Hochschild bases) is a function of the pivot rule only, and repeated runs
 agree bit for bit.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 Q0 = 0
@@ -385,9 +389,13 @@ def block_diag(blocks):
 
 # ---------------------------------------------------------------------------
 # Sparse row echelon.  Rows are dicts {col: value}.  The echelon keeps, for
-# each pivot column, one row normalized to pivot 1, fully reduced against the
-# earlier pivots on insertion.  This is GaussJordan done incrementally, which
-# is what makes the big structured solves (module-hom systems) affordable.
+# each pivot column, one row normalized to pivot 1.  A row is stored
+# semi-reduced: zero left of its pivot and zero on every pivot that existed
+# when it was inserted, so an insert costs one reduction and nothing more.
+# Reading `pivot_row` back-substitutes once, over all rows, into the unique
+# fully reduced form.  An insert thus never walks the stored rows, which
+# would make a run of inserts quadratic in the rank; this is what makes the
+# big structured solves (module-hom systems) affordable.
 # ---------------------------------------------------------------------------
 
 
@@ -407,38 +415,49 @@ def _clear_denominators(row):
 
 
 class Echelon:
-    """Incremental reduced row echelon over Q with first-nonzero pivoting."""
+    """Incremental row echelon over Q with first-nonzero pivoting, fully
+    reduced on read."""
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.pivot_row = {}   # pivot column -> row dict (pivot entry == 1)
-        self.order = []       # pivot columns in insertion order
+        self._rows = {}       # pivot column -> semi-reduced row (pivot entry 1)
+        self._reduced = True  # every stored row is zero on every other pivot
 
     def reduce(self, row):
-        """Fully reduce a dict row against the current echelon (copy-safe).
+        """The residual of a dict row modulo the row space, zero-free
+        (copy-safe): the unique vector in row + span(rows) that is zero on
+        every pivot column.
 
-        Every stored row is zero on every other pivot column, so clearing one
-        pivot entry never touches another: one pass over the pivot columns
-        present in the row reduces it completely.
+        Clearing pivot p touches only columns right of p, so clearing the
+        pivots present in the row in increasing column order, including
+        those the clearing itself brings in, reduces it completely in one
+        pass.
         """
-        row = dict(row)
-        piv = self.pivot_row
-        for p in [j for j in row if j in piv]:
-            c = row.pop(p)
-            for k, v in piv[p].items():
-                if k == p:
-                    continue
-                w = row.get(k, Q0) - c * v
-                if w:
-                    row[k] = _exact(w)
-                else:
-                    row.pop(k, None)
+        rows = self._rows
+        row = {j: v for j, v in row.items() if v}
+        heap = [j for j in row if j in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            c = row.pop(p, None)
+            if c is None:
+                continue
+            for k, v in rows[p].items():
+                if k in row:
+                    w = row[k] - c * v
+                    if w:
+                        row[k] = _exact(w)
+                    else:
+                        del row[k]
+                elif k != p:
+                    row[k] = _exact(-c * v)
+                    if k in rows:
+                        heappush(heap, k)
         return row
 
     def insert(self, row):
         """Reduce and insert; returns the new pivot column or None if dependent."""
         row = self.reduce(row)
-        row = {j: v for j, v in row.items() if v}
         if not row:
             return None
         p = min(row)
@@ -448,30 +467,33 @@ class Echelon:
         elif pv != 1:
             inv = Fraction(pv.denominator, pv.numerator)
             row = {j: _exact(v * inv) for j, v in row.items()}
-        # back-substitute into existing rows so the echelon stays fully reduced
-        for q in self.order:
-            r = self.pivot_row[q]
-            c = r.get(p)
-            if c:
-                for k, v in row.items():
-                    if k == p:
-                        r.pop(p, None)
-                        continue
-                    w = r.get(k, Q0) - c * v
-                    if w:
-                        r[k] = _exact(w)
-                    else:
-                        r.pop(k, None)
-        self.pivot_row[p] = row
-        self.order.append(p)
+        self._rows[p] = row
+        self._reduced = False
         return p
 
     @property
+    def pivot_row(self):
+        """{pivot column: row} in insertion order, each row normalized to
+        pivot 1 and zero on every other pivot column (the reduced row
+        echelon form, unique for the row space)."""
+        rows = self._rows
+        if not self._reduced:
+            # decreasing pivots: the rows right of p are reduced already, and
+            # the part of row p right of p reduces against them alone
+            for p in sorted(rows, reverse=True):
+                row = rows[p]
+                if any(k != p and k in rows for k in row):
+                    rows[p] = {p: row[p], **self.reduce(
+                        {k: v for k, v in row.items() if k != p})}
+            self._reduced = True
+        return rows
+
+    @property
     def rank(self):
-        return len(self.order)
+        return len(self._rows)
 
     def free_columns(self):
-        piv = self.pivot_row
+        piv = self._rows
         return [j for j in range(self.ncols) if j not in piv]
 
     def nullspace_maps(self):
@@ -480,12 +502,9 @@ class Echelon:
         free = {f: {f: Q1} for f in self.free_columns()}
         for p, row in self.pivot_row.items():
             for f, c in row.items():
-                if f != p and c:
+                if f != p:
                     free[f][p] = -c
         return list(free.values())
-
-    def residual(self, row):
-        return {j: v for j, v in self.reduce(row).items() if v}
 
 
 class SpanSolver:
@@ -558,17 +577,16 @@ def solve(m: Matrix, b) -> dict:
     return x
 
 
-def quotient_basis(ambient_dim: int, subspace: Matrix):
-    """Projector/section pair for Q^ambient / span(columns of subspace).
+def quotient_basis(ambient_dim: int, columns):
+    """Projector/section pair for Q^ambient / span(columns), the columns
+    given as zero-free {row: value} maps.
 
     projector: ambient -> quotient, section: quotient -> ambient,
     projector . section = identity, projector kills exactly the subspace.
     """
-    if subspace.rows != ambient_dim:
-        raise ValueError("subspace rows must equal ambient_dim")
     ech = Echelon(ambient_dim)
-    for j in range(subspace.cols):
-        ech.insert(_clear_denominators(dict(subspace.col_items(j))))
+    for col in columns:
+        ech.insert(_clear_denominators(col))
     free = ech.free_columns()
     qdim = len(free)
     slot = {f: k for k, f in enumerate(free)}

@@ -256,6 +256,43 @@ def test_product_space_constructor():
     assert payloads(report)["h"][1] == {"hh": {"0": 4}}
 
 
+def paths_between(arrows, s, t):
+    """Number of paths from s to t in an acyclic quiver, the trivial path
+    included."""
+    return (s == t) + sum(paths_between(arrows, b, t) for a, b in arrows if a == s)
+
+
+@pytest.mark.parametrize("vertices, arrows", [
+    (2, [[0, 1], [0, 1]]),
+    (3, [[0, 1], [1, 2], [0, 2]])], ids=["kronecker", "triangle"])
+def test_non_tree_quivers(vertices, arrows):
+    # Happel: HH^0 = 1 and HH^1 = 1 - n + sum over arrows a of the number of
+    # paths from s(a) to t(a), nothing higher; HH_0 has one class per vertex
+    doc = {
+        "schema": cli.SCHEMA,
+        "spaces": {"pt": {"type": "point"},
+                   "Q": {"type": "path_quiver", "vertices": vertices,
+                         "arrows": arrows}},
+        "tasks": [{"id": "hh", "op": "hh", "space": "Q"},
+                  {"id": "hcoh", "op": "hcoh", "space": "Q"},
+                  {"id": "oracle", "op": "verify", "check": "hh-oracle",
+                   "space": "Q"},
+                  {"id": "pairing", "op": "pairing-matrix", "space": "Q"}],
+    }
+    report, ok = cli.run_workspace(doc, "quiver")
+    assert ok
+    p = payloads(report)
+    assert p["hh"] == ("ok", {"hh": {"0": vertices}})
+    hh1 = 1 - vertices + sum(paths_between(arrows, s, t) for s, t in arrows)
+    assert hh1 > 0
+    assert p["hcoh"] == ("ok", {"hcoh": {"0": 1, "1": hh1}})
+    assert p["oracle"][1]["tor"] == {"0": vertices}
+    pairing = p["pairing"][1]
+    assert pairing["rank"] == vertices
+    assert len(pairing["matrix"]) == vertices
+    assert all(len(row) == vertices for row in pairing["matrix"])
+
+
 def test_explain_pushforward_with_class(tmp_path, capsys):
     doc = load_ws("bz2")
     doc["tasks"].append({"id": "push-one", "op": "pushforward",

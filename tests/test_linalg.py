@@ -16,6 +16,11 @@ def as_map(vec):
     return {i: x for i, x in enumerate(vec) if x}
 
 
+def columns(mat):
+    """The columns of a Matrix as zero-free {row: value} maps."""
+    return [dict(mat.col_items(j)) for j in range(mat.cols)]
+
+
 def test_rank_examples():
     assert rank(Matrix.identity(2)) == 2
     assert rank(Matrix.zero(2, 2)) == 0
@@ -43,12 +48,11 @@ def test_solve_examples():
 
 
 def test_quotient_examples():
-    p, s = quotient_basis(2, Matrix.from_column_maps([as_map((Fraction(1), 0))], 2))
+    p, s = quotient_basis(2, [as_map((Fraction(1), 0))])
     assert p.rows == 1 and (p * s) == Matrix.identity(1)
-    p, s = quotient_basis(3, Matrix.zero(3, 0))
+    p, s = quotient_basis(3, [])
     assert p.rows == 3 and p == Matrix.identity(3)
-    p, s = quotient_basis(2, Matrix.from_column_maps(
-        [as_map((Fraction(1), Fraction(1)))], 2))
+    p, s = quotient_basis(2, [as_map((Fraction(1), Fraction(1)))])
     assert p.rows == 1
     assert p.apply_map(as_map((1, 0))) == {
         i: -x for i, x in p.apply_map(as_map((0, 1))).items()}
@@ -76,7 +80,7 @@ def test_quotient_rank_invariant():
         amb = rng.randrange(1, 5)
         k = rng.randrange(0, amb + 1)
         sub = Matrix(amb, k, [Fraction(rng.randrange(-2, 3)) for _ in range(amb * k)])
-        p, s = quotient_basis(amb, sub)
+        p, s = quotient_basis(amb, columns(sub))
         assert p.rows == amb - rank(sub)
         assert (p * s) == Matrix.identity(p.rows)
         assert (p * sub).is_zero()
@@ -97,6 +101,15 @@ def test_echelon_insert_reduces_fully():
     e.insert({1: Fraction(1), 2: Fraction(1)})
     # first pivot row must have been back-substituted
     assert e.pivot_row[0].get(1) is None
+
+
+def test_explicit_zeros_never_reach_a_row():
+    e = Echelon(2)
+    assert e.insert({0: 0, 1: 1}) == 1
+    assert e.pivot_row == {1: {1: 1}}
+    assert e.reduce({0: 0, 1: 5}) == {}
+    assert e.reduce({0: 2, 1: 0}) == {0: 2}
+    assert e.insert({0: 0, 1: 0}) is None and e.rank == 1
 
 
 # -- randomized comparison with a dense list-of-lists reference ----------------
@@ -158,6 +171,29 @@ def d_rref(rows, ncols):
         out = [(p, [x - pr[piv] * y for x, y in zip(pr, r)]) for p, pr in out]
         out.append((piv, r))
     return dict(out)
+
+
+def d_residual(vec, piv):
+    """vec minus its components along the rows of a reduced echelon."""
+    vec = [Fraction(x) for x in vec]
+    for p, row in piv.items():
+        c = vec[p]
+        if c:
+            vec = [x - c * y for x, y in zip(vec, row)]
+    return vec
+
+
+def d_nullspace(piv, ncols):
+    """One kernel vector per free column of a reduced echelon, in order."""
+    out = []
+    for f in range(ncols):
+        if f not in piv:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for p, row in piv.items():
+                vec[p] = -row[f]
+            out.append(vec)
+    return out
 
 
 def test_matrix_operations_match_dense_reference():
@@ -249,16 +285,9 @@ def test_eliminations_match_dense_reference_bit_for_bit():
             ma = Matrix(r, c, [x for row in a for x in row])
             # nullspace: one vector per free column of rref(a), in column order
             piv = d_rref(a, c)
-            free = [j for j in range(c) if j not in piv]
-            want = []
-            for f in free:
-                vec = [Fraction(0)] * c
-                vec[f] = Fraction(1)
-                for p, row in piv.items():
-                    vec[p] = -row[f]
-                want.append(vec)
+            want = d_nullspace(piv, c)
             ns = nullspace_basis(ma)
-            assert (ns.rows, ns.cols) == (c, len(free))
+            assert (ns.rows, ns.cols) == (c, len(want))
             assert [dict(ns.col_items(j)) for j in range(ns.cols)] == [
                 as_map(w) for w in want]
             assert exact(ns.data)
@@ -292,7 +321,63 @@ def test_eliminations_match_dense_reference_bit_for_bit():
                         proj[k][p] = -row[f]
                 sect = [[Fraction(1) if i == f else Fraction(0) for f in qfree]
                         for i in range(r)]
-                pm, sm = quotient_basis(r, ma)
+                pm, sm = quotient_basis(r, columns(ma))
                 assert (pm.rows, pm.cols, sm.rows, sm.cols) == (len(qfree), r, r, len(qfree))
                 assert dense(pm) == proj and dense(sm) == sect
                 assert exact(pm.data + sm.data)
+
+
+def test_lazy_echelon_matches_dense_reference_after_every_read():
+    # inserts interleaved with every kind of read: each read sees the reduced
+    # echelon of the rows inserted so far, whether or not a read came between
+    # them; inputs sometimes carry explicit zeros
+    for values, seed in ((VALUES, 21), (INTS, 22)):
+        rng = random.Random(seed)
+        for _ in range(60):
+            c = rng.randrange(1, 7)
+            ech, solver = Echelon(c), SpanSolver(c)
+            rows, spans = [], []
+
+            def vector():
+                vec = rand_dense(rng, 1, c, values, density=0.5)[0]
+                return vec, (dict(enumerate(vec)) if rng.random() < 0.3
+                             else as_map(vec))
+
+            for _ in range(rng.randrange(1, 30)):
+                op = rng.choice(("insert", "insert", "insert", "pivot_row",
+                                 "reduce", "nullspace", "add", "express"))
+                vec, given = vector()
+                piv = d_rref(rows, c)
+                if op == "insert":
+                    new = set(d_rref(rows + [vec], c)) - set(piv)
+                    assert ech.insert(given) == (new.pop() if new else None)
+                    rows.append(vec)
+                elif op == "pivot_row":
+                    assert ech.pivot_row == {p: as_map(r) for p, r in piv.items()}
+                    assert ech.rank == len(piv)
+                elif op == "reduce":
+                    res = ech.reduce(given)
+                    assert res == as_map(d_residual(vec, piv))
+                    assert all(res.values())
+                elif op == "nullspace":
+                    assert ech.nullspace_maps() == [
+                        as_map(w) for w in d_nullspace(piv, c)]
+                elif op == "add":
+                    solver.add(given)
+                    spans.append(vec)
+                else:
+                    # tagged reference: span k carries a 1 in column c + k
+                    if spans and rng.random() < 0.5:
+                        coeffs = [rng.choice(values) for _ in spans]
+                        vec = [sum((x * s[j] for x, s in zip(coeffs, spans)),
+                                   Fraction(0)) for j in range(c)]
+                    n = len(spans)
+                    tagged = d_rref([s + [1 if t == k else 0 for t in range(n)]
+                                     for k, s in enumerate(spans)], c + n)
+                    res = d_residual(vec + [0] * n, tagged)
+                    got = solver.express(as_map(vec))
+                    if any(res[:c]):
+                        assert got is None
+                    else:
+                        assert got == {k: -x for k, x in enumerate(res[c:]) if x}
+                        assert all(got.values())
