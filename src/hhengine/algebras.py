@@ -40,8 +40,9 @@ from __future__ import annotations
 from .errors import (AlgebraMismatch, CyclicQuiver, InvariantViolation,
                      NotAGroup, NotPerfect, ResolutionTooLong)
 from .linalg import (Echelon, Matrix, Q1, SpanSolver, _clear_denominators,
-                     _exact, _solve_rows, block_diag, linear_combination,
-                     nullspace_basis, quotient_basis)
+                     _exact, _solve_rows, block_diag, free_coordinates,
+                     linear_combination, nullspace_basis, quotient_basis,
+                     row_echelon)
 
 
 def _memo(owner, key, build):
@@ -192,11 +193,10 @@ class Algebra:
         def build():
             u = self.idempotents[uidx]
             cols, solver = [], SpanSolver(self.dim)
-            ech = Echelon(self.dim)
             for i in range(self.dim):
                 e = {i: Q1}
                 v = self.multiply(e, u) if side == "left" else self.multiply(u, e)
-                if ech.insert(_clear_denominators(v)) is not None:
+                if solver.express(v) is None:
                     cols.append(v)
                     solver.add(v)
             return Matrix.from_column_maps(cols, self.dim), solver
@@ -425,42 +425,35 @@ def module_as_bimodule(a: Algebra, pt: Algebra, action, label="E"):
 # -- module spans, generators, covers, sections ------------------------------
 
 
-def span_closure(gen_acts, dim, seeds):
-    """Echelon of the module span of `seeds` under the generator actions."""
-    ech = Echelon(dim)
-    vecs = []
-    work = []
-    for v in seeds:
-        if ech.insert(_clear_denominators(v)) is not None:
-            vecs.append(v)
-            work.append(v)
+def span_closure(gen_acts, ech, seeds):
+    """`ech`, whose row space is a submodule, extended to the module span of
+    it and `seeds` under the generator actions."""
+    work = [v for v in seeds if ech.insert(_clear_denominators(v)) is not None]
     while work:
         w = work.pop()
         for g in gen_acts:
             gv = g.apply_map(w)
             if gv and ech.insert(_clear_denominators(gv)) is not None:
-                vecs.append(gv)
                 work.append(gv)
-    return ech, vecs
+    return ech
 
 
 def module_generators(m: Bimodule):
     """Greedy, pruned generating vectors of m as a left env-module."""
     acts = m.env_generator_actions()
     gens = []
-    ech, _ = span_closure(acts, m.dim, [])
+    ech = Echelon(m.dim)
     for i in range(m.dim):
         if ech.rank == m.dim:
             break
         if ech.reduce({i: Q1}):
             gens.append({i: Q1})
-            ech, _ = span_closure(acts, m.dim, gens)
+            span_closure(acts, ech, [{i: Q1}])
     # prune shadowed generators, earliest first
     k = 0
     while k < len(gens):
         rest = gens[:k] + gens[k + 1:]
-        ech, _ = span_closure(acts, m.dim, rest)
-        if ech.rank == m.dim:
+        if span_closure(acts, Echelon(m.dim), rest).rank == m.dim:
             gens = rest
         else:
             k += 1
@@ -567,8 +560,7 @@ def solve_section(m: Bimodule, cover: Cover):
 def _commutator_rows(am, an, nm, nn):
     """Rows, over the unknowns f[i, k] at index i * nm + k, of the entries
     (i, j) of f . am - an . f, in row-major (i, j) order, zero-free;
-    entries with no term are left out, and one whose terms cancel is an
-    empty row."""
+    entries with no term, or whose terms cancel, are left out."""
     am_cols = [list(am.col_items(j)) for j in range(nm)]
     out = []
     for i in range(nn):
@@ -584,7 +576,7 @@ def _commutator_rows(am, an, nm, nn):
                     del row[key]
                 else:
                     row[key] -= v
-            if am_cols[j] or arow:
+            if row:
                 out.append(row)
     return out
 
@@ -659,20 +651,20 @@ def sum_proj_data(ab: Bimodule, a: Bimodule, b: Bimodule):
 
 
 def kernel_submodule(f: Matrix, m: Bimodule, label="K"):
-    """(K, inclusion) for ker(f) with f a module map out of m."""
-    z = nullspace_basis(f)
-    zcols = [dict(z.col_items(j)) for j in range(z.cols)]
-    solver = SpanSolver(m.dim)
-    for col in zcols:
-        solver.add(col)
+    """(K, inclusion) for ker(f) with f a module map out of m; a kernel
+    vector's coordinates are its free-column entries."""
+    ech = row_echelon(f)
+    free = ech.free_columns()
+    zcols = ech.nullspace_maps()
+    z = Matrix.from_column_maps(zcols, f.cols)
 
     def restrict(act):
         cols = []
         for col in zcols:
-            c = solver.express(act.apply_map(col))
-            if c is None:
+            v = act.apply_map(col)
+            if f.apply_map(v):
                 raise InvariantViolation("kernel not closed under the action")
-            cols.append(c)
+            cols.append(free_coordinates(free, v))
         return Matrix.from_column_maps(cols, z.cols)
 
     la = [restrict(act) for act in m.left_action]
@@ -748,8 +740,8 @@ def projective_resolution(m: Bimodule, max_length=None):
 
 
 def _hom_system(m: Bimodule, n: Bimodule):
-    """(basis tuple, coordinate solver) of the bimodule maps m -> n, shared
-    by every pair with the same generator actions."""
+    """(basis tuple, free columns) of the bimodule maps m -> n, shared by
+    every pair with the same generator actions."""
     def build():
         if m.left is not n.left or m.right is not n.right:
             raise AlgebraMismatch("hom between bimodules over different pairs")
@@ -761,17 +753,15 @@ def _hom_system(m: Bimodule, n: Bimodule):
 
 
 def _hom_core(gm, gn, nm, nn):
-    """(basis, solver) of the nn x nm matrices f with f . am = an . f for
-    every pair of generator actions (am, an)."""
+    """(basis, free columns) of the nn x nm matrices f with f . am = an . f
+    for every pair of generator actions (am, an); basis[k] is 1 on flat
+    entry free[k] and 0 on every other free column."""
     ech = Echelon(nn * nm)
     for am, an in zip(gm, gn):
         for row in _commutator_rows(am, an, nm, nn):
             ech.insert(row)
     basis = tuple(Matrix.sparse(nn, nm, v) for v in ech.nullspace_maps())
-    solver = SpanSolver(nn * nm)
-    for b in basis:
-        solver.add(b.flat_items())
-    return basis, solver
+    return basis, tuple(ech.free_columns())
 
 
 def hom_basis(m: Bimodule, n: Bimodule):
@@ -780,9 +770,14 @@ def hom_basis(m: Bimodule, n: Bimodule):
 
 
 def hom_coordinates(m: Bimodule, n: Bimodule, mat: Matrix):
-    """Coordinates of a map in the hom_basis, or None if not a module map."""
-    hom_basis(m, n)
-    return _hom_system(m, n)[1].express(mat.flat_items())
+    """Coordinates of a map in the hom_basis, or None if not a module map:
+    the free entries, kept when their combination of the basis rebuilds
+    the map."""
+    basis = hom_basis(m, n)
+    coords = free_coordinates(_hom_system(m, n)[1], mat.flat_items())
+    rebuilt = linear_combination(((c, basis[k]) for k, c in coords.items()),
+                                 n.dim, m.dim)
+    return coords if rebuilt == mat else None
 
 
 # -- tensor over the middle algebra, with derived projectivity data -----------
@@ -904,10 +899,9 @@ def _tensor_proj_data(t, m, n, proj, sect):
             jb, ja = _piece_factor_indices(n, vidx)
             v_b = n.left.idempotents[jb]
             wcols, wsolver = [], SpanSolver(b.dim)
-            ech = Echelon(b.dim)
             for k in range(b.dim):
                 w = b.multiply(b.multiply(u_b, {k: Q1}), v_b)
-                if w and ech.insert(_clear_denominators(w)) is not None:
+                if wsolver.express(w) is None:
                     wcols.append(w)
                     wsolver.add(w)
             if not wcols:

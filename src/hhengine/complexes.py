@@ -30,8 +30,8 @@ handed to the one augmented solve of linalg.
 from __future__ import annotations
 
 from .errors import AlgebraMismatch, InvariantViolation, NotPerfect
-from .linalg import (Echelon, Matrix, Q0, Q1, SpanSolver, _clear_denominators,
-                     _solve_rows, block_diag, nullspace_basis, quotient_basis)
+from .linalg import (Matrix, Q0, Q1, _solve_rows, block_diag, free_coordinates,
+                     quotient_basis, row_echelon)
 from . import algebras as alg
 from .algebras import _memo
 
@@ -167,42 +167,26 @@ def homology(c: Complex, n: int):
     """(dimension, cycle_section, class_projector) at degree n.
 
     cycle_section: H -> C_n lands in cycles; class_projector: C_n -> H kills
-    boundaries and a fixed complement of the cycles; projector . section = id.
+    boundaries and the pivot unit vectors of d_n, which complement the
+    cycles; projector . section = id.  One elimination of d_n fixes the
+    cycle basis, and a cycle's coordinates in it are its free-column
+    entries (linalg.free_coordinates), so the projector is the quotient's
+    projector applied to that restriction.
     """
     dn = c.differential(n)
     dprev = c.differential(n - 1)
-    z = nullspace_basis(dn)                      # C_n columns spanning ker
-    # boundaries inside kernel coordinates
-    zcols = [dict(z.col_items(j)) for j in range(z.cols)]
-    zsolver = SpanSolver(c.dim(n))
-    for col in zcols:
-        zsolver.add(col)
-    bcols = []
-    for j in range(dprev.cols):
-        coeffs = zsolver.express(dict(dprev.col_items(j)))
-        if coeffs is None:
-            raise ValueError("boundary not a cycle; complex is corrupt")
-        bcols.append(coeffs)
-    proj_q, sect_q = quotient_basis(z.cols, bcols)
-    section = z * sect_q
-    # projector on all of C_n: write each unit vector over (kernel basis +
-    # a complement of the kernel); the complement part projects to 0
-    ech = Echelon(c.dim(n))
-    for col in zcols:
-        ech.insert(_clear_denominators(col))
-    comp_rows = [i for i in range(c.dim(n)) if ech.insert({i: Q1}) is not None]
-    solver = SpanSolver(c.dim(n))
-    for col in zcols:
-        solver.add(col)
-    for i in comp_rows:
-        solver.add({i: Q1})
-    proj_cols = []
-    for i in range(c.dim(n)):
-        coeffs = solver.express({i: Q1})
-        kercoords = {k: x for k, x in coeffs.items() if k < z.cols}
-        proj_cols.append(proj_q.apply_map(kercoords))
-    projector = Matrix.from_column_maps(proj_cols, proj_q.rows)
-    return proj_q.rows, section, projector
+    if not (dn * dprev).is_zero():
+        raise ValueError("boundary not a cycle; complex is corrupt")
+    dim = c.dim(n)
+    ech = row_echelon(dn)
+    free = ech.free_columns()
+    z = Matrix.from_column_maps(ech.nullspace_maps(), dim)
+    bcols = [free_coordinates(free, dict(dprev.col_items(j)))
+             for j in range(dprev.cols)]
+    proj_q, sect_q = quotient_basis(len(free), bcols)
+    projector = Matrix.sparse(proj_q.rows, dim, {i * dim + free[k]: x
+                                                 for i, k, x in proj_q.items()})
+    return proj_q.rows, z * sect_q, projector
 
 
 def homology_dims(c: Complex):

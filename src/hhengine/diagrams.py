@@ -1,4 +1,4 @@
-"""Textual string-diagram terms: parse, typecheck, evaluate.
+"""Textual string-diagram terms: parse, print, evaluate.
 
 Grammar (UTF-8, whitespace-insensitive):
 
@@ -448,15 +448,3 @@ def evaluate(node: Node, env: Environment):
             if tgt.factors[:-len(skx_f) - 1] else strand.target.identity_kernel()
         return kn.partial_trace_right(inner, strand, theta, psi)
     raise UnknownPrimitive(k)
-
-
-def typecheck(node: Node, env: Environment):
-    """Boundary of the term; raises BoundaryMismatch on bad composites.
-
-    Checking is semantic: the term is evaluated (the engine's composition
-    machinery enforces exactly the published composability rules) and the
-    boundary of the result is reported.  tr() terms report ('scalar',)."""
-    out = evaluate(node, env)
-    if isinstance(out, kn.TwoMorphism):
-        return boundary_of(out, env)
-    return ("scalar",)

@@ -85,13 +85,12 @@ class Kernel:
         return ".".join(f.label for f in self.factors)
 
 
-def conv_kernel(factors, source=None, target=None):
-    """The memoised right-nested convolution of an atomic factor list."""
+def conv_kernel(factors):
+    """The memoised right-nested convolution of a non-empty atomic factor
+    list; the empty convolution is a space's `identity_kernel()`."""
     factors = tuple(factors)
     if not factors:
-        if not (source is not None and source is target or target is None):
-            raise InvariantViolation("empty convolution between different spaces")
-        return source.identity_kernel()
+        raise InvariantViolation("convolution of no factors has no space")
 
     def build():
         for a, b in zip(factors, factors[1:]):

@@ -16,6 +16,11 @@ read; the pivots and the fully reduced rows are unique for the row space, so
 every basis produced downstream (nullspaces, quotients, homology bases,
 Hochschild bases) is a function of the pivot rule only, and repeated runs
 agree bit for bit.
+
+A subspace given as a nullspace is eliminated once.  Its basis vector k
+from `nullspace_maps` is 1 on free column k and 0 on every other free
+column, so a vector of the nullspace has its own free-column entries as
+coordinates (`free_coordinates`); no second solver re-derives them.
 """
 
 from __future__ import annotations
@@ -532,7 +537,8 @@ class SpanSolver:
         return {j - self.ncols: -v for j, v in res.items() if v}
 
 
-def _row_echelon(m: Matrix):
+def row_echelon(m: Matrix):
+    """The echelon of m's rows."""
     ech = Echelon(m.cols)
     for i in range(m.rows):
         ech.insert(_clear_denominators(dict(m.row_items(i))))
@@ -540,12 +546,20 @@ def _row_echelon(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return _row_echelon(m).rank
+    return row_echelon(m).rank
 
 
 def nullspace_basis(m: Matrix) -> Matrix:
     """Columns form the canonical basis of {v : m v = 0}."""
-    return Matrix.from_column_maps(_row_echelon(m).nullspace_maps(), m.cols)
+    return Matrix.from_column_maps(row_echelon(m).nullspace_maps(), m.cols)
+
+
+def free_coordinates(free, vec):
+    """Coordinates, zero-free, of a vector `vec` of a nullspace in the basis
+    `nullspace_maps` gives: basis vector k is 1 on free[k] and 0 on every
+    other free column, so coordinate k is vec's entry on free[k].  Whether
+    vec lies in the nullspace at all is the caller's check."""
+    return {k: vec[f] for k, f in enumerate(free) if vec.get(f)}
 
 
 def _solve_rows(rows, total):

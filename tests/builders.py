@@ -1,5 +1,6 @@
 """Builders that only the tests use: free bimodules, the enveloping algebra
-of one algebra, direct sums and mapping cones of complexes.
+of one algebra, direct sums and mapping cones of complexes, and the
+boundary of a diagram term.
 
 The engine never builds these itself; they make test inputs (projective
 bimodules, acyclic complexes, cones quasi-isomorphic to a module) whose
@@ -10,6 +11,8 @@ from hhengine.errors import AlgebraMismatch
 from hhengine.linalg import Matrix, Q1, block_diag
 import hhengine.algebras as alg
 import hhengine.complexes as cx
+import hhengine.diagrams as dg
+import hhengine.kernels as kn
 
 
 def enveloping(a):
@@ -76,3 +79,15 @@ def cone(f):
             m[(c2 + i) * cols + c1 + j] = x
         diffs[n] = Matrix.sparse(rows, cols, m)
     return cx.Complex(terms, diffs, c.left, c.right, check=False)
+
+
+def typecheck(node, env):
+    """Boundary of a diagram term; raises BoundaryMismatch on bad composites.
+
+    Checking is semantic: the term is evaluated (the kernel layer's
+    composition enforces exactly the published composability rules) and
+    the boundary of the result is reported.  tr() terms report ('scalar',)."""
+    out = dg.evaluate(node, env)
+    if isinstance(out, kn.TwoMorphism):
+        return dg.boundary_of(out, env)
+    return ("scalar",)

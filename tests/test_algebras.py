@@ -1,5 +1,6 @@
 import ast
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hhengine.errors import CyclicQuiver, NotAGroup
-from hhengine.linalg import Matrix, rank
+from hhengine.linalg import Matrix, linear_combination, rank
 import hhengine.algebras as alg
 
 import builders
@@ -194,6 +195,28 @@ def test_content_equal_pairs_share_one_tensor_and_hom_core(make):
     assert alg._memoised(r1.left, key) == alg._tensor_core(r2, r2)
     assert alg.hom_basis(r1, r1) is alg.hom_basis(r2, r2)
     assert isinstance(alg.hom_basis(r1, r1), tuple)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alg.path_algebra(2, [(0, 1)], "A2"),
+    lambda: alg.group_algebra(s3_cayley_table(), "S3")], ids=["A2", "kS3"])
+def test_hom_coordinates_round_trip_and_reject_non_module_maps(make):
+    r = alg.regular_bimodule(make())
+    basis = alg.hom_basis(r, r)
+    rng = random.Random(7)
+    for _ in range(10):
+        coeffs = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                  for k in range(len(basis))}
+        mat = linear_combination(((c, basis[k]) for k, c in coeffs.items()),
+                                 r.dim, r.dim)
+        assert alg.hom_coordinates(r, r, mat) == {k: c for k, c in coeffs.items() if c}
+    # a matrix unit fails the commutation with some action, so it is no
+    # bimodule map, and it has no coordinates
+    unit = Matrix.sparse(r.dim, r.dim, {1: 1})
+    acts = list(zip(r.left_action, r.left_action)) + \
+        list(zip(r.right_action, r.right_action))
+    assert any(unit * x != y * unit for x, y in acts)
+    assert alg.hom_coordinates(r, r, unit) is None
 
 
 def test_projective_resolution_covers_each_module_once(monkeypatch):
@@ -430,7 +453,6 @@ def test_every_engine_function_has_an_engine_caller():
     # the package outside its own body; docstring mentions do not count.
     # The names below are called only from the tests, each for a reason.
     test_only = {
-        "diagrams.py:typecheck": "boundary of a DSL term without a task kind",
         "hochschild.py:hcoh_product": "the HH^* ring the module action respects",
         "hochschild.py:module_action": "HH^* acting on HH_*, checked bilinear",
         "hochschild.py:hcoh_unit": "unit of HH^*, checked to act as the identity",

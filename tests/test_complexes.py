@@ -8,6 +8,7 @@ import hhengine.algebras as alg
 import hhengine.complexes as cx
 
 import builders
+from test_linalg import d_nullspace, d_residual, d_rref
 
 # one point algebra for every vector-space complex here, so they combine
 PT = alg.point_algebra()
@@ -50,12 +51,71 @@ def test_euler_characteristic_matches_homology():
         assert euler_terms == euler_h
 
 
+def _d_homology(dn, dprev, dim):
+    """Dense reference homology at a degree through an explicit complement:
+    the cycles, the greedy unit-vector complement of them, a solve in that
+    basis for each vector's cycle coordinates, and the quotient by the
+    boundaries."""
+    zs = d_nullspace(d_rref([dn.row(i) for i in range(dn.rows)], dim), dim)
+    basis = list(zs)
+    for i in range(dim):
+        e = [int(j == i) for j in range(dim)]
+        if len(d_rref(basis + [e], dim)) > len(basis):
+            basis.append(e)
+
+    def cycle_coords(v):
+        sol = d_rref([[b[r] for b in basis] + [v[r]] for r in range(dim)], dim + 1)
+        assert sorted(sol) == list(range(dim))
+        return [sol[k][dim] for k in range(len(zs))]
+
+    bcoords = [cycle_coords([dprev[i, j] for i in range(dim)])
+               for j in range(dprev.cols)]
+    qred = d_rref(bcoords, len(zs))
+    qfree = [f for f in range(len(zs)) if f not in qred]
+    proj_cols = [d_residual(cycle_coords([int(j == i) for j in range(dim)]), qred)
+                 for i in range(dim)]
+    section = Matrix(dim, len(qfree), [zs[f][i] for i in range(dim) for f in qfree])
+    projector = Matrix(len(qfree), dim,
+                       [proj_cols[i][f] for f in qfree for i in range(dim)])
+    return len(qfree), section, projector
+
+
+def _rand_matrix(rng, rows, cols, lo=-2, hi=2):
+    return Matrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
+
+
 def test_homology_projector_section_contract():
     c = vect_complex({0: 2, 1: 1}, {0: m([[1, 1]])})
     dim, section, projector = cx.homology(c, 0)
     assert (projector * section) == Matrix.identity(dim)
     # projector kills boundaries (none here) and complement directions map to 0
     assert projector.cols == 2 and projector.rows == 1
+    rng = random.Random(20)
+    for _ in range(40):
+        a, b, d = (rng.randint(0, 4) for _ in range(3))
+        # d0 of rank at most min(b, d) - 1 and d_{-1} landing in ker d0, with
+        # a Fraction now and then
+        r = rng.randint(0, max(min(b, d) - 1, 0))
+        d0 = _rand_matrix(rng, d, r) * _rand_matrix(rng, r, b)
+        if rng.random() < 0.3 and not d0.is_zero():
+            d0 = d0.scale(Fraction(1, 3))
+        z = nullspace_basis(d0)
+        dm1 = z * _rand_matrix(rng, z.cols, a, -1, 1)
+        c = vect_complex({-1: a, 0: b, 1: d}, {-1: dm1, 0: d0})
+        for n in (-1, 0, 1):
+            got = cx.homology(c, n)
+            assert got == _d_homology(c.differential(n), c.differential(n - 1),
+                                      c.dim(n))
+            hdim, section, projector = got
+            assert projector * section == Matrix.identity(hdim)
+            assert (projector * c.differential(n - 1)).is_zero()
+            assert (c.differential(n) * section).is_zero()
+    # a complex whose check was skipped still may not square to nonzero
+    terms = {n: alg.point_bimodule(PT, 1) for n in (0, 1, 2)}
+    bad = cx.Complex(terms, {0: Matrix.identity(1), 1: Matrix.identity(1)},
+                     PT, PT, check=False)
+    with pytest.raises(ValueError):
+        cx.homology(bad, 1)
 
 
 def test_shift_and_cone():

@@ -9,6 +9,8 @@ import hhengine.kernels as kn
 import hhengine.hochschild as hh
 import hhengine.diagrams as dg
 
+import builders
+
 
 def env_bz2(pt, bz2, z2_modules, one):
     sgn = z2_modules["sgn"]
@@ -86,10 +88,10 @@ def test_print_parse_roundtrip():
 
 def test_typecheck_boundaries(pt, bz2, z2_modules, one):
     env, ch, cht = env_bz2(pt, bz2, z2_modules, one)
-    bot, top = dg.typecheck(dg.parse("gamma(ker(Phi))"), env)
+    bot, top = builders.typecheck(dg.parse("gamma(ker(Phi))"), env)
     assert bot == ["antiserre(pt)"]
     assert top == ["dual(ker(Phi))", "ker(Phi)"]
-    assert dg.typecheck(dg.parse(
+    assert builders.typecheck(dg.parse(
         "tr( id2(id1(X)) ; id2(serre(X)) | hhclass(chs)"
         " ; id2(serre(X)) | hhclass(chs) | id2(serre(X)) )"), env) == ("scalar",)
 
@@ -97,7 +99,7 @@ def test_typecheck_boundaries(pt, bz2, z2_modules, one):
 def test_typecheck_mismatch(pt, bz2, z2_modules, one):
     env, ch, cht = env_bz2(pt, bz2, z2_modules, one)
     with pytest.raises(BoundaryMismatch):
-        dg.typecheck(dg.parse("eps(ker(Phi)) ; eps(ker(Phi))"), env)
+        builders.typecheck(dg.parse("eps(ker(Phi)) ; eps(ker(Phi))"), env)
 
 
 def test_snake_diagram_evaluates_to_identity(pt, bz2, z2_modules, one):

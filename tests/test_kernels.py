@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhengine.errors import AlgebraMismatch, ShapeMismatch
+from hhengine.errors import AlgebraMismatch, InvariantViolation, ShapeMismatch
 from hhengine.linalg import Matrix, rank
 import hhengine.algebras as alg
 import hhengine.complexes as cx
@@ -43,6 +43,12 @@ def reflexively_polite(phi):
     fix = kn.hcompose([kn.kernel_double_dual_inverse(phi),
                        kn.TwoMorphism.identity(kn.dual_kernel(phi))])
     return mg.equals(fix.compose(gd))
+
+
+def test_empty_convolution_is_an_invariant_violation():
+    # no factor names a space, so there is no identity kernel to return
+    with pytest.raises(InvariantViolation):
+        kn.conv_kernel(())
 
 
 def test_identity_kernel_point_and_separable(pt, bz2, a2):
