@@ -22,7 +22,9 @@ propagated through tensor products and duals by explicit formulas, which is
 what keeps the larger composite kernels affordable.  A dual's actions and
 its cover evaluation are read off the witness it was built from (the
 dual-basis lemma): each is a combination, solved inside one cover piece,
-of the coordinates of the functionals the witness spans.
+of the coordinates of the functionals the witness spans.  The same lemma
+gives a hom space out of a module whose witness is in hand and sparse,
+without the commutator system (see _hom_system).
 
 The numeric core of a tensor product m (x)_B n (its projector, section and
 actions) and of a hom system is a function of the action matrices alone,
@@ -593,18 +595,17 @@ class ProjData:
 
         x_p is the covered generator of piece p; phi_p(m) is the piece
         component of the section, written in enveloping-algebra coordinates
-        (a dim-env x dim-m matrix).
+        (a dim-env x dim-m matrix).  Built once.
         """
-        out = []
-        ranges = self.cover.piece_ranges()
-        for (uidx, gen, basis, _), (lo, hi) in zip(self.cover.pieces, ranges):
-            out.append((gen, basis * self.section.row_block(lo, hi)))
-        return out
+        return _memo(self, "coordinates", lambda: tuple(
+            (gen, basis * self.section.row_block(lo, hi))
+            for (_, gen, basis, _), (lo, hi)
+            in zip(self.cover.pieces, self.cover.piece_ranges())))
 
 
 def _derive_proj(m: Bimodule, build):
     """Make build() m's witness builder: m is projective by construction
-    (a tensor, dual or direct sum of witnessed modules, or its own cover)."""
+    (a tensor, dual or direct sum of witnessed modules)."""
     _memo(m, "proj_builder", lambda: build)
 
 
@@ -674,7 +675,8 @@ def kernel_submodule(f: Matrix, m: Bimodule, label="K"):
 
 
 def attach_self_cover(f: Bimodule, cover_pieces):
-    """ProjData for a module that IS a sum of cover pieces (ev = section = id)."""
+    """Store the witness of a module that IS a sum of cover pieces
+    (ev = section = id) as its proj entry: it is already built."""
     pieces = []
     off = 0
     for uidx, basis, solver in cover_pieces:
@@ -685,8 +687,7 @@ def attach_self_cover(f: Bimodule, cover_pieces):
         pieces.append((uidx, gen, basis, solver))
         off += basis.cols
     cover = Cover(f, pieces, Matrix.identity(f.dim))
-    pd = ProjData(cover, Matrix.identity(f.dim))
-    _derive_proj(f, lambda: pd)
+    _memo(f, "proj", lambda: ProjData(cover, Matrix.identity(f.dim)))
     return f
 
 
@@ -741,15 +742,82 @@ def projective_resolution(m: Bimodule, max_length=None):
 
 def _hom_system(m: Bimodule, n: Bimodule):
     """(basis tuple, free columns) of the bimodule maps m -> n, shared by
-    every pair with the same generator actions."""
+    every pair with the same generator actions.
+
+    Read off m's witness when one is in hand and sparse (the dual-basis
+    lemma), else solved from the commutator system; both routes give the
+    same pair, so they share one entry.  A witness is sparse when its
+    coordinate functionals phi_p hold at most (number of env generator
+    actions) x dim m nonzeros in all.  Quiver and matrix-algebra witnesses
+    hold half of that or less.  Over a group algebra the single env
+    idempotent makes phi_p dense, most witnesses hold more, and there the
+    commutator system is the cheaper route.
+    """
     def build():
         if m.left is not n.left or m.right is not n.right:
             raise AlgebraMismatch("hom between bimodules over different pairs")
         gm = m.env_generator_actions()
         gn = n.env_generator_actions()
-        return _memo(m.left, ("hom core", m.dim, n.dim, gm, gn),
-                     lambda: _hom_core(gm, gn, m.dim, n.dim))
+
+        def core():
+            pd = _witness_in_hand(m)
+            if pd is not None and sum(
+                    phi.nnz for _, phi in pd.coordinates()) <= len(gm) * m.dim:
+                return _hom_from_witness(pd, n)
+            return _hom_core(gm, gn, m.dim, n.dim)
+        return _memo(m.left, ("hom core", m.dim, n.dim, gm, gn), core)
     return _memo(m, ("hom", n), build)
+
+
+def _witness_in_hand(m: Bimodule):
+    """m's witness if it is built or m is a dual (whose witness is read off
+    its source's), else None: no tensor or direct-sum witness is built just
+    for a hom."""
+    pd = _memoised(m, "proj")
+    if pd is None and "_dual_data" in vars(m):
+        pd = proj_data(m)
+    return pd
+
+
+def _hom_from_witness(pd: ProjData, n: Bimodule):
+    """_hom_core's (basis, free columns) for Hom(m, n), m the module pd
+    witnesses, from the span of the maps x |-> phi_p(x) . y, y in u_p . n.
+
+    Those maps, flattened like _hom_core's unknowns, go into one echelon
+    with the flat index reversed.  Its pivots are then the trailing
+    nonzeros of Hom(m, n), which are exactly the free columns of the
+    commutator system (the complement of its row space's leading pivots),
+    and its reduced rows are exactly _hom_core's basis.
+    """
+    m = pd.cover.module
+    nm, nn = m.dim, n.dim
+    last = nn * nm - 1
+    nb = n.right.dim
+    la, ra = n.left_action, n.right_action
+    images = {}      # uidx -> a basis of u . n
+    ech = Echelon(nn * nm)
+    for (uidx, _, _, _), (_, phi) in zip(pd.cover.pieces, pd.coordinates()):
+        if uidx not in images:
+            u = n.act_env(m.env.idempotents[uidx])
+            images[uidx] = list(row_echelon(u.transpose()).pivot_row.values())
+        by_env = {}  # env basis element e -> its (column, value) in phi
+        for e, b, c in phi.items():
+            by_env.setdefault(e, []).append((b, c))
+        for y in images[uidx]:
+            # f[a, b] = sum_e (e . y)[a] phi[e, b], at reversed flat index
+            f = {}
+            for e, items in by_env.items():
+                for a, x in la[e // nb].apply_map(ra[e % nb].apply_map(y)).items():
+                    base = last - a * nm
+                    for b, c in items:
+                        k = base - b
+                        f[k] = f[k] + x * c if k in f else x * c
+            ech.insert(_clear_denominators(_nonzero(f)))
+    rows = ech.pivot_row
+    order = sorted(rows, reverse=True)
+    basis = tuple(Matrix.sparse(nn, nm, {last - k: x for k, x in rows[p].items()})
+                  for p in order)
+    return basis, tuple(last - p for p in order)
 
 
 def _hom_core(gm, gn, nm, nn):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .errors import AlgebraMismatch, InvariantViolation, NotPerfect
 from .linalg import (Matrix, Q0, Q1, _solve_rows, block_diag, free_coordinates,
-                     quotient_basis, row_echelon)
+                     linear_combination, quotient_basis, row_echelon)
 from . import algebras as alg
 from .algebras import _memo
 
@@ -641,11 +641,9 @@ class _HomVars:
     def extract(self, coeffs):
         comps = {}
         for n, (off, basis) in self.blocks.items():
-            m = Matrix.zero(self.tgt.dim(n + self.degree), self.src.dim(n))
-            for t, bm in enumerate(basis):
-                c = coeffs.get(off + t)
-                if c:
-                    m = m + bm.scale(c)
+            m = linear_combination(
+                ((coeffs.get(off + t), bm) for t, bm in enumerate(basis)),
+                self.tgt.dim(n + self.degree), self.src.dim(n))
             if not m.is_zero():
                 comps[n] = m
         return comps

@@ -7,8 +7,10 @@ denominator is greater than 1, so the mostly integral arithmetic of the engine
 runs on plain ints, far cheaper than Fractions; the layers above need not care
 which of the two a value is.  A vector is a zero-free {index: value} map everywhere: matrices act
 on maps, echelon rows are maps, solutions and coordinates come back as maps.
-The elimination is fraction-free on scaled integer rows (Bareiss-style
-pivoting discipline) with a fixed deterministic pivot rule: the pivot of each
+The elimination is Gauss-Jordan over Q: many callers scale a row to
+coprime integers before it goes in (`_clear_denominators`), and
+`Echelon.insert` normalises each stored row to pivot 1, through a `Fraction`
+inverse when the pivot is not 1 or -1.  The pivot rule is fixed and deterministic: the pivot of each
 row is its first nonzero entry in column order, and rows are processed in the
 order given.  `Echelon` stores each row only semi-reduced, against the pivots
 that existed when it came in, and back-substitutes once, when the rows are
@@ -225,6 +227,11 @@ class Matrix:
     def is_zero(self):
         return not self._val
 
+    @property
+    def nnz(self):
+        """The number of nonzero entries."""
+        return len(self._val)
+
     # -- arithmetic -------------------------------------------------------------
 
     def _merge(self, other, sign):
@@ -337,21 +344,6 @@ class Matrix:
                                                         counts, idx, val))
         return self._t
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        ptr, idx, val = [0], [], []
-        shift = self.cols
-        for i in range(self.rows):
-            for j, x in self.row_items(i):
-                idx.append(j)
-                val.append(x)
-            for j, x in other.row_items(i):
-                idx.append(shift + j)
-                val.append(x)
-            ptr.append(len(idx))
-        return Matrix._csr(self.rows, self.cols + other.cols, ptr, idx, val)
-
     def kronecker(self, other):
         """Kronecker product, left factor major (index (i,k) |-> i*other.rows+k)."""
         ptr, idx, val = [0], [], []
@@ -405,7 +397,7 @@ def block_diag(blocks):
 
 
 def _clear_denominators(row):
-    """Scale a dict row to coprime integers (Bareiss-style growth control)."""
+    """Scale a dict row to coprime integers, keeping its entries small."""
     if not row:
         return row
     l = 1

@@ -13,7 +13,7 @@ from hhengine.linalg import Matrix, linear_combination, rank
 import hhengine.algebras as alg
 
 import builders
-from conftest import s3_cayley_table
+from conftest import load_workspace_doc, s3_cayley_table
 
 
 def m(rows):
@@ -217,6 +217,70 @@ def test_hom_coordinates_round_trip_and_reject_non_module_maps(make):
         list(zip(r.right_action, r.right_action))
     assert any(unit * x != y * unit for x, y in acts)
     assert alg.hom_coordinates(r, r, unit) is None
+
+
+def _witnessed_terms(a):
+    """Every term of the resolutions of A's regular and dual bimodules (self-
+    covers and the projective kernels that end them), with their duals."""
+    out = []
+    for bim in (alg.regular_bimodule(a), alg.dual_bimodule(a)):
+        p, _ = alg.projective_resolution(bim)
+        for n in p.degrees():
+            out += [p.term(n), alg.bimodule_dual(p.term(n))[0]]
+    return out
+
+
+def _both_routes(m, n):
+    """(witness route, commutator route) of Hom(m, n), called directly."""
+    pd = alg._witness_in_hand(m)
+    gm, gn = m.env_generator_actions(), n.env_generator_actions()
+    return (alg._hom_from_witness(pd, n),
+            alg._hom_core(gm, gn, m.dim, n.dim))
+
+
+def _refuse(monkeypatch, name):
+    def refused(*args):
+        raise AssertionError(f"{name} on the wrong route")
+    monkeypatch.setattr(alg, name, refused)
+
+
+@pytest.mark.parametrize("quiver", [
+    (3, [(0, 1), (1, 2)]), (4, [(1, 0), (2, 0), (3, 0)]), (2, [(0, 1), (0, 1)])],
+    ids=["A3", "D4", "Kronecker"])
+def test_hom_from_witness_equals_the_commutator_system(quiver, monkeypatch):
+    # the dual-basis span, reduced on the reversed flat index, gives the
+    # commutator system's basis and free columns exactly; quiver witnesses
+    # are sparse, so _hom_system takes that route
+    terms = _witnessed_terms(alg.path_algebra(*quiver))
+    expected = {(i, j): _both_routes(m, n) for i, m in enumerate(terms)
+                for j, n in enumerate(terms)}
+    _refuse(monkeypatch, "_hom_core")
+    for (i, j), (witness, core) in expected.items():
+        assert witness == core
+        assert alg._hom_system(terms[i], terms[j]) == core
+
+
+def test_dense_group_witness_keeps_the_commutator_route(monkeypatch):
+    # kS3's single env idempotent makes every coordinate functional dense
+    reg = alg.regular_bimodule(alg.group_algebra(s3_cayley_table(), "S3"))
+    terms = (reg, alg.bimodule_dual(reg)[0])
+    expected = {(i, j): _both_routes(m, n) for i, m in enumerate(terms)
+                for j, n in enumerate(terms)}
+    _refuse(monkeypatch, "_hom_from_witness")
+    for (i, j), (witness, core) in expected.items():
+        assert witness == core
+        assert alg._hom_system(terms[i], terms[j]) == core
+
+
+def test_a_quiver_euler_task_solves_no_commutator_system(monkeypatch):
+    # the Ext complexes between A3's module resolutions (four hom systems
+    # that the build leaves unsolved) are all read off witnesses
+    from hhengine import cli
+    doc = load_workspace_doc("a3")
+    ws = cli.Workspace(doc, "a3.json")
+    _refuse(monkeypatch, "_hom_core")
+    task, = [t for t in doc["tasks"] if t["id"] == "euler-t1-t2"]
+    assert cli.run_task(ws, task, random.Random(0)) == {"euler": "-1/1"}
 
 
 def test_projective_resolution_covers_each_module_once(monkeypatch):
@@ -449,10 +513,15 @@ def test_values_built_once_are_memo_entries():
 
 
 def test_every_engine_function_has_an_engine_caller():
-    # a top-level function is named (as a name or an attribute) somewhere in
-    # the package outside its own body; docstring mentions do not count.
-    # The names below are called only from the tests, each for a reason.
+    # a top-level function, or a method of a top-level class other than a
+    # dunder, is named (as a name or an attribute) somewhere in the package
+    # outside its own body; docstring mentions do not count, and a property
+    # counts because it is read as an attribute.  The names below are
+    # called only from the tests, each for a reason.
     test_only = {
+        "complexes.py:shift": "the S1 sign convention, checked by "
+                              "test_shift_and_cone, test_tensor_shift_compatibility "
+                              "and the Serre-trace shift test",
         "hochschild.py:hcoh_product": "the HH^* ring the module action respects",
         "hochschild.py:module_action": "HH^* acting on HH_*, checked bilinear",
         "hochschild.py:hcoh_unit": "unit of HH^*, checked to act as the identity",
@@ -469,9 +538,13 @@ def test_every_engine_function_has_an_engine_caller():
                 uses.setdefault(n.attr, []).append(n)
     found = []
     for name, tree in sources:
-        for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef):
-                own = set(map(id, ast.walk(fn)))
-                if all(id(n) in own for n in uses.get(fn.name, ())):
-                    found.append(f"{name}:{fn.name}")
+        defs = [(fn, fn.name) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        defs += [(fn, f"{cls.name}.{fn.name}") for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef)
+                 and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+        for fn, qualname in defs:
+            own = set(map(id, ast.walk(fn)))
+            if all(id(n) in own for n in uses.get(fn.name, ())):
+                found.append(f"{name}:{qualname}")
     assert sorted(found) == sorted(test_only)
