@@ -17,10 +17,12 @@ Conventions used everywhere downstream:
 Projectivity is witnessed, not just decided: every projective module the
 engine touches carries a cover by cyclic summands R.u (u running over a
 complete orthogonal idempotent family of R) together with a module-linear
-section of the covering map.  Sections are solved for once and then
-propagated through tensor products and duals by explicit formulas, which is
-what keeps the larger composite kernels affordable.  A dual's actions and
-its cover evaluation are read off the witness it was built from (the
+section of the covering map.  A tensor product or direct sum of witnessed
+modules is projective by construction: it says so without solving, and its
+witness, when asked for, comes from the same cover-and-section solve as any
+other module's.  Only two witnesses are derived rather than solved: a
+resolution's self-cover (the identity section), and a dual, whose actions
+and cover evaluation are read off the witness it was built from (the
 dual-basis lemma): each is a combination, solved inside one cover piece,
 of the coordinates of the functionals the witness spans.  The same lemma
 gives a hom space out of a module whose witness is in hand and sparse,
@@ -29,9 +31,8 @@ without the commutator system (see _hom_system).
 The numeric core of a tensor product m (x)_B n (its projector, section and
 actions) and of a hom system is a function of the action matrices alone,
 so it is built once per distinct content: its memo key holds those
-matrices, and the entry is owned by m's left algebra.  The bimodule T and
-its witness are still built per pair of factors, since a witness depends
-on the factors' witnesses.
+matrices, and the entry is owned by m's left algebra.  The bimodule T is
+still built per pair of factors, and its witness per T.
 
 There is no process-wide algebra: each point algebra is a new object, so
 every entry, like the algebras it lives on, goes with its workspace.
@@ -604,9 +605,29 @@ class ProjData:
 
 
 def _derive_proj(m: Bimodule, build):
-    """Make build() m's witness builder: m is projective by construction
-    (a tensor, dual or direct sum of witnessed modules)."""
+    """Make build() m's witness builder: m is projective by construction,
+    so is_projective(m) answers True without building it."""
     _memo(m, "proj_builder", lambda: build)
+
+
+def _cover_and_section(m: Bimodule):
+    """m's witness from the one cover-and-section solve, or None."""
+    cover = module_cover(m)
+    section = solve_section(m, cover)
+    return ProjData(cover, section) if section is not None else None
+
+
+def _solved_witness(m: Bimodule, factors):
+    """Builder of the witness of m, a tensor product or direct sum of
+    factors: the cover-and-section solve on m itself.  m is projective by
+    construction, so a factor without a witness is NotPerfect and a solve
+    that finds no section is a broken invariant."""
+    if not all(is_projective(f) for f in factors):
+        raise NotPerfect(f"{m.label}: factor without projectivity witness")
+    pd = _cover_and_section(m)
+    if pd is None:
+        raise InvariantViolation(f"{m.label}: no section of a projective's cover")
+    return pd
 
 
 def proj_data(m: Bimodule):
@@ -617,13 +638,11 @@ def proj_data(m: Bimodule):
     """
     def build():
         derived = _memoised(m, "proj_builder")
-        if derived is not None:
-            pd = derived()
-            _forget(m, "proj_builder")   # its closure pins the inputs
-            return pd
-        cover = module_cover(m)
-        section = solve_section(m, cover)
-        return ProjData(cover, section) if section is not None else None
+        if derived is None:
+            return _cover_and_section(m)
+        pd = derived()
+        _forget(m, "proj_builder")   # its closure pins the inputs
+        return pd
     return _memo(m, "proj", build)
 
 
@@ -631,21 +650,6 @@ def is_projective(m: Bimodule):
     """Whether m has a projectivity witness.  A derived module answers True
     without building its witness."""
     return _memoised(m, "proj_builder") is not None or proj_data(m) is not None
-
-
-def sum_proj_data(ab: Bimodule, a: Bimodule, b: Bimodule):
-    """Witness for a direct sum from witnesses of the summands."""
-    pda, pdb = proj_data(a), proj_data(b)
-    if pda is None or pdb is None:
-        raise NotPerfect("sum of non-witnessed bimodules")
-    pieces = list(pda.cover.pieces)
-    for uidx, gen, basis, solver in pdb.cover.pieces:
-        pieces.append((uidx, {a.dim + k: x for k, x in gen.items()}, basis, solver))
-    ev = block_diag([pda.cover.ev, pdb.cover.ev])
-    section = block_diag([pda.section, pdb.section])
-    if ev * section != Matrix.identity(ab.dim):
-        raise InvariantViolation(f"{ab.label}: direct sum witness failed")
-    return ProjData(Cover(ab, pieces, ev), section)
 
 
 # -- submodules and resolutions -------------------------------------------------
@@ -848,7 +852,7 @@ def hom_coordinates(m: Bimodule, n: Bimodule, mat: Matrix):
     return coords if rebuilt == mat else None
 
 
-# -- tensor over the middle algebra, with derived projectivity data -----------
+# -- tensor over the middle algebra --------------------------------------------
 
 
 def _apply_left_factor(a: Matrix, vec, n):
@@ -898,8 +902,8 @@ def _balance_relation(xi, yj, i, j, n):
 def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
     """(T, proj, sect) realizing T = m (x)_B n as a quotient of m (x) n.
 
-    Raw index (i, j) -> i * dim n + j.  T inherits a lazy projectivity
-    witness assembled from the witnesses of the factors.  proj, sect and
+    Raw index (i, j) -> i * dim n + j.  T is projective by construction;
+    its witness is solved on first use (_solved_witness).  proj, sect and
     T's actions are shared by every pair with the same action matrices.
     """
     if m.right is not n.left:
@@ -910,7 +914,7 @@ def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
     proj, sect, la, ra = _memo(m.left, key, lambda: _tensor_core(m, n))
     t = Bimodule(m.left, n.right, proj.rows, la, ra,
                  label=label or f"{m.label}(x){n.label}", check=False)
-    _derive_proj(t, lambda: _tensor_proj_data(t, m, n, proj, sect))
+    _derive_proj(t, lambda: _solved_witness(t, (m, n)))
     return t, proj, sect
 
 
@@ -942,115 +946,6 @@ def _tensor_core(m: Bimodule, n: Bimodule):
         [proj.apply_map(_apply_right_factor(act, v, nd)) for v in sect_cols], t_dim)
         for act in n.right_action)
     return proj, sect, la, ra
-
-
-def _tensor_proj_data(t, m, n, proj, sect):
-    pdm = proj_data(m)
-    pdn = proj_data(n)
-    if pdm is None or pdn is None:
-        raise NotPerfect("tensor factor without projectivity witness")
-    b = m.right
-    env_t = t.env
-    n_right_fam = len(n.right.idempotents)
-    # per-factor piece data in enveloping coordinates
-    sm_blocks = [(uidx, gen, phi) for (uidx, _, _, _), (gen, phi)
-                 in zip(pdm.cover.pieces, pdm.coordinates())]
-    sn_blocks = [(vidx, gen, phi) for (vidx, _, _, _), (gen, phi)
-                 in zip(pdn.cover.pieces, pdn.coordinates())]
-    # middle subspaces u_b B v_b and the new pieces
-    pieces = []
-    piece_meta = []  # (p, q, W solver, W basis, it)
-    for p, (uidx, g_p, s_p) in enumerate(sm_blocks):
-        ic, ib = _piece_factor_indices(m, uidx)
-        u_b = m.right.idempotents[ib]
-        for q, (vidx, h_q, s_q) in enumerate(sn_blocks):
-            jb, ja = _piece_factor_indices(n, vidx)
-            v_b = n.left.idempotents[jb]
-            wcols, wsolver = [], SpanSolver(b.dim)
-            for k in range(b.dim):
-                w = b.multiply(b.multiply(u_b, {k: Q1}), v_b)
-                if wsolver.express(w) is None:
-                    wcols.append(w)
-                    wsolver.add(w)
-            if not wcols:
-                continue
-            it = ic * n_right_fam + ja
-            vb_hq = n.act_left(v_b).apply_map(h_q)
-            for w in wcols:
-                gp_w = m.act_right(w).apply_map(g_p)
-                gen_t = proj.apply_map(_kron_vec(gp_w, vb_hq, n.dim))
-                basis_t, solver_t = env_t.piece("left", it)
-                pieces.append((it, gen_t, basis_t, solver_t))
-            piece_meta.append((p, q, wsolver, len(wcols), it))
-    # evaluation matrix
-    ev_cols = []
-    for it, gen_t, basis_t, _ in pieces:
-        rt_cache = {}
-        for c in range(basis_t.cols):
-            acc = {}
-            for idx, coeff in basis_t.col_items(c):
-                k, l = divmod(idx, t.right.dim)
-                if l not in rt_cache:
-                    rt_cache[l] = t.right_action[l].apply_map(gen_t)
-                _add_into(acc, t.left_action[k].apply_map(rt_cache[l]), coeff)
-            ev_cols.append(acc)
-    ev = Matrix.from_column_maps(ev_cols, t.dim)
-    cover = Cover(t, pieces, ev)
-    # section: walk raw tensors through s_n, absorb the middle, then s_m
-    dim_f = ev.cols
-    ranges = cover.piece_ranges()
-    s_cols = []
-    n_adim = n.right.dim
-    m_bdim = m.right.dim
-    sr_cache = {}
-    for tau in range(t.dim):
-        etvecs = {}
-        accum = {}
-        for idx, cval in sect.col_items(tau):
-            i, j = divmod(idx, n.dim)
-            for q, (vidx, h_q, s_q) in enumerate(sn_blocks):
-                for en_idx, zval in s_q.col_items(j):
-                    k, l = divmod(en_idx, n_adim)
-                    for p, (uidx, g_p, s_p) in enumerate(sm_blocks):
-                        key = (p, k)
-                        if key not in sr_cache:
-                            sr_cache[key] = s_p * m.right_action[k]
-                        for em_idx, xval in sr_cache[key].col_items(i):
-                            kp, lp = divmod(em_idx, m_bdim)
-                            wv = accum.setdefault((p, q, kp, l), {})
-                            x = cval * zval * xval
-                            wv[lp] = wv[lp] + x if lp in wv else x
-        piece_no = {}
-        counter = 0
-        for p, q, wsolver, wcount, it in piece_meta:
-            piece_no[(p, q)] = (counter, wsolver, wcount, it)
-            counter += wcount
-        for (p, q, kp, l), wv in accum.items():
-            wv = _nonzero(wv)
-            if not wv:
-                continue
-            base, wsolver, wcount, it = piece_no[(p, q)]
-            coeffs = wsolver.express(wv)
-            if coeffs is None:
-                raise InvariantViolation("tensor middle fell outside u.B.v")
-            eidx = kp * n_adim + l
-            for bi, gamma in coeffs.items():
-                et = etvecs.setdefault(base + bi, {})
-                et[eidx] = et[eidx] + gamma if eidx in et else gamma
-        col = {}
-        for pc_idx, et in etvecs.items():
-            it, gen_t, basis_t, solver_t = pieces[pc_idx]
-            coords = solver_t.express(et)
-            if coords is None:
-                raise InvariantViolation("tensor section fell outside the piece")
-            lo, hi = ranges[pc_idx]
-            for r, x in coords.items():
-                col[lo + r] = x
-        s_cols.append(col)
-    section = Matrix.from_column_maps(s_cols, dim_f)
-    if ev * section != Matrix.identity(t.dim):
-        raise InvariantViolation("tensor witness failed")
-    return ProjData(cover, section)
 
 
 # -- duals ---------------------------------------------------------------------

@@ -212,7 +212,7 @@ def _sum_bimodule(a, b):
     ra = [block_diag([x, y]) for x, y in zip(a.right_action, b.right_action)]
     ab = alg.Bimodule(a.left, a.right, a.dim + b.dim, la, ra,
                       label=f"{a.label}(+){b.label}", check=False)
-    alg._derive_proj(ab, lambda: alg.sum_proj_data(ab, a, b))
+    alg._derive_proj(ab, lambda: alg._solved_witness(ab, (a, b)))
     return ab
 
 

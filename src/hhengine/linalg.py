@@ -269,7 +269,7 @@ class Matrix:
         if not c:
             return Matrix.zero(self.rows, self.cols)
         return Matrix._csr(self.rows, self.cols, self._ptr, self._idx,
-                           [c * a for a in self._val])
+                           [_exact(c * a) for a in self._val])
 
     def __mul__(self, other):
         """Matrix product over the nonzeros of both factors."""
@@ -368,7 +368,7 @@ def linear_combination(terms, rows, cols):
         if c:
             for k, x in m.flat_items().items():
                 acc[k] = acc[k] + c * x if k in acc else c * x
-    return Matrix.sparse(rows, cols, acc)
+    return Matrix.sparse(rows, cols, {k: _exact(x) for k, x in acc.items()})
 
 
 def block_diag(blocks):

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from hhengine.errors import CyclicQuiver, NotAGroup
+from hhengine.errors import CyclicQuiver, InvariantViolation, NotAGroup, NotPerfect
 from hhengine.linalg import Matrix, linear_combination, rank
 import hhengine.algebras as alg
+import hhengine.complexes as cx
 
 import builders
 from conftest import load_workspace_doc, s3_cayley_table
@@ -368,18 +369,18 @@ def test_dual_actions_and_cover_match_the_product_route():
 
 
 def test_witness_checks_fire_under_python_O():
-    # a doctored summand section must still be caught with asserts stripped
+    # a dual built from a doctored source witness must still be caught with
+    # asserts stripped
     code = textwrap.dedent("""
         import hhengine.algebras as alg
-        import hhengine.complexes as cx
         from hhengine.errors import InvariantViolation
         z2 = alg.group_algebra([[0, 1], [1, 0]])
         reg = alg.regular_bimodule(z2)
         pd = alg.proj_data(reg)
         pd.section = pd.section.scale(2)
-        ab = cx._sum_bimodule(reg, reg)
+        md, _ = alg.bimodule_dual(reg)
         try:
-            alg.proj_data(ab)
+            alg.proj_data(md)
         except InvariantViolation as e:
             print("debug", __debug__, "raised", e)
     """)
@@ -389,7 +390,7 @@ def test_witness_checks_fire_under_python_O():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("debug False raised")
-    assert "direct sum witness failed" in out.stdout
+    assert "dual witness failed" in out.stdout
 
 
 def test_dual_piece_checks_fire_under_python_O():
@@ -435,7 +436,7 @@ def test_derived_witness_builder_is_dropped_once_built():
 
 def test_is_projective_does_not_build_a_derived_witness(monkeypatch):
     calls = []
-    for name in ("_tensor_proj_data", "_dual_proj_data"):
+    for name in ("_solved_witness", "_dual_proj_data"):
         def counted(*args, _name=name, _real=getattr(alg, name)):
             calls.append(_name)
             return _real(*args)
@@ -448,7 +449,38 @@ def test_is_projective_does_not_build_a_derived_witness(monkeypatch):
     assert calls == []
     for x in (t, d):
         assert alg.proj_data(x) is alg.proj_data(x) is not None
-    assert calls == ["_tensor_proj_data", "_dual_proj_data"]
+    assert calls == ["_solved_witness", "_dual_proj_data"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alg.regular_bimodule(alg.group_algebra(s3_cayley_table(), "S3")),
+    lambda: alg.projective_resolution(
+        alg.regular_bimodule(alg.path_algebra(2, [(0, 1)], "A2")))[0].term(0)],
+    ids=["kS3-regular", "A2-cover"])
+def test_tensor_and_sum_witnesses_are_solved_from_their_own_cover(make, monkeypatch):
+    p = make()
+    t, _, _ = alg.bimodule_tensor(p, p)
+    for x in (t, cx._sum_bimodule(p, t)):
+        assert alg.is_projective(x)
+        pd = alg.proj_data(x)
+        assert pd.cover is alg.module_cover(x)
+        assert pd.cover.ev * pd.section == Matrix.identity(x.dim)
+    # a module projective by construction whose solve finds no section
+    # breaks an invariant; it is not reported as non-projective
+    s = cx._sum_bimodule(p, p)
+    monkeypatch.setattr(alg, "solve_section", lambda m, cover: None)
+    with pytest.raises(InvariantViolation):
+        alg.proj_data(s)
+
+
+def test_tensor_with_a_non_projective_factor_is_not_perfect():
+    a2 = alg.path_algebra(2, [(0, 1)], "A2")
+    reg = alg.regular_bimodule(a2)
+    p = alg.projective_resolution(reg)[0].term(0)
+    for m, n in ((reg, p), (p, reg)):
+        t, _, _ = alg.bimodule_tensor(m, n)
+        with pytest.raises(NotPerfect):
+            alg.proj_data(t)
 
 
 def _engine_sources():

@@ -318,12 +318,15 @@ def test_partial_trace_over_a_zero_convolution_fails_per_task():
         "fail", {"error": "no 2-morphisms available for partial-trace"})
 
 
-def test_identity_on_a2_is_its_own_adjoint_and_pulls_back_to_the_identity():
-    # A2 is not symmetric, so its Serre kernel is not the identity and the
-    # pullback has to carry the Serre factor of the left adjoint
-    doc = load_ws("a2")
-    doc["kernels"]["idA"] = {"type": "identity", "space": "A2"}
-    doc["kernels"]["SA"] = {"type": "serre", "space": "A2"}
+@pytest.mark.parametrize("n", [2, 3], ids=["a2", "a3"])
+def test_identity_is_its_own_adjoint_and_pulls_back_to_the_identity(n):
+    # the path algebra of A_n is not symmetric, so its Serre kernel is not
+    # the identity and the pullback has to carry the Serre factor of the
+    # left adjoint
+    name = f"a{n}"
+    doc = load_ws(name)
+    doc["kernels"]["idA"] = {"type": "identity", "space": f"A{n}"}
+    doc["kernels"]["SA"] = {"type": "serre", "space": f"A{n}"}
     doc["tasks"] = [
         {"id": "adj", "op": "verify", "check": "adjointness",
          "left": "idA", "right": "idA"},
@@ -331,9 +334,9 @@ def test_identity_on_a2_is_its_own_adjoint_and_pulls_back_to_the_identity():
          "outer": "SA", "inner": "idA"},
         {"id": "pull", "op": "pullback", "kernel": "idA"},
     ]
-    report, ok = cli.run_workspace(doc, "a2.json")
+    report, ok = cli.run_workspace(doc, f"{name}.json")
     p = payloads(report)
-    ident = [["1/1", "0/1"], ["0/1", "1/1"]]
+    ident = [["1/1" if i == j else "0/1" for j in range(n)] for i in range(n)]
     assert p["adj"] == ("ok", {"matrix": ident})
     assert p["fun"][0] == "ok"
     assert p["pull"] == ("ok", {"matrix": ident})

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from hhengine.linalg import (Echelon, Inconsistent, Matrix, nullspace_basis,
-                             quotient_basis, rank, solve, SpanSolver)
+from hhengine.linalg import (Echelon, Inconsistent, Matrix, linear_combination,
+                             nullspace_basis, quotient_basis, rank, solve,
+                             SpanSolver)
 
 
 def m(rows):
@@ -231,6 +232,10 @@ def test_matrix_operations_match_dense_reference():
             assert dense(ma.scale(k)) == [[k * x for x in row] for row in a]
             assert dense(-ma) == [[-x for x in row] for row in a]
             assert exact_values(ma.scale(k).data + (-ma).data, integral)
+            assert canonical_values(ma.scale(k).data)
+            lc = linear_combination([(k, ma), (k, mb)], r, c)
+            assert dense(lc) == [[k * x for x in row] for row in s]
+            assert canonical_values(lc.data)
             assert (ma == mb) == (a == b)
             # apply
             v = tuple(rng.choice(values + [0] * 3) for _ in range(c))
