@@ -24,7 +24,10 @@ other module's.  Only two witnesses are derived rather than solved: a
 resolution's self-cover (the identity section), and a dual, whose actions
 and cover evaluation are read off the witness it was built from (the
 dual-basis lemma): each is a combination, solved inside one cover piece,
-of the coordinates of the functionals the witness spans.  The same lemma
+of the coordinates of the functionals the witness spans.  Those
+functionals are told apart by their values on the cover generators,
+which determine an env-linear map, so only the dual basis itself is
+multiplied out to full width.  The same lemma
 gives a hom space out of a module whose witness is in hand and sparse,
 without the commutator system (see _hom_system).
 
@@ -978,7 +981,8 @@ def bimodule_dual(m: Bimodule, label=None):
     Read off m's witness (the dual-basis lemma): Hom_env(m, env) is spanned
     by the functionals f_{p,c} = x |-> phi_p(x) . r_c, with r_c running over
     the basis of the right piece u_p.env.  The first independent ones form
-    the dual basis; every candidate's coordinates in it are kept, and the
+    the dual basis, chosen by their values on the cover generators (see
+    _dual_basis); every candidate's coordinates in it are kept, and the
     actions, f_{p,c} . z = sum_c' a_c' f_{p,c'} where r_c z = sum a_c' r_c',
     are combinations of them.
     """
@@ -989,25 +993,7 @@ def bimodule_dual(m: Bimodule, label=None):
     dl, dr = m.left.dim, m.right.dim
     s_blocks = [(uidx, gen, phi) for (uidx, _, _, _), (gen, phi)
                 in zip(pd.cover.pieces, pd.coordinates())]
-    basis_f = []
-    origin = []      # (uidx, coords_p, r_c) of each dual basis functional
-    cand = []        # cand[p][c]: dual-basis coordinates of f_{p,c}
-    solver = SpanSolver(env.dim * m.dim)
-    for uidx, gen, s_p in s_blocks:
-        rbasis, _ = env.piece("right", uidx)
-        coords_p = []
-        for c in range(rbasis.cols):
-            r_c = dict(rbasis.col_items(c))
-            fmat = env.right_mult_matrix(r_c) * s_p
-            row = fmat.flat_items()
-            coords = solver.express(row)
-            if coords is None:
-                coords = {len(basis_f): Q1}
-                basis_f.append(fmat)
-                origin.append((uidx, coords_p, r_c))
-                solver.add(row)
-            coords_p.append(coords)
-        cand.append(coords_p)
+    basis_f, solver, origin, cand = _dual_basis(m, s_blocks)
     dim_d = len(basis_f)
     dd = DualData(basis_f, solver, m)
 
@@ -1024,6 +1010,50 @@ def bimodule_dual(m: Bimodule, label=None):
     md._dual_data = dd
     _derive_proj(md, lambda: _dual_proj_data(md, m, dd, s_blocks, cand))
     return md, dd
+
+
+def _dual_basis(m: Bimodule, s_blocks):
+    """(basis functionals, their full-width solver, origin, cand) of m's dual.
+
+    A candidate f_{p,c} is tested, and its coordinates found, by its values
+    (f(x_q))_q = (phi_p(x_q) . r_c)_q on the cover generators x_q, a row of
+    width env.dim x #pieces.  f |-> (f(x_q))_q is injective on
+    Hom_env(m, env), since f(x) = sum_q phi_q(x) . f(x_q), so the first
+    independent candidates and every candidate's coordinates are those of
+    the full functionals.  Only the basis functionals are multiplied out,
+    into the solver DualData.express uses.  origin holds (uidx, coords_p,
+    r_c) of each basis functional; cand[p][c] the coordinates of f_{p,c}.
+    """
+    env = m.env
+    n, rmul = env.dim, env.right_mult
+    gens = [gen for _, gen, _ in s_blocks]
+    basis_f, origin, cand = [], [], []
+    at_gens = SpanSolver(n * len(gens))
+    solver = SpanSolver(n * m.dim)
+    for uidx, _, s_p in s_blocks:
+        # (offset of block q, phi_p(x_q)) for each nonzero phi_p(x_q)
+        phi_at = [(q * n, v) for q, v in
+                  enumerate(s_p.apply_map(gen) for gen in gens) if v]
+        rbasis, _ = env.piece("right", uidx)
+        coords_p = []
+        for c in range(rbasis.cols):
+            r_c = dict(rbasis.col_items(c))
+            row = {}
+            for j, x in r_c.items():
+                for off, v in phi_at:
+                    _add_into(row, {off + k: y for k, y
+                                    in rmul[j].apply_map(v).items()}, x)
+            coords = at_gens.express(row)
+            if coords is None:
+                coords = {len(basis_f): Q1}
+                fmat = env.right_mult_matrix(r_c) * s_p
+                basis_f.append(fmat)
+                origin.append((uidx, coords_p, r_c))
+                at_gens.add(row)
+                solver.add(fmat.flat_items())
+            coords_p.append(coords)
+        cand.append(coords_p)
+    return basis_f, solver, origin, cand
 
 
 def _piece_functional(env, uidx, coords, w, what):

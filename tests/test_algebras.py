@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hhengine.errors import CyclicQuiver, InvariantViolation, NotAGroup, NotPerfect
-from hhengine.linalg import Matrix, linear_combination, rank
+from hhengine.linalg import Matrix, SpanSolver, linear_combination, rank
 import hhengine.algebras as alg
 import hhengine.complexes as cx
 
@@ -366,6 +366,98 @@ def test_dual_actions_and_cover_match_the_product_route():
                          for p in alg.proj_data(mod).cover.pieces)
         dependent += candidates - md.dim
     assert dependent > 0
+
+
+def _d8_cayley_table():
+    """kD8's table on r^i s^j at index i + 4 j, with s r = r^-1 s."""
+    def mul(x, y):
+        a, b, c, d = x % 4, x // 4, y % 4, y // 4
+        return (a + (-c if b else c)) % 4 + 4 * ((b + d) % 2)
+    return [[mul(x, y) for y in range(8)] for x in range(8)]
+
+
+def _full_width_dual_basis(m, s_blocks):
+    """The product route's candidate loop: every candidate is multiplied
+    out and tested against the full basis functionals."""
+    env = m.env
+    basis_f, origin, cand = [], [], []
+    solver = SpanSolver(env.dim * m.dim)
+    for uidx, _, s_p in s_blocks:
+        rbasis, _ = env.piece("right", uidx)
+        coords_p = []
+        for c in range(rbasis.cols):
+            r_c = dict(rbasis.col_items(c))
+            fmat = env.right_mult_matrix(r_c) * s_p
+            coords = solver.express(fmat.flat_items())
+            if coords is None:
+                coords = {len(basis_f): 1}
+                basis_f.append(fmat)
+                origin.append((uidx, coords_p, r_c))
+                solver.add(fmat.flat_items())
+            coords_p.append(coords)
+        cand.append(coords_p)
+    return basis_f, solver, origin, cand
+
+
+def test_dual_chosen_at_the_cover_generators_matches_the_full_width_route(monkeypatch):
+    # the dual basis is chosen by the candidates' values on the cover
+    # generators; the full-width loop must give the same functionals,
+    # actions and witness, and only the basis functionals are multiplied out
+    mods = _dual_oracle_modules()
+    for quiver in ((4, [(1, 0), (2, 0), (3, 0)]), (2, [(0, 1), (0, 1)])):
+        c, _ = alg.projective_resolution(alg.regular_bimodule(alg.path_algebra(*quiver)))
+        mods.extend(c.term(n) for n in c.degrees())
+    mods.append(alg.regular_bimodule(alg.group_algebra(_d8_cayley_table(), "D8")))
+    p = alg.projective_resolution(
+        alg.regular_bimodule(alg.path_algebra(2, [(0, 1)])))[0].term(0)
+    mods.append(cx._sum_bimodule(p, p))
+    idems = [piece[0] for piece in alg.proj_data(mods[-1]).cover.pieces]
+    assert len(set(idems)) < len(idems)
+    real_mul = Matrix.__mul__
+    dependent = 0
+    for mod in mods:
+        phis = [phi for _, phi in alg.proj_data(mod).coordinates()]
+        products = []
+
+        def counted(a, b):
+            if any(b is phi for phi in phis):
+                products.append(b)
+            return real_mul(a, b)
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        md, dd = alg.bimodule_dual(mod)
+        monkeypatch.undo()
+        assert len(products) == md.dim
+        monkeypatch.setattr(alg, "_dual_basis", _full_width_dual_basis)
+        ref, ref_dd = alg.bimodule_dual(mod)
+        monkeypatch.undo()
+        assert dd.functionals == ref_dd.functionals
+        assert md.left_action == ref.left_action
+        assert md.right_action == ref.right_action
+        pd, ref_pd = alg.proj_data(md), alg.proj_data(ref)
+        assert pd.cover.ev == ref_pd.cover.ev
+        assert pd.section == ref_pd.section
+        dependent += sum(mod.env.piece("right", uidx)[0].cols
+                         for uidx, _, _, _ in alg.proj_data(mod).cover.pieces) - md.dim
+    assert dependent > 0
+
+
+def test_dual_express_refuses_a_map_that_agrees_on_the_cover_generators():
+    # DualData.express tests the full functional: f + E, with E nonzero but
+    # zero on the one cover generator of kS3's regular bimodule, is no
+    # env-linear map, so it has no coordinates
+    reg = alg.regular_bimodule(alg.group_algebra(s3_cayley_table(), "S3"))
+    md, dd = alg.bimodule_dual(reg)
+    (gen, _), = alg.proj_data(reg).coordinates()
+    assert reg.dim == 6
+    a = min(gen)
+    b = (a + 1) % reg.dim
+    e = Matrix.sparse(reg.env.dim, reg.dim,
+                      {k: x for k, x in ((b, gen[a]), (a, -gen.get(b, 0))) if x})
+    assert not e.is_zero() and e.apply_map(gen) == {}
+    f = dd.functionals[0]
+    assert dd.express(f) == {0: 1}
+    assert (f + e).apply_map(gen) == f.apply_map(gen)
+    assert dd.express(f + e) is None
 
 
 def test_witness_checks_fire_under_python_O():
