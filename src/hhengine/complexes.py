@@ -19,7 +19,13 @@ This module is the one reader of the tensor-complex block layout: where
 a pure tensor sits in a TensorComplex (block offsets, the term tensor's
 section and projection, raw index a * dim D_j + b).  Every other module
 reads and writes tensor vectors as raw pairs (TensorComplex.split / join)
-or raw triples of a nested tensor (split3 / join3).
+or as raw tuples of a nested tensor, one index per factor: a
+TensorComplex records itself on the complex it builds (Complex.tc), so a
+shape (nested(k) for a right-nested convolution of k factors) names how
+far to descend.  Term tensor sections are unit vectors, so each basis
+vector of a nested tensor is the class of exactly one raw tuple
+(basis_tuples, memoised); join_leaves writes a tuple of leaf vectors back,
+and regroup reads one nesting as another.
 
 Every 2-morphism equality and every lift or colift through a
 quasi-isomorphism is one homotopy equation, post . f . pre + d h + (-1)^k h d
@@ -45,6 +51,7 @@ class Complex:
                      if n in self.terms and (n + 1) in self.terms}
         self.left = left
         self.right = right
+        self.tc = None                  # the TensorComplex that built it
         for n, t in self.terms.items():
             if t.left is not left or t.right is not right:
                 raise AlgebraMismatch("complex term over wrong algebra pair")
@@ -237,8 +244,9 @@ class TensorComplex:
     pairs C_i (x) D_j (raw index a * dim D_j + b) by term_tensor's
     projection.  blocks[n] lists (i, j, offset, size); a block whose term
     tensor is zero is left out.  Other modules read and write vectors only
-    through split / join (pairs) and split3 / join3 (triples of a nested
-    tensor).  Signs follow (T1).
+    through split / join (pairs) and, for a nested tensor, the tuple reader
+    (basis_tuples / join_leaves), which finds each level's TensorComplex as
+    self.complex.tc.  Signs follow (T1).
     """
 
     def __init__(self, c: Complex, d: Complex):
@@ -250,6 +258,7 @@ class TensorComplex:
         terms = {}
         if not c.terms or not d.terms:
             self.complex = Complex({}, {}, c.left, d.right, check=False)
+            self.complex.tc = self
             return
         for n in range(min(c.degrees()) + min(d.degrees()),
                        max(c.degrees()) + max(d.degrees()) + 1):
@@ -281,6 +290,7 @@ class TensorComplex:
             if (n + 1) in self.blocks:
                 diffs[n] = _blockwise(self, self, n, 1, parts)
         self.complex = Complex(terms, diffs, c.left, d.right, check=False)
+        self.complex.tc = self
 
     def _dim(self, n):
         blocks = self.blocks.get(n)
@@ -319,49 +329,82 @@ class TensorComplex:
         return alg._nonzero(out)
 
 
-def split3(outer, inner, n, vec, right):
-    """{(i, j, k): {(a, b, c): x}}: a degree-n vector of a nested tensor as
-    raw triples of X_i (x) Y_j (x) Z_k.  outer is TC(X, inner) with inner
-    TC(Y, Z) when right, else TC(inner, Z) with inner TC(X, Y).  The side
-    is passed, not read off the complexes: one complex may be both
-    factors."""
-    out = {}
-    for (p, q), raw in outer.split(n, vec).items():
-        # group the raw pairs by the plain factor's index w
-        groups = {}
-        width = outer.d.dim(q)
-        for idx, x in raw.items():
-            u, v = divmod(idx, width)
-            w, rest = (u, v) if right else (v, u)
-            groups.setdefault(w, {})[rest] = x
-        for w, sub in groups.items():
-            for (s, t), raw2 in inner.split(q if right else p, sub).items():
-                tri = out.setdefault((p, s, t) if right else (s, t, q), {})
-                dt = inner.d.dim(t)
-                for idx2, y in raw2.items():
-                    b, c = divmod(idx2, dt)
-                    tri[(w, b, c) if right else (b, c, w)] = y
-    return out
+# -- raw tuples of nested tensor complexes ------------------------------------
 
 
-def join3(outer, inner, n, parts, right):
-    """The degree-n vector of a nested tensor with raw triples
-    {(i, j, k): {(a, b, c): x}}; the inverse reading of split3, zero-free."""
-    pairs = {}
-    for (i, j, k), tri in parts.items():
-        p, q, s, t = (i, j + k, j, k) if right else (i + j, k, i, j)
-        groups = {}                     # the plain factor's index -> inner raw
-        dt = inner.d.dim(t)
-        for (a, b, c), x in tri.items():
-            w, u, v = (a, b, c) if right else (c, a, b)
-            groups.setdefault(w, {})[u * dt + v] = x
-        raw = pairs.setdefault((p, q), {})
-        width = outer.d.dim(q)
-        for w, sub in groups.items():
-            vec = inner.join(s + t, {(s, t): sub})
-            alg._add_into(raw, {w * width + r if right else r * width + w: y
-                                for r, y in vec.items()})
-    return outer.join(n, pairs)
+def nested(k):
+    """The shape of the right-nested tensor X_1 (x) (X_2 (x) (... (x) X_k))
+    of k factors: 1 for one factor, else (1, nested(k - 1))."""
+    return 1 if k == 1 else (1, nested(k - 1))
+
+
+def _width(shape):
+    """The number of leaves of a shape."""
+    return 1 if shape == 1 else _width(shape[0]) + _width(shape[1])
+
+
+def basis_tuples(c, shape, n):
+    """[(degrees, indices)]: basis vector r of c in degree n as a raw tuple,
+    one (degree, index) per leaf of shape.
+
+    A shape is 1, c read as one factor, or a pair (s, t): c is the complex
+    a TensorComplex built (c.tc), whose factors are read with s and t.
+    Term tensor sections are unit vectors, so each basis vector is the
+    class of exactly one raw tuple.  Memoised on c."""
+    def build():
+        tc, (s, t) = c.tc, shape
+        out = []
+        for i, j, _, size in tc.blocks.get(n, ()):
+            _, _, sect = term_tensor(tc.c.term(i), tc.d.term(j))
+            width = tc.d.dim(j)
+            for col in range(size):
+                (raw, x), = sect.col_items(col)
+                if x != Q1:
+                    raise InvariantViolation(
+                        "tensor section is not a unit vector")
+                a, b = divmod(raw, width)
+                ld, li = basis_tuple(tc.c, s, i, a)
+                rd, ri = basis_tuple(tc.d, t, j, b)
+                out.append((ld + rd, li + ri))
+        return out
+    return _memo(c, ("tuples", shape, n), build)
+
+
+def basis_tuple(c, shape, n, r):
+    """basis_tuples(c, shape, n)[r], with no list built for a leaf."""
+    if shape == 1:
+        return (n,), (r,)
+    return basis_tuples(c, shape, n)[r]
+
+
+def join_leaves(c, shape, leaves):
+    """The class in c of the tensor of leaf vectors, zero-free: leaves holds
+    one (degree, {index: x}) per leaf of shape, in order.  With unit leaf
+    vectors this writes the raw tuple basis_tuples reads; a leaf's own
+    vector is returned when shape is 1."""
+    if shape == 1:
+        return leaves[0][1]
+    tc, (s, t) = c.tc, shape
+    k = _width(s)
+    u = join_leaves(tc.c, s, leaves[:k])
+    v = join_leaves(tc.d, t, leaves[k:])
+    if not u or not v:
+        return {}
+    i = sum(d for d, _ in leaves[:k])
+    j = sum(d for d, _ in leaves[k:])
+    return tc.join(i + j, {(i, j): alg._kron_vec(u, v, tc.d.dim(j))})
+
+
+def regroup(src, src_shape, tgt, tgt_shape):
+    """The degree-0 chain map src -> tgt writing each basis vector's raw
+    tuple in src (basis_tuples) as the same tuple of tgt: an associator
+    when the two shapes nest the same leaves differently."""
+    comps = {}
+    for n in src.degrees():
+        comps[n] = Matrix.from_column_maps(
+            [join_leaves(tgt, tgt_shape, [(d, {r: Q1}) for d, r in zip(*tup)])
+             for tup in basis_tuples(src, src_shape, n)], tgt.dim(n))
+    return ChainMap(src, tgt, 0, comps, check=False)
 
 
 def _blockwise(src, tgt, n, k, maps):

@@ -280,28 +280,33 @@ def _apply(m: Matrix, v: HochschildClass, space):
                            [out.get(i, Q0) for i in range(m.rows)])
 
 
-def _push_composite(phi: kn.Kernel, v: HochschildClass):
-    """phi_*(v) through the four-step bent composite."""
-    x, y = phi.source, phi.target
-    tv = class_to_two_morphism(v)
-    dk = kn.dual_kernel(phi)
-    mg = kn.mirrored_gamma(phi)                 # anti_Y => phi . phi^v
-    ins = kn.hcompose([kn.TwoMorphism.identity(phi), x.can2(),
-                       kn.TwoMorphism.identity(dk)])
-    skx = x.serre_kernel()
-    tail = kn.conv_kernel(skx.factors + dk.factors)
-    act = kn.hcompose([kn.TwoMorphism.identity(phi), tv,
+def _push_bend(phi: kn.Kernel):
+    """The class-free first two steps of the push composite,
+    (phi * can2 * phi^v) . mirrored_gamma(phi):
+    anti_Y => phi . anti . serre . phi^v."""
+    ins = kn.hcompose([kn.TwoMorphism.identity(phi), phi.source.can2(),
+                       kn.TwoMorphism.identity(kn.dual_kernel(phi))])
+    return ins.compose(kn.mirrored_gamma(phi))
+
+
+def _push_composite(phi: kn.Kernel, v: HochschildClass, bent: kn.TwoMorphism):
+    """phi_*(v) through the four-step bent composite, its class-free first
+    two steps `bent` (_push_bend) built once per kernel by the caller."""
+    tail = kn.conv_kernel(phi.source.serre_kernel().factors
+                          + kn.dual_kernel(phi).factors)
+    act = kn.hcompose([kn.TwoMorphism.identity(phi), class_to_two_morphism(v),
                        kn.TwoMorphism.identity(tail)])
     eps = kn.counit_eps(phi)                    # phi . serre_X . phi^v => Id_Y
-    total = eps.compose(act.compose(ins.compose(mg)))
-    return two_morphism_to_class(y, total, "homology")
+    total = eps.compose(act.compose(bent))
+    return two_morphism_to_class(phi.target, total, "homology")
 
 
 def pushforward_matrix(phi: kn.Kernel, degree=0):
     """Matrix of phi_* on HH_degree in the solver bases, its columns the
     composite on the basis classes, built once per kernel."""
     def build():
-        cols = [dict(enumerate(_push_composite(phi, v).coords))
+        bent = _push_bend(phi)
+        cols = [dict(enumerate(_push_composite(phi, v, bent).coords))
                 for v in hh_basis(phi.source, degree)]
         return Matrix.from_column_maps(cols, hh_data(phi.target).dim(-degree))
     return _memo(phi, ("push", degree), build)
@@ -353,25 +358,25 @@ def tau_l_class(v: HochschildClass) -> kn.TwoMorphism:
     return step.compose(can2)
 
 
-def _mukai_composite(v: HochschildClass, w: HochschildClass):
-    """Tr(tau_R(v) . tau_L(w)) through the categorical composite."""
-    x = v.space
-    tr_v = tau_r_class(v)
-    tl_w = tau_l_class(w)
-    sk = x.serre_kernel()
-    bent = kn.whisker(sk, tl_w)       # serre => serre . serre
-    total = bent.compose(tr_v)        # Id => serre . serre
-    return kn.serre_trace(x.identity_kernel(), total)
+def _mukai_composite(tr_v: kn.TwoMorphism, bent_w: kn.TwoMorphism):
+    """Tr(tau_R(v) . tau_L(w)) through the categorical composite, from
+    tr_v = tau_R(v): Id => serre and bent_w = serre * tau_L(w):
+    serre => serre . serre."""
+    total = bent_w.compose(tr_v)      # Id => serre . serre
+    return kn.serre_trace(tr_v.source, total)
 
 
 def pairing_matrix(space, i=0):
     """The pairing block HH_i x HH_{-i} -> Q in the solver bases, its entries
-    the Mukai composite on the basis classes, built once per space."""
+    the Mukai composite on the basis classes, built once per space; each
+    class is bent once."""
     def build():
         vs, ws = hh_basis(space, i), hh_basis(space, -i)
+        trs = [tau_r_class(v) for v in vs]
+        bents = [kn.whisker(space.serre_kernel(), tau_l_class(w)) for w in ws]
         return Matrix.sparse(len(vs), len(ws), {
-            a * len(ws) + b: _mukai_composite(va, wb)
-            for a, va in enumerate(vs) for b, wb in enumerate(ws)})
+            a * len(ws) + b: _mukai_composite(tr, bent)
+            for a, tr in enumerate(trs) for b, bent in enumerate(bents)})
     return _memo(space, ("pairing", i), build)
 
 

@@ -5,14 +5,17 @@ A kernel X -> Y is a strictly perfect complex of (Y-algebra, X-algebra)-
 bimodules.  Composite kernels are normalized to right-nested convolutions
 of their atomic factors and memoised, so equal factor lists yield the *same*
 Kernel object, and identity kernels (no factors) are contracted eagerly.
-Horizontal composition of 2-morphisms runs through explicit regrouping
-mediators, each memoised on its left kernel; an associator reads each
-raw triple x (x) y (x) z of one nesting as the same triple of the other,
-and is memoised on its first complex.  Associators, identity
-contractions, evaluations, coevaluations and the Serre trace read tensors
-only as raw pairs and triples through complexes (split / join, split3 /
-join3), never through its block layout.  Equality of 2-morphisms is always
-modulo homotopy.
+A horizontal composite maps the source convolution straight into the
+target's, building no regrouping: it is read column by column through raw
+factor tuples, each basis vector of a convolution being the class of one
+raw tuple.  An identity kernel is inserted by a solved lift
+and contracted by an explicit map, both memoised on the other kernel.
+Where a counit, unit or trace needs conv(A + B) as TC(A, B), _join
+regroups it flat, tuple for tuple.  Regroupings, contractions,
+evaluations, coevaluations and the Serre trace read tensors only as raw
+pairs (split / join) and raw tuples (basis_tuples / join_leaves) through
+complexes, never through its block layout.  Equality of 2-morphisms is
+always modulo homotopy.
 
 The canonical units and counits come from explicit formulas on witnessed
 projective coordinates:
@@ -68,12 +71,11 @@ class AtomicKernel:
 class Kernel:
     """A 1-morphism: memoised right-nested convolution of atomic factors."""
 
-    def __init__(self, source, target, factors, complex_, tc=None):
+    def __init__(self, source, target, factors, complex_):
         self.source = source
         self.target = target
         self.factors = tuple(factors)
         self.complex = complex_
-        self.tc = tc
 
     @property
     def is_identity(self):
@@ -102,7 +104,7 @@ def conv_kernel(factors):
                           factors[0].complex)
         rest = conv_kernel(factors[1:])
         tc = cx.tc_of(factors[0].complex, rest.complex)
-        return Kernel(rest.source, factors[0].target, factors, tc.complex, tc)
+        return Kernel(rest.source, factors[0].target, factors, tc.complex)
     return _memo(factors[0], ("conv", factors), build)
 
 
@@ -298,7 +300,7 @@ def dual_kernel(phi: Kernel):
 
 
 # ---------------------------------------------------------------------------
-# regrouping mediators and horizontal composition
+# identity insertion, regrouping and horizontal composition
 # ---------------------------------------------------------------------------
 
 
@@ -331,37 +333,41 @@ def _chain_map(src: cx.Complex, tgt: cx.Complex, image, degrees):
     return cx.ChainMap(src, tgt, 0, comps, check=False)
 
 
-def _contract(space: Space, k: Kernel, side):
-    """Explicit contraction TC(R, k) -> k resp. TC(k, R) -> k: the pairs
-    (a, m) of R_0 (x) k_n resp. (m, a) of k_n (x) R_0 map to the action of
-    aug(a) on m."""
-    rc, aug = space.id_resolution()
-    left = side == "left"
-    tc = cx.tc_of(rc, k.complex) if left else cx.tc_of(k.complex, rc)
-    augm = aug.component(0)
-    acts = {}
+def _contract(k: Kernel, side):
+    """(tc, explicit contraction TC(R, k) -> k resp. TC(k, R) -> k), R the
+    identity resolution of k's target resp. source: the pairs (a, m) of
+    R_0 (x) k_n resp. (m, a) of k_n (x) R_0 map to the action of aug(a) on
+    m.  Memoised on k."""
+    def build():
+        left = side == "left"
+        rc, aug = (k.target if left else k.source).id_resolution()
+        tc = cx.tc_of(rc, k.complex) if left else cx.tc_of(k.complex, rc)
+        augm = aug.component(0)
+        acts = {}
 
-    def contract(n, vec):
-        term = k.complex.term(n)
-        out = {}
-        for idx, x in tc.split(n, vec).get((0, n) if left else (n, 0), {}).items():
-            if left:
-                a, m = divmod(idx, term.dim)
-            else:
-                m, a = divmod(idx, rc.dim(0))
-            if (n, a) not in acts:
-                act = term.act_left if left else term.act_right
-                acts[(n, a)] = act(dict(augm.col_items(a)))
-            alg._add_into(out, dict(acts[(n, a)].col_items(m)), x)
-        return out
-    return tc, _chain_map(tc.complex, k.complex, contract, tc.complex.degrees())
+        def contract(n, vec):
+            term = k.complex.term(n)
+            out = {}
+            for idx, x in tc.split(n, vec).get((0, n) if left else (n, 0),
+                                               {}).items():
+                if left:
+                    a, m = divmod(idx, term.dim)
+                else:
+                    m, a = divmod(idx, rc.dim(0))
+                if (n, a) not in acts:
+                    act = term.act_left if left else term.act_right
+                    acts[(n, a)] = act(dict(augm.col_items(a)))
+                alg._add_into(out, dict(acts[(n, a)].col_items(m)), x)
+            return out
+        return tc, _chain_map(tc.complex, k.complex, contract,
+                              tc.complex.degrees())
+    return _memo(k, ("contract", side), build)
 
 
 def _insert_identity(k: Kernel, side):
     """(tc, Mediator k <-> TC(R,k) / TC(k,R)); the section is a solved lift."""
     def build():
-        space = k.target if side == "left" else k.source
-        tc, c = _contract(space, k, side)
+        tc, c = _contract(k, side)
         u = cx.lift_through(_idc(k.complex), c)
         if u is None:
             raise InvariantViolation("identity reinsertion lift failed")
@@ -369,68 +375,117 @@ def _insert_identity(k: Kernel, side):
     return _memo(k, ("ins", side), build)
 
 
-def _assoc(x: cx.Complex, y: cx.Complex, z: cx.Complex):
-    """(outer_r, outer_l, Mediator): TC(x, TC(y,z)) <-> TC(TC(x,y), z)."""
-    return _memo(x, ("assoc", y, z), lambda: _assoc_mediator(x, y, z))
-
-
-def _assoc_mediator(x: cx.Complex, y: cx.Complex, z: cx.Complex):
-    inner_r = cx.tc_of(y, z)
-    outer_r = cx.tc_of(x, inner_r.complex)
-    inner_l = cx.tc_of(x, y)
-    outer_l = cx.tc_of(inner_l.complex, z)
-
-    def regroup(src, src_inner, tgt, tgt_inner, right):
-        """Each raw triple of src (nested on the right when right) read as
-        the same triple of tgt, nested on the other side."""
-        def image(n, vec):
-            triples = cx.split3(src, src_inner, n, vec, right)
-            return cx.join3(tgt, tgt_inner, n, triples, not right)
-        return _chain_map(src.complex, tgt.complex, image, src.complex.degrees())
-
-    return outer_r, outer_l, Mediator(
-        regroup(outer_r, inner_r, outer_l, inner_l, True),
-        regroup(outer_l, inner_l, outer_r, inner_r, False))
-
-
 def _join(ka, kb):
-    """(tc, Mediator): conv(ka.factors + kb.factors) <-> TC(ka, kb),
-    memoised on ka."""
-    return _memo(ka, ("join", kb), lambda: _join_mediator(ka, kb))
+    """(tc, Mediator): conv(ka.factors + kb.factors) <-> TC(ka, kb), one
+    flat regroup of raw tuples each way; memoised on ka."""
+    def build():
+        if ka.is_identity:
+            return _insert_identity(kb, "left")
+        if kb.is_identity:
+            return _insert_identity(ka, "right")
+        whole = conv_kernel(ka.factors + kb.factors)
+        if len(ka.factors) == 1:
+            return whole.complex.tc, Mediator.identity(whole.complex)
+        tc = cx.tc_of(ka.complex, kb.complex)
+        flat = cx.nested(len(ka.factors) + 1)
+        pair = (cx.nested(len(ka.factors)), 1)
+        return tc, Mediator(cx.regroup(whole.complex, flat, tc.complex, pair),
+                            cx.regroup(tc.complex, pair, whole.complex, flat))
+    return _memo(ka, ("join", kb), build)
 
 
-def _join_mediator(ka, kb):
-    if ka.is_identity:
-        return _insert_identity(kb, "left")
-    if kb.is_identity:
-        return _insert_identity(ka, "right")
-    whole = conv_kernel(ka.factors + kb.factors)
-    if len(ka.factors) == 1:
-        return whole.tc, Mediator.identity(whole.complex)
-    a1 = ka.factors[0]
-    ka_rest = conv_kernel(ka.factors[1:])
-    sub_tc, sub_med = _join(ka_rest, kb)
-    upper = cx.tc_of(a1.complex, sub_tc.complex)
-    lift_fwd = cx.tensor_map(whole.tc, upper, _idc(a1.complex), sub_med.fwd)
-    lift_inv = cx.tensor_map(upper, whole.tc, _idc(a1.complex), sub_med.inv)
-    outer_r, outer_l, assoc = _assoc(a1.complex, ka_rest.complex, kb.complex)
-    fwd = assoc.fwd.compose(lift_fwd)
-    inv = lift_inv.compose(assoc.inv)
-    return outer_l, Mediator(fwd, inv)
+def _leaves(k: Kernel):
+    """The leaves k's complex is read as: its factors, or R for an identity."""
+    return len(k.factors) or 1
+
+
+def _is_identity(t: TwoMorphism):
+    """Whether t is the identity 2-morphism of its kernel."""
+    c = t.chain
+    return (t.source is t.target and c.degree == 0
+            and all(c.component(n) == Matrix.identity(c.source.dim(n))
+                    for n in c.source.degrees()))
 
 
 def hcompose_pair(alpha: TwoMorphism, beta: TwoMorphism):
-    """alpha * beta horizontally; alpha lives over the left factor list."""
+    """alpha * beta horizontally; alpha lives over the left factor list.
+
+    The composite maps the source convolution straight into the target's,
+    column by column through raw tuples, with no regrouping.  A source
+    basis vector of conv(A + B) is one raw tuple (A's leaves, B's
+    complex); an identity source kernel is first inserted by the solved
+    lift of _insert_identity, whose image is read the same way from
+    TC(A, B).  alpha maps the class of the A leaves and beta the B vector,
+    an identity passing its part through; the images' tuples are joined
+    into the target convolution with the (T2) sign (-1)^(|beta| |A part|),
+    or into TC(R, B) / TC(A, R) and contracted when a target kernel is an
+    identity."""
     asrc, atgt = alpha.source, alpha.target
     bsrc, btgt = beta.source, beta.target
     if asrc.source is not bsrc.target or atgt.source is not btgt.target:
         raise ShapeMismatch("horizontal composition space mismatch")
-    src = convolve(asrc, bsrc)
-    tgt = convolve(atgt, btgt)
-    tc_s, med_s = _join(asrc, bsrc)
-    tc_t, med_t = _join(atgt, btgt)
-    mid = cx.tensor_map(tc_s, tc_t, alpha.chain, beta.chain)
-    return TwoMorphism(src, tgt, med_t.inv.compose(mid.compose(med_s.fwd)))
+    a_id, b_id = _is_identity(alpha), _is_identity(beta)
+    k = alpha.degree + beta.degree
+    p, q = _leaves(asrc), _leaves(atgt)
+    whole_s, whole_t = convolve(asrc, bsrc), convolve(atgt, btgt)
+    src = whole_s.complex
+    if asrc.is_identity or bsrc.is_identity:
+        tc_s, ins = _insert_identity(bsrc, "left") if asrc.is_identity \
+            else _insert_identity(asrc, "right")
+        read, r_shape, lift = tc_s.complex, (cx.nested(p), 1), ins.fwd
+    else:
+        read, r_shape, lift = src, cx.nested(p + 1), None
+    if atgt.is_identity or btgt.is_identity:
+        tc_t, contract = _contract(btgt, "left") if atgt.is_identity \
+            else _contract(atgt, "right")
+        write, w_shape = tc_t.complex, (cx.nested(q), 1)
+    else:
+        write, w_shape = whole_t.complex, cx.nested(q + 1)
+        contract = None
+    images = {}                             # A part -> [(image tuple, x)]
+    comps = {}
+    for n in src.degrees():
+        tuples = cx.basis_tuples(read, r_shape, n)
+        cols = []
+        for r in range(src.dim(n)):
+            vec = [(r, Q1)] if lift is None else lift.component(n).col_items(r)
+            out = {}
+            for e, x in vec:
+                degs, idxs = tuples[e]
+                a_part, j, b = (degs[:p], idxs[:p]), degs[p], idxs[p]
+                if a_part not in images:
+                    images[a_part] = _image_tuples(alpha, a_id, a_part)
+                bvec = {b: Q1} if b_id else \
+                    dict(beta.chain.component(j).col_items(b))
+                if (beta.degree * sum(a_part[0])) % 2:
+                    x = -x
+                for (tdegs, tidxs), y in images[a_part]:
+                    leaves = [(d, {i: Q1}) for d, i in zip(tdegs, tidxs)]
+                    leaves.append((j + beta.degree, bvec))
+                    alg._add_into(out, cx.join_leaves(write, w_shape, leaves),
+                                  x * y)
+            cols.append(alg._nonzero(out))
+        m = Matrix.from_column_maps(cols, write.dim(n + k))
+        if not m.is_zero():
+            comps[n] = m
+    chain = cx.ChainMap(src, write, k, comps, check=False)
+    return TwoMorphism(whole_s, whole_t,
+                       chain if contract is None else contract.compose(chain))
+
+
+def _image_tuples(alpha: TwoMorphism, a_id, a_part):
+    """[(raw tuple, x)]: alpha applied to the class of the raw tuple a_part
+    of its source, read as raw tuples of its target; an identity passes
+    a_part through."""
+    if a_id:
+        return [(a_part, Q1)]
+    degs, idxs = a_part
+    vec = cx.join_leaves(alpha.source.complex, cx.nested(len(degs)),
+                         [(d, {i: Q1}) for d, i in zip(degs, idxs)])
+    n = sum(degs)
+    tgt, shape = alpha.target.complex, cx.nested(_leaves(alpha.target))
+    return [(cx.basis_tuple(tgt, shape, n + alpha.degree, r), x)
+            for r, x in alpha.chain.component(n).apply_map(vec).items()]
 
 
 def hcompose(morphs):
@@ -475,12 +530,12 @@ def counit_eps(phi: Kernel):
         inner = conv_kernel(sk.factors + dk.factors)          # TC(serre, dual)
         _, aug = x.serre_resolution()
         n_in = cx.tc_of(aug.target, dk.complex)
-        q_in = cx.tensor_map(inner.tc, n_in, aug, _idc(dk.complex))
+        q_in = cx.tensor_map(inner.complex.tc, n_in, aug, _idc(dk.complex))
         tc_nice, med = _join(phi, inner)
         n_out = cx.tc_of(tc_nice.c, n_in.complex)
         q_out = cx.tensor_map(tc_nice, n_out, _idc(tc_nice.c), q_in)
         _, aug_y = y.id_resolution()
-        ev = _eval_chain(phi, dk, n_out, n_in, reg_complex=aug_y.target)
+        ev = _eval_chain(phi, dk, n_out, reg_complex=aug_y.target)
         g = ev.compose(q_out.compose(med.fwd))
         f = cx.lift_through(g, aug_y)
         if f is None:
@@ -498,7 +553,7 @@ def counit_eps_mirror(phi: Kernel):
     return _memo(phi, "eps_mirror", build)
 
 
-def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, reg_complex):
+def _eval_chain(phi: Kernel, dk: Kernel, n_out, reg_complex):
     """(E1) evaluation out of the contracted triple tensor
     phi (x) (D(A) (x) phi^v): its degree-0 triples (m, xi, f) of degrees
     (i, 0, -i) map by (m, xi, f) |-> (-1)^i (id (x) xi)(f(m)) into B_reg.
@@ -506,16 +561,17 @@ def _eval_chain(phi: Kernel, dk: Kernel, n_out, n_in, reg_complex):
     a_dim = phi.source.algebra.dim
 
     def evaluate(n, vec):
+        tuples = cx.basis_tuples(n_out.complex, cx.nested(3), n)
         out = {}
-        for (i, _, k), triples in cx.split3(n_out, n_in, n, vec, True).items():
-            functionals = dk.complex.term(k)._dual_data.functionals
+        for t, c in vec.items():
+            (i, _, k), (m, xi, f) = tuples[t]
             sgn = Q1 if i % 2 == 0 else -Q1
-            for (m, xi, f), c in triples.items():
-                for e, val in functionals[f].col_items(m):
-                    r, aa = divmod(e, a_dim)
-                    if aa == xi:
-                        p = sgn * c * val
-                        out[r] = out[r] + p if r in out else p
+            functional = dk.complex.term(k)._dual_data.functionals[f]
+            for e, val in functional.col_items(m):
+                r, aa = divmod(e, a_dim)
+                if aa == xi:
+                    p = sgn * c * val
+                    out[r] = out[r] + p if r in out else p
         return out
     return _chain_map(n_out.complex, reg_complex, evaluate, [0])
 
@@ -532,7 +588,7 @@ def unit_eta2(phi: Kernel):
         n_out = cx.tc_of(aug.target, inner_tc.complex)
         unc = cx.tc_of(sk.complex, inner_tc.complex)
         q = cx.tensor_map(unc, n_out, aug, _idc(inner_tc.complex))
-        w = _unit_element(phi, dk, inner_tc, n_out, mirror=False)
+        w = _unit_element(phi, dk, n_out, mirror=False)
         comp = _bimodule_map_from_element(x.regular, n_out.complex.term(0), w)
         if not (n_out.complex.differential(0) * comp).is_zero():
             raise InvariantViolation("unit element is not a cycle")
@@ -544,7 +600,8 @@ def unit_eta2(phi: Kernel):
         if phi.is_identity:
             # contract the identity factor: unc -> conv([serre, dual]).complex
             _, med = _insert_identity(dk, "right")
-            lowered = cx.tensor_map(unc, tgt.tc, _idc(sk.complex), med.inv)
+            lowered = cx.tensor_map(unc, tgt.complex.tc, _idc(sk.complex),
+                                    med.inv)
             f = lowered.compose(f)
         elif tgt.complex is not unc.complex:
             raise InvariantViolation("unit target is not unc")
@@ -562,11 +619,11 @@ def unit_eta1(phi: Kernel):
         tail = conv_kernel(dk.factors + sk.factors)            # TC(dual, serre)
         _, aug = y.serre_resolution()
         n_mid = cx.tc_of(dk.complex, aug.target)
-        q_mid = cx.tensor_map(tail.tc, n_mid, _idc(dk.complex), aug)
+        q_mid = cx.tensor_map(tail.complex.tc, n_mid, _idc(dk.complex), aug)
         unc = cx.tc_of(phi.complex, tail.complex)
         n_out = cx.tc_of(phi.complex, n_mid.complex)
         q_out = cx.tensor_map(unc, n_out, _idc(phi.complex), q_mid)
-        w = _unit_element(phi, dk, n_mid, n_out, mirror=True)
+        w = _unit_element(phi, dk, n_out, mirror=True)
         comp = _bimodule_map_from_element(y.regular, n_out.complex.term(0), w)
         if not (n_out.complex.differential(0) * comp).is_zero():
             raise InvariantViolation("unit element is not a cycle")
@@ -587,7 +644,7 @@ def unit_eta1(phi: Kernel):
     return _memo(phi, "eta1", build)
 
 
-def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
+def _unit_element(phi: Kernel, dk: Kernel, n_out, mirror):
     """The Y-shaped coevaluation cycle in degree 0 of the contracted target,
     a sum of raw triples.
 
@@ -598,7 +655,7 @@ def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
     """
     x, y = phi.source, phi.target
     dual_dim = y.algebra.dim if mirror else x.algebra.dim
-    triples = {}
+    out = {}
     for i in phi.complex.degrees():
         mterm = phi.complex.term(i)
         dterm = dk.complex.term(-i)
@@ -610,20 +667,20 @@ def _unit_element(phi: Kernel, dk: Kernel, tc_inner, n_out, mirror):
         if pd is None:
             raise NotPerfect(f"{mterm.label}: no witness for unit element")
         act = mterm.act_left if mirror else mterm.act_right
-        tri = triples.setdefault((i, -i, 0) if mirror else (0, -i, i), {})
         for gen, phi_mat in pd.coordinates():
             fcoords = dd.express(phi_mat)
             if fcoords is None:
                 raise InvariantViolation("coordinate functional escaped the dual basis")
+            fvec = {f: sgn * fc for f, fc in fcoords.items()}
             for l in range(dual_dim):
                 # c_l . x_p (mirror) or x_p . r_l, against phi_p and the l-th
                 # dual basis vector of the algebra
-                for m, xm in act({l: Q1}).apply_map(gen).items():
-                    for f, fc in fcoords.items():
-                        key = (m, f, l) if mirror else (l, f, m)
-                        p = sgn * fc * xm
-                        tri[key] = tri[key] + p if key in tri else p
-    return cx.join3(n_out, tc_inner, 0, triples, True)
+                xvec = act({l: Q1}).apply_map(gen)
+                leaves = [(i, xvec), (-i, fvec), (0, {l: Q1})] if mirror \
+                    else [(0, {l: Q1}), (-i, fvec), (i, xvec)]
+                alg._add_into(out, cx.join_leaves(n_out.complex, cx.nested(3),
+                                                  leaves))
+    return alg._nonzero(out)
 
 
 # ---------------------------------------------------------------------------
@@ -796,13 +853,13 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
             continue
         sgn = Q1 if i % 2 == 0 else -Q1
         # read n_out degree i as triples (zeta, m, xi) of D(B), phi_i, D(A)
+        tuples = cx.basis_tuples(n_out.complex, cx.nested(3), i)
         for gen, phi_mat in pd.coordinates():
-            img = comp.apply_map(gen)
-            for triples in cx.split3(n_out, n_tail, i, img, True).values():
-                for (zeta, m, xi), c in triples.items():
-                    val = phi_mat[zeta * a_dim + xi, m]
-                    if val:
-                        total += sgn * c * val
+            for t, c in comp.apply_map(gen).items():
+                zeta, m, xi = tuples[t][1]
+                val = phi_mat[zeta * a_dim + xi, m]
+                if val:
+                    total += sgn * c * val
     return total
 
 

@@ -600,7 +600,7 @@ def test_engine_sources_hold_no_global_statements():
 
 def test_only_complexes_reads_the_tensor_block_layout():
     # where a pure tensor sits in a TensorComplex is read and written only
-    # through complexes' split / join / split3 / join3
+    # through complexes' split / join and its raw-tuple reader
     layout = {"term_tensor", "_find_block", "_accumulate", "blocks"}
     found = [f"{name}:{n.lineno}" for name, tree in _engine_sources()
              if name != "complexes.py" for n in ast.walk(tree)

@@ -314,14 +314,22 @@ def test_lift_and_colift_of_odd_degree_cycles_are_chain_maps():
                         f = cx.ChainMap(p, t, k, f.components, check=True)
                         assert cx.chain_maps_equal(f, g)
 
+def _associator(x, y, z):
+    """The flat regroup each way between TC(x, TC(y, z)) and
+    TC(TC(x, y), z)."""
+    right = cx.tc_of(x, cx.tc_of(y, z).complex).complex
+    left = cx.tc_of(cx.tc_of(x, y).complex, z).complex
+    return (cx.regroup(right, (1, (1, 1)), left, ((1, 1), 1)),
+            cx.regroup(left, ((1, 1), 1), right, (1, (1, 1))))
+
+
 def test_tensor_associator_literal_identity_on_free_triples():
-    import hhengine.kernels as kn
     z2 = alg.group_algebra([[0, 1], [1, 0]])
     f = cx.single_term_complex(builders.free_bimodule(z2, z2, rank=1))
-    _, _, med = kn._assoc(f, f, f)
-    for n, mat in med.fwd.components.items():
+    fwd, inv = _associator(f, f, f)
+    for n, mat in fwd.components.items():
         assert mat == Matrix.identity(mat.rows)
-    for n, mat in med.inv.components.items():
+    for n, mat in inv.components.items():
         assert mat == Matrix.identity(mat.rows)
 
 
@@ -329,13 +337,12 @@ def test_associator_is_an_inverse_pair_of_chain_maps(a2, a3):
     # R the identity resolution, S the Serre resolution; R (x) R (x) R nests
     # one complex on both sides, and most of these regroupings are not
     # identity matrices
-    import hhengine.kernels as kn
     plain = []
     for sp in (a2, a3):
         r, s = sp.id_resolution()[0], sp.serre_resolution()[0]
         for triple in ((r, r, r), (r, s, r), (s, r, s)):
-            _, _, med = kn._assoc(*triple)
-            for f, g in ((med.fwd, med.inv), (med.inv, med.fwd)):
+            fwd, inv = _associator(*triple)
+            for f, g in ((fwd, inv), (inv, fwd)):
                 cx.ChainMap(f.source, f.target, 0, f.components, check=True)
                 both = g.compose(f)
                 for n in f.source.degrees():

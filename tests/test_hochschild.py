@@ -171,6 +171,10 @@ def random_class(space, rng):
                                   for _ in range(d)])
 
 
+def _push(phi, v):
+    return hh._push_composite(phi, v, hh._push_bend(phi))
+
+
 def test_linear_maps_match_the_composites_off_the_basis(
         pt, bz2, bs3, a2, one, z2_modules, s3_modules, a2_modules, ind_res):
     # the memoised matrices run the categorical composites on basis classes
@@ -181,20 +185,31 @@ def test_linear_maps_match_the_composites_off_the_basis(
     for sp, mods in ((bz2, z2_modules), (bs3, s3_modules), (a2, a2_modules)):
         vs = [random_class(sp, rng) for _ in range(2)]
         vs += [hh.chern(k, one) for k in list(mods.values())[:2]]
+        sk = sp.serre_kernel()
         for v in vs:
             for w in vs:
-                assert hh.mukai_pairing(v, w) == hh._mukai_composite(v, w)
+                assert hh.mukai_pairing(v, w) == hh._mukai_composite(
+                    hh.tau_r_class(v), kn.whisker(sk, hh.tau_l_class(w)))
         idk = sp.identity_kernel()
         for v in vs:
-            assert hh.pushforward(idk, v) == hh._push_composite(idk, v) == v
-            assert hh.pullback(idk, v) == hh._push_composite(kn.tau_l(idk), v) == v
+            assert hh.pushforward(idk, v) == _push(idk, v) == v
+            assert hh.pullback(idk, v) == _push(kn.tau_l(idk), v) == v
     ind, res = ind_res
     for phi in (z2_modules["sgn"], ind, res):
         for _ in range(2):
             v = random_class(phi.source, rng)
             w = random_class(phi.target, rng)
-            assert hh.pushforward(phi, v) == hh._push_composite(phi, v)
-            assert hh.pullback(phi, w) == hh._push_composite(kn.tau_l(phi), w)
+            assert hh.pushforward(phi, v) == _push(phi, v)
+            assert hh.pullback(phi, w) == _push(kn.tau_l(phi), w)
+
+
+def test_direct_push_along_the_left_adjoint_is_the_pullback_on_a3(a3):
+    # the tau_L oracle: pushing along tau_L(Id) = Id^v . serre as one
+    # convolution bends through tensor complexes of its two factors, and
+    # must agree with the product-form pullback, the identity on A3's HH_0
+    idk = a3.identity_kernel()
+    direct = hh.pushforward_matrix(kn.tau_l(idk))
+    assert direct == hh.pullback_matrix(idk) == Matrix.identity(3)
 
 
 def test_linear_maps_are_built_once(monkeypatch):

@@ -332,3 +332,146 @@ def test_serre_trace_additive_under_direct_sum(pt):
         a = kn.hcompose([ins, kn.TwoMorphism.identity(k), ins])
         traces.append(kn.serre_trace(k, a))
     assert traces[2] == traces[0] + traces[1]
+
+
+def _split3(outer, inner, n, vec, right):
+    # a degree-n vector of TC(X, TC(Y, Z)) (right) or TC(TC(X, Y), Z) as
+    # {(i, j, k): {(a, b, c): x}}, read through the pair split only
+    out = {}
+    for (p, q), raw in outer.split(n, vec).items():
+        groups = {}
+        width = outer.d.dim(q)
+        for idx, x in raw.items():
+            u, v = divmod(idx, width)
+            w, rest = (u, v) if right else (v, u)
+            groups.setdefault(w, {})[rest] = x
+        for w, sub in groups.items():
+            for (s, t), raw2 in inner.split(q if right else p, sub).items():
+                tri = out.setdefault((p, s, t) if right else (s, t, q), {})
+                dt = inner.d.dim(t)
+                for idx2, y in raw2.items():
+                    b, c = divmod(idx2, dt)
+                    tri[(w, b, c) if right else (b, c, w)] = y
+    return out
+
+
+def _join3(outer, inner, n, parts, right):
+    # the inverse reading of _split3, written through the pair join only
+    pairs = {}
+    for (i, j, k), tri in parts.items():
+        p, q, s, t = (i, j + k, j, k) if right else (i + j, k, i, j)
+        groups = {}
+        dt = inner.d.dim(t)
+        for (a, b, c), x in tri.items():
+            w, u, v = (a, b, c) if right else (c, a, b)
+            groups.setdefault(w, {})[u * dt + v] = x
+        raw = pairs.setdefault((p, q), {})
+        width = outer.d.dim(q)
+        for w, sub in groups.items():
+            vec = inner.join(s + t, {(s, t): sub})
+            alg._add_into(raw, {w * width + r if right else r * width + w: y
+                                for r, y in vec.items()})
+    return outer.join(n, pairs)
+
+
+def _mediated_route():
+    """hcompose_pair through regrouping mediators, independent of the
+    raw-tuple reader: both convolutions are regrouped to TC(A, B) by a
+    recursive join of three-factor associators read with _split3 /
+    _join3, and alpha (x) beta is the tensor map there."""
+    memo = {}
+
+    def assoc(x, y, z):
+        if (x, y, z) not in memo:
+            inner_r, inner_l = cx.tc_of(y, z), cx.tc_of(x, y)
+            outer_r = cx.tc_of(x, inner_r.complex)
+            outer_l = cx.tc_of(inner_l.complex, z)
+
+            def regroup(src, src_inner, tgt, tgt_inner, right):
+                def image(n, vec):
+                    triples = _split3(src, src_inner, n, vec, right)
+                    return _join3(tgt, tgt_inner, n, triples, not right)
+                return kn._chain_map(src.complex, tgt.complex, image,
+                                     src.complex.degrees())
+            memo[x, y, z] = outer_l, kn.Mediator(
+                regroup(outer_r, inner_r, outer_l, inner_l, True),
+                regroup(outer_l, inner_l, outer_r, inner_r, False))
+        return memo[x, y, z]
+
+    def join(ka, kb):
+        if ka.is_identity:
+            return kn._insert_identity(kb, "left")
+        if kb.is_identity:
+            return kn._insert_identity(ka, "right")
+        a1, rest = ka.factors[0], ka.factors[1:]
+        whole = cx.tc_of(a1.complex,
+                         kn.conv_kernel(rest + kb.factors).complex)
+        if not rest:
+            return whole, kn.Mediator.identity(whole.complex)
+        ka_rest = kn.conv_kernel(rest)
+        sub_tc, sub_med = join(ka_rest, kb)
+        upper = cx.tc_of(a1.complex, sub_tc.complex)
+        idc = cx.ChainMap.identity(a1.complex)
+        lift_fwd = cx.tensor_map(whole, upper, idc, sub_med.fwd)
+        lift_inv = cx.tensor_map(upper, whole, idc, sub_med.inv)
+        outer_l, med = assoc(a1.complex, ka_rest.complex, kb.complex)
+        return outer_l, kn.Mediator(med.fwd.compose(lift_fwd),
+                                    lift_inv.compose(med.inv))
+
+    def hcompose_pair(alpha, beta):
+        tc_s, med_s = join(alpha.source, beta.source)
+        tc_t, med_t = join(alpha.target, beta.target)
+        mid = cx.tensor_map(tc_s, tc_t, alpha.chain, beta.chain)
+        return med_t.inv.compose(mid.compose(med_s.fwd))
+    return hcompose_pair
+
+
+def _entrywise_equal(f, g):
+    return (f.source is g.source and f.target is g.target
+            and f.degree == g.degree
+            and all(f.component(n) == g.component(n)
+                    for n in set(f.components) | set(g.components)))
+
+
+def test_horizontal_composites_equal_the_mediated_route(a2, a3, bz2,
+                                                        monkeypatch):
+    # random 2-morphisms of degrees -2..2 between Id, S, S^-1 and S.S^-1,
+    # composed in both orders: every branch of hcompose_pair (identity
+    # kernels inserted or contracted, whiskers on either side, odd degrees
+    # that carry the (T2) sign) against the mediated route, entry for entry
+    rng = random.Random(11)
+    pairs = []
+    for sp in (a2, a3, bz2):
+        ks = [sp.identity_kernel(), sp.serre_kernel(), sp.anti_serre_kernel(),
+              kn.convolve(sp.serre_kernel(), sp.anti_serre_kernel())]
+        draws = [kn.TwoMorphism.identity(ks[3])]
+        ends = [(src, tgt) for src in ks for tgt in ks]
+        for degree in range(-2, 3):
+            rng.shuffle(ends)
+            found = (kn.random_two_morphism(src, tgt, degree, rng)
+                     for src, tgt in ends)
+            draws += [t for t in found if t is not None][:2]
+        pairs += [(s, t) for s in draws for t in draws]
+    # no kernel here has cycles of negative degree
+    assert {s.degree for s, _ in pairs} == {0, 1, 2}
+    # the whiskers inside A3's canonical 2-morphisms, on a space of its own
+    # so that none of them is memoised yet
+    seen = []
+    plain = kn.hcompose_pair
+
+    def record(alpha, beta):
+        seen.append((alpha, beta))
+        return plain(alpha, beta)
+    monkeypatch.setattr(kn, "hcompose_pair", record)
+    fresh = kn.Space(alg.path_algebra(3, [(0, 1), (1, 2)], "A3"), "A3")
+    idk = fresh.identity_kernel()
+    for build in (fresh.can2, fresh.can4, lambda: kn.gamma(idk),
+                  lambda: kn.mirrored_gamma(idk)):
+        build()
+    monkeypatch.undo()
+    assert len(seen) >= 6
+    mediated = _mediated_route()
+    for alpha, beta in pairs + seen:
+        got = kn.hcompose_pair(alpha, beta)
+        want = mediated(alpha, beta)
+        assert _entrywise_equal(got.chain, want)
