@@ -17,14 +17,15 @@ Conventions used everywhere downstream:
 Projectivity is witnessed, not just decided: every projective module the
 engine touches carries a cover by cyclic summands R.u (u running over a
 complete orthogonal idempotent family of R) together with a module-linear
-section of the covering map.  A tensor product or direct sum of witnessed
+section of the covering map.  A tensor product or direct sum of projective
 modules is projective by construction: it says so without solving, and its
 witness, when asked for, comes from the same cover-and-section solve as any
-other module's.  Only two witnesses are derived rather than solved: a
-resolution's self-cover (the identity section), and a dual, whose actions
-and cover evaluation are read off the witness it was built from (the
-dual-basis lemma): each is a combination, solved inside one cover piece,
-of the coordinates of the functionals the witness spans.  Those
+other module's; with a factor that is not projective it is an ordinary
+module, decided by that solve.  Only two witnesses are derived rather than
+solved: a resolution's self-cover (the identity section), and a dual, whose
+actions and cover evaluation are read off the witness it was built from
+(the dual-basis lemma): each is a combination, solved inside one cover
+piece, of the coordinates of the functionals the witness spans.  Those
 functionals are told apart by their values on the cover generators,
 which determine an env-linear map, so only the dual basis itself is
 multiplied out to full width.  The same lemma
@@ -607,10 +608,19 @@ class ProjData:
             in zip(self.cover.pieces, self.cover.piece_ranges())))
 
 
-def _derive_proj(m: Bimodule, build):
-    """Make build() m's witness builder: m is projective by construction,
-    so is_projective(m) answers True without building it."""
-    _memo(m, "proj_builder", lambda: build)
+def _derive_proj(m: Bimodule, build, factors=()):
+    """Make build() m's witness builder: m is projective by construction
+    when its factors are, and then is_projective(m) does not build it."""
+    _memo(m, "proj_builder", lambda: (build, factors))
+
+
+def _constructed(m: Bimodule):
+    """m's witness builder if m is projective by construction, else None;
+    the factors are asked only when m's projectivity is."""
+    derived = _memoised(m, "proj_builder")
+    if derived is not None and all(is_projective(f) for f in derived[1]):
+        return derived[0]
+    return None
 
 
 def _cover_and_section(m: Bimodule):
@@ -620,13 +630,11 @@ def _cover_and_section(m: Bimodule):
     return ProjData(cover, section) if section is not None else None
 
 
-def _solved_witness(m: Bimodule, factors):
+def _solved_witness(m: Bimodule):
     """Builder of the witness of m, a tensor product or direct sum of
-    factors: the cover-and-section solve on m itself.  m is projective by
-    construction, so a factor without a witness is NotPerfect and a solve
-    that finds no section is a broken invariant."""
-    if not all(is_projective(f) for f in factors):
-        raise NotPerfect(f"{m.label}: factor without projectivity witness")
+    projective factors: the cover-and-section solve on m itself.  m is
+    projective by construction, so a solve that finds no section is a
+    broken invariant."""
     pd = _cover_and_section(m)
     if pd is None:
         raise InvariantViolation(f"{m.label}: no section of a projective's cover")
@@ -636,23 +644,21 @@ def _solved_witness(m: Bimodule, factors):
 def proj_data(m: Bimodule):
     """m's projectivity witness, or None if m is not projective.
 
-    One memo entry, built on first use by the builder a derived
-    construction installed, or else by solving a section of m's cover.
+    One memo entry, built on first use by the builder of a module
+    projective by construction, or else by solving a section of m's cover.
     """
     def build():
-        derived = _memoised(m, "proj_builder")
-        if derived is None:
-            return _cover_and_section(m)
-        pd = derived()
+        derived = _constructed(m)
+        pd = _cover_and_section(m) if derived is None else derived()
         _forget(m, "proj_builder")   # its closure pins the inputs
         return pd
     return _memo(m, "proj", build)
 
 
 def is_projective(m: Bimodule):
-    """Whether m has a projectivity witness.  A derived module answers True
-    without building its witness."""
-    return _memoised(m, "proj_builder") is not None or proj_data(m) is not None
+    """Whether m has a projectivity witness.  A module projective by
+    construction answers True without building its witness."""
+    return _constructed(m) is not None or proj_data(m) is not None
 
 
 # -- submodules and resolutions -------------------------------------------------
@@ -905,9 +911,10 @@ def _balance_relation(xi, yj, i, j, n):
 def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
     """(T, proj, sect) realizing T = m (x)_B n as a quotient of m (x) n.
 
-    Raw index (i, j) -> i * dim n + j.  T is projective by construction;
-    its witness is solved on first use (_solved_witness).  proj, sect and
-    T's actions are shared by every pair with the same action matrices.
+    Raw index (i, j) -> i * dim n + j.  With projective factors T is
+    projective by construction, and its witness is solved on first use
+    (_solved_witness).  proj, sect and T's actions are shared by every pair
+    with the same action matrices.
     """
     if m.right is not n.left:
         raise AlgebraMismatch(
@@ -917,7 +924,7 @@ def bimodule_tensor(m: Bimodule, n: Bimodule, label=None):
     proj, sect, la, ra = _memo(m.left, key, lambda: _tensor_core(m, n))
     t = Bimodule(m.left, n.right, proj.rows, la, ra,
                  label=label or f"{m.label}(x){n.label}", check=False)
-    _derive_proj(t, lambda: _solved_witness(t, (m, n)))
+    _derive_proj(t, lambda: _solved_witness(t), (m, n))
     return t, proj, sect
 
 

@@ -24,8 +24,8 @@ TensorComplex records itself on the complex it builds (Complex.tc), so a
 shape (nested(k) for a right-nested convolution of k factors) names how
 far to descend.  Term tensor sections are unit vectors, so each basis
 vector of a nested tensor is the class of exactly one raw tuple
-(basis_tuples, memoised); join_leaves writes a tuple of leaf vectors back,
-and regroup reads one nesting as another.
+(basis_tuples, memoised), and join_leaves writes a tuple of leaf vectors
+back.
 
 Every 2-morphism equality and every lift or colift through a
 quasi-isomorphism is one homotopy equation, post . f . pre + d h + (-1)^k h d
@@ -219,7 +219,7 @@ def _sum_bimodule(a, b):
     ra = [block_diag([x, y]) for x, y in zip(a.right_action, b.right_action)]
     ab = alg.Bimodule(a.left, a.right, a.dim + b.dim, la, ra,
                       label=f"{a.label}(+){b.label}", check=False)
-    alg._derive_proj(ab, lambda: alg._solved_witness(ab, (a, b)))
+    alg._derive_proj(ab, lambda: alg._solved_witness(ab), (a, b))
     return ab
 
 
@@ -393,18 +393,6 @@ def join_leaves(c, shape, leaves):
     i = sum(d for d, _ in leaves[:k])
     j = sum(d for d, _ in leaves[k:])
     return tc.join(i + j, {(i, j): alg._kron_vec(u, v, tc.d.dim(j))})
-
-
-def regroup(src, src_shape, tgt, tgt_shape):
-    """The degree-0 chain map src -> tgt writing each basis vector's raw
-    tuple in src (basis_tuples) as the same tuple of tgt: an associator
-    when the two shapes nest the same leaves differently."""
-    comps = {}
-    for n in src.degrees():
-        comps[n] = Matrix.from_column_maps(
-            [join_leaves(tgt, tgt_shape, [(d, {r: Q1}) for d, r in zip(*tup)])
-             for tup in basis_tuples(src, src_shape, n)], tgt.dim(n))
-    return ChainMap(src, tgt, 0, comps, check=False)
 
 
 def _blockwise(src, tgt, n, k, maps):

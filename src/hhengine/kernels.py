@@ -5,17 +5,17 @@ A kernel X -> Y is a strictly perfect complex of (Y-algebra, X-algebra)-
 bimodules.  Composite kernels are normalized to right-nested convolutions
 of their atomic factors and memoised, so equal factor lists yield the *same*
 Kernel object, and identity kernels (no factors) are contracted eagerly.
-A horizontal composite maps the source convolution straight into the
-target's, building no regrouping: it is read column by column through raw
-factor tuples, each basis vector of a convolution being the class of one
-raw tuple.  An identity kernel is inserted by a solved lift
-and contracted by an explicit map, both memoised on the other kernel.
-Where a counit, unit or trace needs conv(A + B) as TC(A, B), _join
-regroups it flat, tuple for tuple.  Regroupings, contractions,
-evaluations, coevaluations and the Serre trace read tensors only as raw
-pairs (split / join) and raw tuples (basis_tuples / join_leaves) through
-complexes, never through its block layout.  Equality of 2-morphisms is
-always modulo homotopy.
+A map out of a convolution conv(A + B) reads it through raw factor tuples
+(_source_tuples), A's leaves then B's: each basis vector is the class of
+one raw tuple, and an identity side is first inserted by a solved lift.
+A horizontal composite maps the tuples into the target convolution, an
+identity target being contracted by an explicit map; the counit evaluates
+them, the unit maps them into its lift target and the Serre trace pairs
+them, the Serre augmentation applied to the Serre leaves, so none of them
+builds a regrouping or a contracted tensor complex to evaluate on.  Tensors
+are read only as raw pairs (split / join) and raw tuples (basis_tuples /
+join_leaves) through complexes, never through its block layout.  Equality
+of 2-morphisms is always modulo homotopy.
 
 The canonical units and counits come from explicit formulas on witnessed
 projective coordinates:
@@ -36,6 +36,7 @@ phi^v after the double-dual comparison phi => phi^vv.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .errors import (AlgebraMismatch, InvariantViolation, NotPerfect,
                      SerreInverseFailed, ShapeMismatch)
@@ -300,7 +301,7 @@ def dual_kernel(phi: Kernel):
 
 
 # ---------------------------------------------------------------------------
-# identity insertion, regrouping and horizontal composition
+# identity insertion, raw tuples and horizontal composition
 # ---------------------------------------------------------------------------
 
 
@@ -309,25 +310,18 @@ class Mediator:
         self.fwd = fwd
         self.inv = inv
 
-    @staticmethod
-    def identity(c):
-        i = cx.ChainMap.identity(c)
-        return Mediator(i, i)
-
 
 def _idc(c):
     return cx.ChainMap.identity(c)
 
 
-def _chain_map(src: cx.Complex, tgt: cx.Complex, image, degrees):
-    """Degree-0 map src -> tgt whose degree-n column c is image(n, {c: 1});
+def _chain_map(src: cx.Complex, tgt: cx.Complex, columns, degrees):
+    """Degree-0 map src -> tgt whose degree-n columns are columns(n);
     components that come out zero are left out."""
     comps = {}
     for n in degrees:
-        rows, cols = tgt.dim(n), src.dim(n)
-        if rows and cols:
-            m = Matrix.from_column_maps([image(n, {c: Q1}) for c in range(cols)],
-                                        rows)
+        if tgt.dim(n) and src.dim(n):
+            m = Matrix.from_column_maps(columns(n), tgt.dim(n))
             if not m.is_zero():
                 comps[n] = m
     return cx.ChainMap(src, tgt, 0, comps, check=False)
@@ -345,11 +339,11 @@ def _contract(k: Kernel, side):
         augm = aug.component(0)
         acts = {}
 
-        def contract(n, vec):
+        def contract(n, c):
             term = k.complex.term(n)
             out = {}
-            for idx, x in tc.split(n, vec).get((0, n) if left else (n, 0),
-                                               {}).items():
+            for idx, x in tc.split(n, {c: Q1}).get((0, n) if left else (n, 0),
+                                                   {}).items():
                 if left:
                     a, m = divmod(idx, term.dim)
                 else:
@@ -359,8 +353,9 @@ def _contract(k: Kernel, side):
                     acts[(n, a)] = act(dict(augm.col_items(a)))
                 alg._add_into(out, dict(acts[(n, a)].col_items(m)), x)
             return out
-        return tc, _chain_map(tc.complex, k.complex, contract,
-                              tc.complex.degrees())
+        return tc, _chain_map(tc.complex, k.complex, lambda n: [
+            contract(n, c) for c in range(tc.complex.dim(n))],
+            tc.complex.degrees())
     return _memo(k, ("contract", side), build)
 
 
@@ -373,25 +368,6 @@ def _insert_identity(k: Kernel, side):
             raise InvariantViolation("identity reinsertion lift failed")
         return tc, Mediator(u, c)
     return _memo(k, ("ins", side), build)
-
-
-def _join(ka, kb):
-    """(tc, Mediator): conv(ka.factors + kb.factors) <-> TC(ka, kb), one
-    flat regroup of raw tuples each way; memoised on ka."""
-    def build():
-        if ka.is_identity:
-            return _insert_identity(kb, "left")
-        if kb.is_identity:
-            return _insert_identity(ka, "right")
-        whole = conv_kernel(ka.factors + kb.factors)
-        if len(ka.factors) == 1:
-            return whole.complex.tc, Mediator.identity(whole.complex)
-        tc = cx.tc_of(ka.complex, kb.complex)
-        flat = cx.nested(len(ka.factors) + 1)
-        pair = (cx.nested(len(ka.factors)), 1)
-        return tc, Mediator(cx.regroup(whole.complex, flat, tc.complex, pair),
-                            cx.regroup(tc.complex, pair, whole.complex, flat))
-    return _memo(ka, ("join", kb), build)
 
 
 def _leaves(k: Kernel):
@@ -407,19 +383,58 @@ def _is_identity(t: TwoMorphism):
                     for n in c.source.degrees()))
 
 
+def _source_tuples(ka: Kernel, kb: Kernel, n, width=1):
+    """[[(raw tuple, x)]]: each basis vector of convolve(ka, kb) in degree n
+    as a sum of raw tuples, ka's leaves then kb's complex read as width
+    right-nested leaves.  A basis vector of a convolution is the class of
+    one raw tuple; an identity side is first inserted by the solved lift of
+    _insert_identity, whose image is read the same way from TC(R, kb) /
+    TC(ka, R), R being the identity's one leaf."""
+    p = _leaves(ka)
+    if ka.is_identity or kb.is_identity:
+        tc, ins = _insert_identity(kb, "left") if ka.is_identity \
+            else _insert_identity(ka, "right")
+        tuples = cx.basis_tuples(tc.complex, (cx.nested(p), cx.nested(width)),
+                                 n)
+        lift = ins.fwd.component(n)
+        return [[(tuples[e], x) for e, x in lift.col_items(r)]
+                for r in range(lift.cols)]
+    return [[(t, Q1)] for t in cx.basis_tuples(convolve(ka, kb).complex,
+                                                cx.nested(p + width), n)]
+
+
+def _leaf_class(k: Kernel, degs, idxs):
+    """The class in k's complex of a raw tuple of its leaves."""
+    return cx.join_leaves(k.complex, cx.nested(len(degs)),
+                          [(d, {i: Q1}) for d, i in zip(degs, idxs)])
+
+
+def _tuple_map(ka: Kernel, kb: Kernel, width, tgt: cx.Complex, image,
+               degrees):
+    """Degree-0 map convolve(ka, kb) -> tgt sending each basis vector to
+    the sum of image(degrees, indices) over its raw tuples (_source_tuples,
+    kb read as width leaves)."""
+    def columns(n):
+        cols = []
+        for tuples in _source_tuples(ka, kb, n, width):
+            out = {}
+            for (degs, idxs), x in tuples:
+                alg._add_into(out, image(degs, idxs), x)
+            cols.append(alg._nonzero(out))
+        return cols
+    return _chain_map(convolve(ka, kb).complex, tgt, columns, degrees)
+
+
 def hcompose_pair(alpha: TwoMorphism, beta: TwoMorphism):
     """alpha * beta horizontally; alpha lives over the left factor list.
 
     The composite maps the source convolution straight into the target's,
-    column by column through raw tuples, with no regrouping.  A source
-    basis vector of conv(A + B) is one raw tuple (A's leaves, B's
-    complex); an identity source kernel is first inserted by the solved
-    lift of _insert_identity, whose image is read the same way from
-    TC(A, B).  alpha maps the class of the A leaves and beta the B vector,
-    an identity passing its part through; the images' tuples are joined
-    into the target convolution with the (T2) sign (-1)^(|beta| |A part|),
-    or into TC(R, B) / TC(A, R) and contracted when a target kernel is an
-    identity."""
+    column by column through the raw tuples (A's leaves, B's complex) of
+    _source_tuples, with no regrouping.  alpha maps the class of the A
+    leaves and beta the B vector, an identity passing its part through; the
+    images' tuples are joined into the target convolution with the (T2)
+    sign (-1)^(|beta| |A part|), or into TC(R, B) / TC(A, R) and contracted
+    when a target kernel is an identity."""
     asrc, atgt = alpha.source, alpha.target
     bsrc, btgt = beta.source, beta.target
     if asrc.source is not bsrc.target or atgt.source is not btgt.target:
@@ -429,12 +444,6 @@ def hcompose_pair(alpha: TwoMorphism, beta: TwoMorphism):
     p, q = _leaves(asrc), _leaves(atgt)
     whole_s, whole_t = convolve(asrc, bsrc), convolve(atgt, btgt)
     src = whole_s.complex
-    if asrc.is_identity or bsrc.is_identity:
-        tc_s, ins = _insert_identity(bsrc, "left") if asrc.is_identity \
-            else _insert_identity(asrc, "right")
-        read, r_shape, lift = tc_s.complex, (cx.nested(p), 1), ins.fwd
-    else:
-        read, r_shape, lift = src, cx.nested(p + 1), None
     if atgt.is_identity or btgt.is_identity:
         tc_t, contract = _contract(btgt, "left") if atgt.is_identity \
             else _contract(atgt, "right")
@@ -445,13 +454,10 @@ def hcompose_pair(alpha: TwoMorphism, beta: TwoMorphism):
     images = {}                             # A part -> [(image tuple, x)]
     comps = {}
     for n in src.degrees():
-        tuples = cx.basis_tuples(read, r_shape, n)
         cols = []
-        for r in range(src.dim(n)):
-            vec = [(r, Q1)] if lift is None else lift.component(n).col_items(r)
+        for tuples in _source_tuples(asrc, bsrc, n):
             out = {}
-            for e, x in vec:
-                degs, idxs = tuples[e]
+            for (degs, idxs), x in tuples:
                 a_part, j, b = (degs[:p], idxs[:p]), degs[p], idxs[p]
                 if a_part not in images:
                     images[a_part] = _image_tuples(alpha, a_id, a_part)
@@ -480,8 +486,7 @@ def _image_tuples(alpha: TwoMorphism, a_id, a_part):
     if a_id:
         return [(a_part, Q1)]
     degs, idxs = a_part
-    vec = cx.join_leaves(alpha.source.complex, cx.nested(len(degs)),
-                         [(d, {i: Q1}) for d, i in zip(degs, idxs)])
+    vec = _leaf_class(alpha.source, degs, idxs)
     n = sum(degs)
     tgt, shape = alpha.target.complex, cx.nested(_leaves(alpha.target))
     return [(cx.basis_tuple(tgt, shape, n + alpha.degree, r), x)
@@ -521,26 +526,35 @@ def _bimodule_map_from_element(reg, term, w):
 
 
 def counit_eps(phi: Kernel):
-    """eps_m(phi): phi . serre(src) . phi^v => Id_target."""
+    """eps_m(phi): phi . serre(src) . phi^v => Id_target, the (E1)
+    evaluation of the source's raw tuples (phi leaves | s, f), m the class
+    of the phi leaves and xi the Serre augmentation of s."""
     def build():
         x, y = phi.source, phi.target
-        sk = x.serre_kernel()
         dk = dual_kernel(phi)
-        src = conv_kernel(phi.factors + sk.factors + dk.factors)
-        inner = conv_kernel(sk.factors + dk.factors)          # TC(serre, dual)
-        _, aug = x.serre_resolution()
-        n_in = cx.tc_of(aug.target, dk.complex)
-        q_in = cx.tensor_map(inner.complex.tc, n_in, aug, _idc(dk.complex))
-        tc_nice, med = _join(phi, inner)
-        n_out = cx.tc_of(tc_nice.c, n_in.complex)
-        q_out = cx.tensor_map(tc_nice, n_out, _idc(tc_nice.c), q_in)
+        inner = conv_kernel(x.serre_kernel().factors + dk.factors)
+        aug_x = x.serre_resolution()[1].component(0)
         _, aug_y = y.id_resolution()
-        ev = _eval_chain(phi, dk, n_out, reg_complex=aug_y.target)
-        g = ev.compose(q_out.compose(med.fwd))
+        p, a_dim = _leaves(phi), x.algebra.dim
+
+        def evaluate(degs, idxs):
+            out = {}
+            if degs[p]:                         # aug_x lives in degree 0
+                return out
+            xi = dict(aug_x.col_items(idxs[p]))
+            f = dk.complex.term(degs[p + 1])._dual_data.functionals[idxs[p + 1]]
+            sgn = Q1 if degs[p + 1] % 2 == 0 else -Q1
+            for mi, mx in _leaf_class(phi, degs[:p], idxs[:p]).items():
+                for e, val in f.col_items(mi):
+                    r, aa = divmod(e, a_dim)
+                    if aa in xi:
+                        alg._add_into(out, {r: val}, sgn * mx * xi[aa])
+            return out
+        g = _tuple_map(phi, inner, 2, aug_y.target, evaluate, [0])
         f = cx.lift_through(g, aug_y)
         if f is None:
             raise InvariantViolation("counit lift failed")
-        return TwoMorphism(src, y.identity_kernel(), f)
+        return TwoMorphism(convolve(phi, inner), y.identity_kernel(), f)
     return _memo(phi, "eps_m", build)
 
 
@@ -551,29 +565,6 @@ def counit_eps_mirror(phi: Kernel):
         lead = conv_kernel(dk.factors + phi.target.serre_kernel().factors)
         return counit_eps(dk).compose(whisker(lead, kernel_double_dual(phi)))
     return _memo(phi, "eps_mirror", build)
-
-
-def _eval_chain(phi: Kernel, dk: Kernel, n_out, reg_complex):
-    """(E1) evaluation out of the contracted triple tensor
-    phi (x) (D(A) (x) phi^v): its degree-0 triples (m, xi, f) of degrees
-    (i, 0, -i) map by (m, xi, f) |-> (-1)^i (id (x) xi)(f(m)) into B_reg.
-    """
-    a_dim = phi.source.algebra.dim
-
-    def evaluate(n, vec):
-        tuples = cx.basis_tuples(n_out.complex, cx.nested(3), n)
-        out = {}
-        for t, c in vec.items():
-            (i, _, k), (m, xi, f) = tuples[t]
-            sgn = Q1 if i % 2 == 0 else -Q1
-            functional = dk.complex.term(k)._dual_data.functionals[f]
-            for e, val in functional.col_items(m):
-                r, aa = divmod(e, a_dim)
-                if aa == xi:
-                    p = sgn * c * val
-                    out[r] = out[r] + p if r in out else p
-        return out
-    return _chain_map(n_out.complex, reg_complex, evaluate, [0])
 
 
 def unit_eta2(phi: Kernel):
@@ -610,34 +601,32 @@ def unit_eta2(phi: Kernel):
 
 
 def unit_eta1(phi: Kernel):
-    """eta1(phi): Id_tgt => phi . phi^v . serre(tgt)."""
+    """eta1(phi): Id_tgt => phi . phi^v . serre(tgt), lifted through q:
+    the Serre augmentation on the last leaf of the target's raw tuples."""
     def build():
         y = phi.target
-        sk = y.serre_kernel()
         dk = dual_kernel(phi)
-        tgt = conv_kernel(phi.factors + dk.factors + sk.factors)
-        tail = conv_kernel(dk.factors + sk.factors)            # TC(dual, serre)
+        tail = conv_kernel(dk.factors + y.serre_kernel().factors)
+        tgt = convolve(phi, tail)
         _, aug = y.serre_resolution()
-        n_mid = cx.tc_of(dk.complex, aug.target)
-        q_mid = cx.tensor_map(tail.complex.tc, n_mid, _idc(dk.complex), aug)
-        unc = cx.tc_of(phi.complex, tail.complex)
-        n_out = cx.tc_of(phi.complex, n_mid.complex)
-        q_out = cx.tensor_map(unc, n_out, _idc(phi.complex), q_mid)
+        n_out = cx.tc_of(phi.complex, cx.tc_of(dk.complex, aug.target).complex)
         w = _unit_element(phi, dk, n_out, mirror=True)
         comp = _bimodule_map_from_element(y.regular, n_out.complex.term(0), w)
         if not (n_out.complex.differential(0) * comp).is_zero():
             raise InvariantViolation("unit element is not a cycle")
         _, aug_y = y.id_resolution()
         wmap = cx.ChainMap(aug_y.target, n_out.complex, 0, {0: comp}, check=False)
-        if phi.is_identity:
-            _, med = _insert_identity(tail, "left")
-            q_total = q_out.compose(med.fwd)
-        else:
-            tc_nice, med = _join(phi, tail)
-            if tc_nice.complex is not unc.complex:
-                raise InvariantViolation("regrouped unit target is not unc")
-            q_total = q_out.compose(med.fwd)
-        f = cx.lift_through(wmap.compose(aug_y), q_total)
+        augm, shape = aug.component(0), (cx.nested(_leaves(phi)), cx.nested(2))
+
+        def augment(degs, idxs):
+            if degs[-1]:                        # aug lives in degree 0
+                return {}
+            leaves = [(d, {i: Q1}) for d, i in zip(degs[:-1], idxs[:-1])]
+            leaves.append((0, dict(augm.col_items(idxs[-1]))))
+            return cx.join_leaves(n_out.complex, shape, leaves)
+        q = _tuple_map(phi, tail, 2, n_out.complex, augment,
+                       tgt.complex.degrees())
+        f = cx.lift_through(wmap.compose(aug_y), q)
         if f is None:
             raise InvariantViolation("unit lift failed")
         return TwoMorphism(y.identity_kernel(), tgt, f)
@@ -819,28 +808,33 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
     """Tr(alpha) for alpha: phi => serre(Y) . phi . serre(X), degree 0.
 
     Per term of phi with cover coordinates (x_p, phi_p):
-    Tr = sum_i (-1)^i sum_p <phi_p, contracted alpha(x_p)> with the pairing
-    (zeta, m, xi) |-> zeta(phi_p(m)_B) xi(phi_p(m)_A).
+    Tr = sum_i (-1)^i sum_p <phi_p, alpha(x_p)> with the pairing
+    (zeta, m, xi) |-> zeta(phi_p(m)_B) xi(phi_p(m)_A) on the raw tuples
+    (zeta, phi leaves, xi) of the target, m the class of the phi leaves.
     """
     x, y = phi.source, phi.target
-    sky, skx = y.serre_kernel(), x.serre_kernel()
-    expected = conv_kernel(sky.factors + phi.factors + skx.factors)
+    skx = x.serre_kernel()
+    tail = convolve(phi, skx)
+    expected = convolve(y.serre_kernel(), tail)
     if alpha.source is not phi or alpha.target is not expected or alpha.degree != 0:
         raise ShapeMismatch("serre_trace boundary mismatch")
-    # regroup target to TC(serre_Y, TC(conv(phi), serre_X)) and contract augs
-    tailk = conv_kernel(phi.factors + skx.factors)
-    tc_tail, med_tail = _join(phi, skx)
-    _, aug_x = x.serre_resolution()
-    _, aug_y = y.serre_resolution()
-    n_tail = cx.tc_of(tc_tail.c, aug_x.target)
-    q_tail = cx.tensor_map(tc_tail, n_tail, _idc(tc_tail.c), aug_x)
-    lifted_tail = q_tail.compose(med_tail.fwd)     # conv(phi+skx) -> phi (x) D(A)
-    outer = cx.tc_of(sky.complex, tailk.complex)
-    n_out = cx.tc_of(aug_y.target, n_tail.complex)
-    q_out = cx.tensor_map(outer, n_out, aug_y, lifted_tail)
-    beta = q_out.compose(alpha.chain)              # phi.complex -> n_out
+    aug_y = y.serre_resolution()[1].component(0)
+    aug_x = x.serre_resolution()[1].component(0)
+    p, a_dim = _leaves(phi), x.algebra.dim
+
+    def entries(heads, tails, t):
+        """(row, column, x): the weights target vector t's pairing puts on
+        the entries of any phi_p; both augmentations live in degree 0."""
+        (dz, _), (z, s) = heads[t]
+        for (degs, idxs), c in [] if dz else tails[s]:
+            if degs[p] == 0:
+                m = _leaf_class(phi, degs[:p], idxs[:p])
+                for (zz, zx), (xx, xv), (mi, mx) in product(
+                        aug_y.col_items(z), aug_x.col_items(idxs[p]),
+                        m.items()):
+                    yield zz * a_dim + xx, mi, c * zx * xv * mx
+
     total = Q0
-    a_dim = x.algebra.dim
     for i in phi.complex.degrees():
         mterm = phi.complex.term(i)
         if mterm is None or mterm.dim == 0:
@@ -848,18 +842,21 @@ def serre_trace(phi: Kernel, alpha: TwoMorphism):
         pd = alg.proj_data(mterm)
         if pd is None:
             raise NotPerfect(f"{mterm.label}: no witness for trace")
-        comp = beta.component(i)
+        comp = alpha.chain.component(i)
         if comp.rows == 0:
             continue
         sgn = Q1 if i % 2 == 0 else -Q1
-        # read n_out degree i as triples (zeta, m, xi) of D(B), phi_i, D(A)
-        tuples = cx.basis_tuples(n_out.complex, cx.nested(3), i)
+        heads = cx.basis_tuples(expected.complex, (1, 1), i)
+        tails = _source_tuples(phi, skx, i)
+        reads = {}
         for gen, phi_mat in pd.coordinates():
             for t, c in comp.apply_map(gen).items():
-                zeta, m, xi = tuples[t][1]
-                val = phi_mat[zeta * a_dim + xi, m]
-                if val:
-                    total += sgn * c * val
+                if t not in reads:
+                    reads[t] = list(entries(heads, tails, t))
+                for row, col, v in reads[t]:
+                    val = phi_mat[row, col]
+                    if val:
+                        total += sgn * c * v * val
     return total
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhengine.errors import CyclicQuiver, InvariantViolation, NotAGroup, NotPerfect
+from hhengine.errors import CyclicQuiver, InvariantViolation, NotAGroup
 from hhengine.linalg import Matrix, SpanSolver, linear_combination, rank
 import hhengine.algebras as alg
 import hhengine.complexes as cx
@@ -565,14 +565,24 @@ def test_tensor_and_sum_witnesses_are_solved_from_their_own_cover(make, monkeypa
         alg.proj_data(s)
 
 
-def test_tensor_with_a_non_projective_factor_is_not_perfect():
+def test_projectivity_of_a_tensor_or_sum_agrees_with_its_witness():
+    # R is A2's regular bimodule, which is not projective, and P the degree-0
+    # term of its resolution.  A tensor or sum with a factor that is not
+    # projective is an ordinary module: the generic solve decides it, and
+    # is_projective and proj_data give the same answer.
     a2 = alg.path_algebra(2, [(0, 1)], "A2")
     reg = alg.regular_bimodule(a2)
     p = alg.projective_resolution(reg)[0].term(0)
-    for m, n in ((reg, p), (p, reg)):
-        t, _, _ = alg.bimodule_tensor(m, n)
-        with pytest.raises(NotPerfect):
-            alg.proj_data(t)
+    cases = [(alg.bimodule_tensor(reg, p)[0], True),
+             (alg.bimodule_tensor(p, reg)[0], True),
+             (alg.bimodule_tensor(reg, reg)[0], False),
+             (cx._sum_bimodule(p, reg), False)]
+    for x, projective in cases:
+        assert alg.is_projective(x) is projective
+        pd = alg.proj_data(x)
+        assert (pd is not None) is projective
+        if projective:
+            assert pd.cover.ev * pd.section == Matrix.identity(x.dim)
 
 
 def _engine_sources():

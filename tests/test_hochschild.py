@@ -458,3 +458,15 @@ def test_graded_cohomology_of_kronecker_quiver():
     assert dims.get(0) == 2 and all(d == 0 for i, d in dims.items() if i != 0)
     assert hh.hh_via_tor(kr) == {0: 2}
     assert alg.trace_quotient(kr_alg)[0].rows == 2
+
+
+@pytest.mark.parametrize("name", ["pt", "bz2", "bs3", "a2", "a3"])
+def test_serre_pushforward_is_an_isometry_that_twists_the_pairing(name, request):
+    # with M = serre_* and P the degree-0 pairing block: the Serre functor
+    # preserves the Mukai pairing, M^T P M = P, and twists its symmetry,
+    # <v, w> = <w, serre_* v>, that is M^T P^T = P
+    x = request.getfixturevalue(name)
+    m = hh.pushforward_matrix(x.serre_kernel(), 0)
+    p = hh.pairing_matrix(x, 0)
+    assert m.transpose() * p * m == p
+    assert m.transpose() * p.transpose() == p
