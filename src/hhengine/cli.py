@@ -7,8 +7,9 @@ Reports are deterministic byte-for-byte apart from the timing fields.
   engine run <workspace.json> [--task ID] [--json|--text] [--seed N]
   engine explain <workspace.json> <task-id>
 
-Exit codes: 0 all tasks ok, 1 a task failed or errored, 2 schema error
-(including an engine error raised while the workspace is built).
+Exit codes: 0 all tasks ok, 1 a task failed or errored, or an internal
+invariant broke while the workspace was built, 2 schema error (including
+any other engine error raised while the workspace is built).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import json
 import random
 import sys
 import time
-from .errors import EngineError, SchemaError, TaskError, UnknownTask
+from .errors import (EngineError, InvariantViolation, SchemaError, TaskError,
+                     UnknownTask)
 from .linalg import Matrix, Q1, format_scalar, rank, scalar
 from . import algebras as alg
 from .algebras import _memo
@@ -70,8 +72,8 @@ class Workspace:
         try:
             self._check_references()
             self._build()
-        except SchemaError:
-            raise
+        except (SchemaError, InvariantViolation):
+            raise                       # a broken invariant is no bad input
         except EngineError as e:
             raise SchemaError(f"{path}: {_error_text(e)}") from e
         except (KeyError, TypeError, ValueError) as e:
@@ -611,6 +613,9 @@ def main(argv=None):
         except SchemaError as e:
             print(f"schema error: {e}", file=sys.stderr)
             return 2
+        except InvariantViolation as e:
+            print(f"error: {_error_text(e)}", file=sys.stderr)
+            return 1
         if args.as_json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:

@@ -419,29 +419,6 @@ def _blockwise(src, tgt, n, k, maps):
     return Matrix.sparse(tgt._dim(n + k), cols, entries)
 
 
-def tensor_map(tc_src: TensorComplex, tc_tgt: TensorComplex, f: ChainMap, g: ChainMap):
-    """(f (x) g) between tensor complexes, with the (T2) sign.
-
-    f: tc_src.c -> tc_tgt.c and g: tc_src.d -> tc_tgt.d.
-    """
-    kf, kg = f.degree, g.degree
-
-    def parts(i, j):
-        fi, gj = f.component(i), g.component(j)
-        if fi.rows == 0 or gj.rows == 0:
-            return []
-        dj = tc_src.d.dim(j)
-        return [((i + kf, j + kg), lambda v: alg._apply_right_factor(
-                    gj, alg._apply_left_factor(fi, v, dj), dj),
-                 Q1 if (kg * i) % 2 == 0 else -Q1)]
-    comps = {}
-    for n in tc_src.blocks:
-        m = _blockwise(tc_src, tc_tgt, n, kf + kg, parts)
-        if not m.is_zero():
-            comps[n] = m
-    return ChainMap(tc_src.complex, tc_tgt.complex, kf + kg, comps, check=False)
-
-
 # -- hom complexes --------------------------------------------------------------
 
 

@@ -10,9 +10,10 @@ A map out of a convolution conv(A + B) reads it through raw factor tuples
 one raw tuple, and an identity side is first inserted by a solved lift.
 A horizontal composite maps the tuples into the target convolution, an
 identity target being contracted by an explicit map; the counit evaluates
-them, the unit maps them into its lift target and the Serre trace pairs
-them, the Serre augmentation applied to the Serre leaves, so none of them
-builds a regrouping or a contracted tensor complex to evaluate on.  Tensors
+them, both units map them into their lift targets and the Serre trace
+pairs them, the Serre augmentation applied to the Serre leaves, so none of
+them builds a regrouping, a tensor map or a contracted tensor complex to
+evaluate on, and an identity phi takes no branch of its own.  Tensors
 are read only as raw pairs (split / join) and raw tuples (basis_tuples /
 join_leaves) through complexes, never through its block layout.  Equality
 of 2-morphisms is always modulo homotopy.
@@ -305,16 +306,6 @@ def dual_kernel(phi: Kernel):
 # ---------------------------------------------------------------------------
 
 
-class Mediator:
-    def __init__(self, fwd: cx.ChainMap, inv: cx.ChainMap):
-        self.fwd = fwd
-        self.inv = inv
-
-
-def _idc(c):
-    return cx.ChainMap.identity(c)
-
-
 def _chain_map(src: cx.Complex, tgt: cx.Complex, columns, degrees):
     """Degree-0 map src -> tgt whose degree-n columns are columns(n);
     components that come out zero are left out."""
@@ -360,13 +351,14 @@ def _contract(k: Kernel, side):
 
 
 def _insert_identity(k: Kernel, side):
-    """(tc, Mediator k <-> TC(R,k) / TC(k,R)); the section is a solved lift."""
+    """(tc, u): u: k -> TC(R, k) resp. TC(k, R), the section of _contract's
+    contraction, a solved lift of the identity through it."""
     def build():
         tc, c = _contract(k, side)
-        u = cx.lift_through(_idc(k.complex), c)
+        u = cx.lift_through(cx.ChainMap.identity(k.complex), c)
         if u is None:
             raise InvariantViolation("identity reinsertion lift failed")
-        return tc, Mediator(u, c)
+        return tc, u
     return _memo(k, ("ins", side), build)
 
 
@@ -392,11 +384,11 @@ def _source_tuples(ka: Kernel, kb: Kernel, n, width=1):
     TC(ka, R), R being the identity's one leaf."""
     p = _leaves(ka)
     if ka.is_identity or kb.is_identity:
-        tc, ins = _insert_identity(kb, "left") if ka.is_identity \
+        tc, u = _insert_identity(kb, "left") if ka.is_identity \
             else _insert_identity(ka, "right")
         tuples = cx.basis_tuples(tc.complex, (cx.nested(p), cx.nested(width)),
                                  n)
-        lift = ins.fwd.component(n)
+        lift = u.component(n)
         return [[(tuples[e], x) for e, x in lift.col_items(r)]
                 for r in range(lift.cols)]
     return [[(t, Q1)] for t in cx.basis_tuples(convolve(ka, kb).complex,
@@ -568,35 +560,21 @@ def counit_eps_mirror(phi: Kernel):
 
 
 def unit_eta2(phi: Kernel):
-    """eta2(phi): Id_src => serre(src) . phi^v . phi."""
+    """eta2(phi): Id_src => serre(src) . phi^v . phi, lifted through q:
+    the Serre augmentation on the first leaf of the target's raw tuples."""
     def build():
         x = phi.source
-        sk = x.serre_kernel()
         dk = dual_kernel(phi)
-        tgt = conv_kernel(sk.factors + dk.factors + phi.factors)
-        inner_tc = cx.tc_of(dk.complex, phi.complex)
+        head = conv_kernel(x.serre_kernel().factors + dk.factors)
+        tgt = convolve(head, phi)
         _, aug = x.serre_resolution()
-        n_out = cx.tc_of(aug.target, inner_tc.complex)
-        unc = cx.tc_of(sk.complex, inner_tc.complex)
-        q = cx.tensor_map(unc, n_out, aug, _idc(inner_tc.complex))
+        n_out = cx.tc_of(aug.target, cx.tc_of(dk.complex, phi.complex).complex)
         w = _unit_element(phi, dk, n_out, mirror=False)
-        comp = _bimodule_map_from_element(x.regular, n_out.complex.term(0), w)
-        if not (n_out.complex.differential(0) * comp).is_zero():
-            raise InvariantViolation("unit element is not a cycle")
-        _, aug_x = x.id_resolution()
-        wmap = cx.ChainMap(aug_x.target, n_out.complex, 0, {0: comp}, check=False)
-        f = cx.lift_through(wmap.compose(aug_x), q)
-        if f is None:
-            raise InvariantViolation("unit lift failed")
-        if phi.is_identity:
-            # contract the identity factor: unc -> conv([serre, dual]).complex
-            _, med = _insert_identity(dk, "right")
-            lowered = cx.tensor_map(unc, tgt.complex.tc, _idc(sk.complex),
-                                    med.inv)
-            f = lowered.compose(f)
-        elif tgt.complex is not unc.complex:
-            raise InvariantViolation("unit target is not unc")
-        return TwoMorphism(x.identity_kernel(), tgt, f)
+        augment = _augmenting(aug, n_out.complex, cx.nested(2 + _leaves(phi)),
+                              0)
+        q = _tuple_map(head, phi, _leaves(phi), n_out.complex, augment,
+                       tgt.complex.degrees())
+        return _unit_lift(x, w, q, tgt)
     return _memo(phi, "eta2", build)
 
 
@@ -611,26 +589,43 @@ def unit_eta1(phi: Kernel):
         _, aug = y.serre_resolution()
         n_out = cx.tc_of(phi.complex, cx.tc_of(dk.complex, aug.target).complex)
         w = _unit_element(phi, dk, n_out, mirror=True)
-        comp = _bimodule_map_from_element(y.regular, n_out.complex.term(0), w)
-        if not (n_out.complex.differential(0) * comp).is_zero():
-            raise InvariantViolation("unit element is not a cycle")
-        _, aug_y = y.id_resolution()
-        wmap = cx.ChainMap(aug_y.target, n_out.complex, 0, {0: comp}, check=False)
-        augm, shape = aug.component(0), (cx.nested(_leaves(phi)), cx.nested(2))
-
-        def augment(degs, idxs):
-            if degs[-1]:                        # aug lives in degree 0
-                return {}
-            leaves = [(d, {i: Q1}) for d, i in zip(degs[:-1], idxs[:-1])]
-            leaves.append((0, dict(augm.col_items(idxs[-1]))))
-            return cx.join_leaves(n_out.complex, shape, leaves)
+        augment = _augmenting(aug, n_out.complex,
+                              (cx.nested(_leaves(phi)), cx.nested(2)), -1)
         q = _tuple_map(phi, tail, 2, n_out.complex, augment,
                        tgt.complex.degrees())
-        f = cx.lift_through(wmap.compose(aug_y), q)
-        if f is None:
-            raise InvariantViolation("unit lift failed")
-        return TwoMorphism(y.identity_kernel(), tgt, f)
+        return _unit_lift(y, w, q, tgt)
     return _memo(phi, "eta1", build)
+
+
+def _augmenting(aug: cx.ChainMap, tgt: cx.Complex, shape, at):
+    """The image of a raw tuple for _tuple_map: the tuple written into tgt,
+    read with shape, with the Serre augmentation aug applied to its leaf at
+    (aug lives in degree 0, so a tuple whose leaf at is not is sent to 0)."""
+    augm = aug.component(0)
+
+    def image(degs, idxs):
+        if degs[at]:
+            return {}
+        leaves = [(d, {i: Q1}) for d, i in zip(degs, idxs)]
+        leaves[at] = (0, dict(augm.col_items(idxs[at])))
+        return cx.join_leaves(tgt, shape, leaves)
+    return image
+
+
+def _unit_lift(space: Space, w, q: cx.ChainMap, tgt: Kernel):
+    """Id_space => tgt: the unit element w, a degree-0 cycle of q's target,
+    as the central bimodule map a |-> a . w, lifted through q: tgt -> its
+    target over the augmentation of space's identity resolution."""
+    n_out = q.target
+    comp = _bimodule_map_from_element(space.regular, n_out.term(0), w)
+    if not (n_out.differential(0) * comp).is_zero():
+        raise InvariantViolation("unit element is not a cycle")
+    _, aug = space.id_resolution()
+    wmap = cx.ChainMap(aug.target, n_out, 0, {0: comp}, check=False)
+    f = cx.lift_through(wmap.compose(aug), q)
+    if f is None:
+        raise InvariantViolation("unit lift failed")
+    return TwoMorphism(space.identity_kernel(), tgt, f)
 
 
 def _unit_element(phi: Kernel, dk: Kernel, n_out, mirror):

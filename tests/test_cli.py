@@ -9,7 +9,7 @@ import pytest
 from importlib import resources
 
 from hhengine import cli
-from hhengine.errors import SchemaError
+from hhengine.errors import InvariantViolation, SchemaError
 
 
 from conftest import load_workspace_doc as load_ws
@@ -192,6 +192,21 @@ def test_a_task_that_breaks_stays_in_the_report(tmp_path, capsys, task, error):
     path.write_text(json.dumps(doc))
     assert cli.main(["run", str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["tasks"][1]["status"] == "error"
+
+
+def test_a_broken_invariant_while_building_is_no_schema_error(monkeypatch,
+                                                              capsys):
+    # the workspace file is valid: a check the engine fails while building
+    # it is an engine fault, reported as an error with exit code 1
+    def broken(k, v):
+        raise InvariantViolation("unit lift failed")
+    monkeypatch.setattr(cli.hh, "chern", broken)     # a2's chern-of classes
+    with pytest.raises(InvariantViolation):
+        cli.Workspace(load_ws("a2"), "a2.json")
+    assert cli.main(["run", ws_path("a2")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InvariantViolation: unit lift failed\n"
 
 
 def test_a_task_without_id_goes_by_its_op(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhengine.linalg import Matrix, nullspace_basis, rank
+from hhengine.linalg import Matrix, Q1, nullspace_basis, rank
 import hhengine.algebras as alg
 import hhengine.complexes as cx
 
@@ -326,6 +326,31 @@ def regroup(src, src_shape, tgt, tgt_shape):
                             [(d, {r: Fraction(1)}) for d, r in zip(*tup)])
              for tup in cx.basis_tuples(src, src_shape, n)], tgt.dim(n))
     return cx.ChainMap(src, tgt, 0, comps, check=False)
+
+
+def tensor_map(tc_src, tc_tgt, f, g):
+    """(f (x) g) between tensor complexes, with the (T2) sign.
+
+    f: tc_src.c -> tc_tgt.c and g: tc_src.d -> tc_tgt.d.  The reference
+    the oracles of tests/test_kernels.py build their routes with.
+    """
+    kf, kg = f.degree, g.degree
+
+    def parts(i, j):
+        fi, gj = f.component(i), g.component(j)
+        if fi.rows == 0 or gj.rows == 0:
+            return []
+        dj = tc_src.d.dim(j)
+        return [((i + kf, j + kg), lambda v: alg._apply_right_factor(
+                    gj, alg._apply_left_factor(fi, v, dj), dj),
+                 Q1 if (kg * i) % 2 == 0 else -Q1)]
+    comps = {}
+    for n in tc_src.blocks:
+        m = cx._blockwise(tc_src, tc_tgt, n, kf + kg, parts)
+        if not m.is_zero():
+            comps[n] = m
+    return cx.ChainMap(tc_src.complex, tc_tgt.complex, kf + kg, comps,
+                       check=False)
 
 
 def _associator(x, y, z):

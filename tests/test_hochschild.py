@@ -470,3 +470,58 @@ def test_serre_pushforward_is_an_isometry_that_twists_the_pairing(name, request)
     p = hh.pairing_matrix(x, 0)
     assert m.transpose() * p * m == p
     assert m.transpose() * p.transpose() == p
+
+
+def _path_counts(vertices, arrows):
+    """C[s][t], the number of paths s -> t of an acyclic quiver, the trivial
+    path included: C = sum_k N^k with N the arrow count matrix."""
+    step = [[0] * vertices for _ in range(vertices)]
+    for s, t in arrows:
+        step[s][t] += 1
+    counts = [[int(s == t) for t in range(vertices)] for s in range(vertices)]
+    walk = counts
+    for _ in range(vertices):
+        walk = [[sum(walk[s][u] * step[u][t] for u in range(vertices))
+                 for t in range(vertices)] for s in range(vertices)]
+        counts = [[c + w for c, w in zip(cr, wr)]
+                  for cr, wr in zip(counts, walk)]
+    return Matrix.from_rows([[Fraction(c) for c in row] for row in counts])
+
+
+QUIVERS = {"A2": (2, [(0, 1)]), "A3": (3, [(0, 1), (1, 2)]),
+           "Kr": (2, [(0, 1), (0, 1)]), "D4": (4, [(1, 0), (2, 0), (3, 0)])}
+
+
+def _quiver_space(name, request):
+    """The session fixture of A2 and A3, a fresh space otherwise."""
+    if name in ("A2", "A3"):
+        return request.getfixturevalue(name.lower())
+    n, arrows = QUIVERS[name]
+    return kn.Space(alg.path_algebra(n, arrows, name), name)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "Kr", "D4"])
+def test_mukai_pairing_of_a_quiver_is_its_transposed_path_count(name,
+                                                                request):
+    # on a tree or Kronecker quiver HH_0 is spanned by the vertex classes,
+    # and <e_s, e_t> counts the paths t -> s: the pairing block is C^T
+    x = _quiver_space(name, request)
+    assert hh.pairing_matrix(x, 0) == _path_counts(*QUIVERS[name]).transpose()
+
+
+@pytest.mark.parametrize("name", ["A3", "Kr"])
+def test_chern_characters_of_simples_invert_the_path_count(name, request, pt,
+                                                           one):
+    # ch(S_v) is the class of the simple at v: C^T ch(S_v) = e_v, the
+    # vertex v's standard vector (on A3 ch(S_0) = (1, -1, 0), on the
+    # Kronecker quiver (1, -2))
+    x = _quiver_space(name, request)
+    n, arrows = QUIVERS[name]
+    ct = _path_counts(n, arrows).transpose()
+    a = x.algebra
+    for v in range(n):
+        act = [Matrix.identity(1) if i == v else m([[0]])
+               for i in range(a.dim)]
+        simple = alg.module_as_bimodule(a, pt.algebra, act, f"S{v}")
+        ch = hh.chern(hh.module_kernel(x, pt, simple), one)
+        assert ct.apply_map(dict(enumerate(ch.coords))) == {v: Q1}

@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ import hhengine.kernels as kn
 import hhengine.hochschild as hh
 
 import builders
-from test_complexes import regroup
+from test_complexes import regroup, tensor_map
 
 
 def m(rows):
@@ -356,6 +357,17 @@ def test_serre_trace_additive_under_direct_sum(pt):
     assert traces[2] == traces[0] + traces[1]
 
 
+# a chain map and a homotopy inverse of it
+Mediator = namedtuple("Mediator", "fwd inv")
+
+
+def _inserted(k, side):
+    """(tc, Mediator k <-> TC(R, k) resp. TC(k, R)): the engine's solved
+    identity insertion and the contraction it is a section of."""
+    tc, u = kn._insert_identity(k, side)
+    return tc, Mediator(u, kn._contract(k, side)[1])
+
+
 def _split3(outer, inner, n, vec, right):
     # a degree-n vector of TC(X, TC(Y, Z)) (right) or TC(TC(X, Y), Z) as
     # {(i, j, k): {(a, b, c): x}}, read through the pair split only
@@ -416,36 +428,36 @@ def _mediated_route():
                         for c in range(src.complex.dim(n))]
                 return kn._chain_map(src.complex, tgt.complex, image,
                                      src.complex.degrees())
-            memo[x, y, z] = outer_l, kn.Mediator(
+            memo[x, y, z] = outer_l, Mediator(
                 regroup(outer_r, inner_r, outer_l, inner_l, True),
                 regroup(outer_l, inner_l, outer_r, inner_r, False))
         return memo[x, y, z]
 
     def join(ka, kb):
         if ka.is_identity:
-            return kn._insert_identity(kb, "left")
+            return _inserted(kb, "left")
         if kb.is_identity:
-            return kn._insert_identity(ka, "right")
+            return _inserted(ka, "right")
         a1, rest = ka.factors[0], ka.factors[1:]
         whole = cx.tc_of(a1.complex,
                          kn.conv_kernel(rest + kb.factors).complex)
         if not rest:
             idc = cx.ChainMap.identity(whole.complex)
-            return whole, kn.Mediator(idc, idc)
+            return whole, Mediator(idc, idc)
         ka_rest = kn.conv_kernel(rest)
         sub_tc, sub_med = join(ka_rest, kb)
         upper = cx.tc_of(a1.complex, sub_tc.complex)
         idc = cx.ChainMap.identity(a1.complex)
-        lift_fwd = cx.tensor_map(whole, upper, idc, sub_med.fwd)
-        lift_inv = cx.tensor_map(upper, whole, idc, sub_med.inv)
+        lift_fwd = tensor_map(whole, upper, idc, sub_med.fwd)
+        lift_inv = tensor_map(upper, whole, idc, sub_med.inv)
         outer_l, med = assoc(a1.complex, ka_rest.complex, kb.complex)
-        return outer_l, kn.Mediator(med.fwd.compose(lift_fwd),
-                                    lift_inv.compose(med.inv))
+        return outer_l, Mediator(med.fwd.compose(lift_fwd),
+                                 lift_inv.compose(med.inv))
 
     def hcompose_pair(alpha, beta):
         tc_s, med_s = join(alpha.source, beta.source)
         tc_t, med_t = join(alpha.target, beta.target)
-        mid = cx.tensor_map(tc_s, tc_t, alpha.chain, beta.chain)
+        mid = tensor_map(tc_s, tc_t, alpha.chain, beta.chain)
         return med_t.inv.compose(mid.compose(med_s.fwd))
     return hcompose_pair
 
@@ -506,19 +518,19 @@ def _join(ka, kb, memo):
     flat regroup of raw tuples each way; the parent route of the counit,
     unit and trace below."""
     if ka.is_identity:
-        return kn._insert_identity(kb, "left")
+        return _inserted(kb, "left")
     if kb.is_identity:
-        return kn._insert_identity(ka, "right")
+        return _inserted(ka, "right")
     if (ka, kb) not in memo:
         whole = kn.conv_kernel(ka.factors + kb.factors)
         if len(ka.factors) == 1:
             idc = cx.ChainMap.identity(whole.complex)
-            memo[ka, kb] = whole.complex.tc, kn.Mediator(idc, idc)
+            memo[ka, kb] = whole.complex.tc, Mediator(idc, idc)
         else:
             tc = cx.tc_of(ka.complex, kb.complex)
             flat = cx.nested(len(ka.factors) + 1)
             pair = (cx.nested(len(ka.factors)), 1)
-            memo[ka, kb] = tc, kn.Mediator(
+            memo[ka, kb] = tc, Mediator(
                 regroup(whole.complex, flat, tc.complex, pair),
                 regroup(tc.complex, pair, whole.complex, flat))
     return memo[ka, kb]
@@ -537,10 +549,10 @@ def _joined_counit(phi, memo):
     inner = kn.conv_kernel(sk.factors + dk.factors)
     _, aug = x.serre_resolution()
     n_in = cx.tc_of(aug.target, dk.complex)
-    q_in = cx.tensor_map(inner.complex.tc, n_in, aug, _idc(dk.complex))
+    q_in = tensor_map(inner.complex.tc, n_in, aug, _idc(dk.complex))
     tc_nice, med = _join(phi, inner, memo)
     n_out = cx.tc_of(tc_nice.c, n_in.complex)
-    q_out = cx.tensor_map(tc_nice, n_out, _idc(tc_nice.c), q_in)
+    q_out = tensor_map(tc_nice, n_out, _idc(tc_nice.c), q_in)
     _, aug_y = y.id_resolution()
     a_dim = x.algebra.dim
     cols = []
@@ -566,10 +578,10 @@ def _joined_unit_eta1(phi, memo):
     tail = kn.conv_kernel(dk.factors + sk.factors)
     _, aug = y.serre_resolution()
     n_mid = cx.tc_of(dk.complex, aug.target)
-    q_mid = cx.tensor_map(tail.complex.tc, n_mid, _idc(dk.complex), aug)
+    q_mid = tensor_map(tail.complex.tc, n_mid, _idc(dk.complex), aug)
     unc = cx.tc_of(phi.complex, tail.complex)
     n_out = cx.tc_of(phi.complex, n_mid.complex)
-    q_out = cx.tensor_map(unc, n_out, _idc(phi.complex), q_mid)
+    q_out = tensor_map(unc, n_out, _idc(phi.complex), q_mid)
     w = kn._unit_element(phi, dk, n_out, mirror=True)
     comp = kn._bimodule_map_from_element(y.regular, n_out.complex.term(0), w)
     _, aug_y = y.id_resolution()
@@ -577,6 +589,32 @@ def _joined_unit_eta1(phi, memo):
     tc_nice, med = _join(phi, tail, memo)
     assert tc_nice.complex is unc.complex
     return wmap.compose(aug_y), q_out.compose(med.fwd)
+
+
+def _joined_unit_eta2(phi):
+    """unit_eta2's (g, q) with q the tensor map aug (x) id on
+    S (x) (phi^v (x) phi), and for an identity phi the map that lowers the
+    lift into conv(S + phi^v) by contracting R, else None."""
+    x = phi.source
+    sk = x.serre_kernel()
+    dk = kn.dual_kernel(phi)
+    tgt = kn.conv_kernel(sk.factors + dk.factors + phi.factors)
+    inner_tc = cx.tc_of(dk.complex, phi.complex)
+    _, aug = x.serre_resolution()
+    n_out = cx.tc_of(aug.target, inner_tc.complex)
+    unc = cx.tc_of(sk.complex, inner_tc.complex)
+    q = tensor_map(unc, n_out, aug, _idc(inner_tc.complex))
+    w = kn._unit_element(phi, dk, n_out, mirror=False)
+    comp = kn._bimodule_map_from_element(x.regular, n_out.complex.term(0), w)
+    _, aug_x = x.id_resolution()
+    wmap = cx.ChainMap(aug_x.target, n_out.complex, 0, {0: comp}, check=False)
+    lower = None
+    if phi.is_identity:
+        contract = kn._contract(dk, "right")[1]
+        lower = tensor_map(unc, tgt.complex.tc, _idc(sk.complex), contract)
+    else:
+        assert tgt.complex is unc.complex
+    return wmap.compose(aug_x), q, lower
 
 
 def _joined_serre_trace(phi, alpha, memo):
@@ -589,10 +627,10 @@ def _joined_serre_trace(phi, alpha, memo):
     _, aug_x = x.serre_resolution()
     _, aug_y = y.serre_resolution()
     n_tail = cx.tc_of(tc_tail.c, aug_x.target)
-    q_tail = cx.tensor_map(tc_tail, n_tail, _idc(tc_tail.c), aug_x)
+    q_tail = tensor_map(tc_tail, n_tail, _idc(tc_tail.c), aug_x)
     outer = cx.tc_of(sky.complex, tailk.complex)
     n_out = cx.tc_of(aug_y.target, n_tail.complex)
-    q_out = cx.tensor_map(outer, n_out, aug_y, q_tail.compose(med_tail.fwd))
+    q_out = tensor_map(outer, n_out, aug_y, q_tail.compose(med_tail.fwd))
     beta = q_out.compose(alpha.chain)
     total = 0
     a_dim = x.algebra.dim
@@ -610,10 +648,12 @@ def _joined_serre_trace(phi, alpha, memo):
 
 def test_units_counits_and_traces_equal_the_joined_route(a2, a3, bz2, ind_res,
                                                          monkeypatch):
-    # the counit, unit_eta1 and serre_trace read the canonical convolution;
-    # the parent route regrouped it to TC(phi, rest) through _join and
-    # evaluated on contracted tensor complexes.  Each lift must be handed
-    # the same chain maps, entry for entry, and give the same 2-morphism.
+    # the counit, both units and serre_trace read the canonical convolution;
+    # the parent route regrouped it to TC(phi, rest) through _join, or wrote
+    # unit_eta2's q as a tensor map, and evaluated on contracted tensor
+    # complexes.  Each lift must be handed the same chain maps, entry for
+    # entry, and give the same 2-morphism; an identity phi's unit_eta2 is
+    # compared modulo homotopy.
     kernels = []
     for sp in (a2, a3, bz2):
         s, anti = sp.serre_kernel(), sp.anti_serre_kernel()
@@ -641,6 +681,20 @@ def test_units_counits_and_traces_equal_the_joined_route(a2, a3, bz2, ind_res,
             want_g, want_q = joined(phi, memo)
             assert _entrywise_equal(g, want_g) and _entrywise_equal(q, want_q)
             assert _entrywise_equal(got.chain, plain(want_g, want_q))
+        monkeypatch.delitem(vars(phi)["_memo"], "eta2", raising=False)
+        got = kn.unit_eta2(phi)
+        g, q = lifts[-1]
+        want_g, want_q, lower = _joined_unit_eta2(phi)
+        want = plain(want_g, want_q)
+        assert _entrywise_equal(g, want_g)
+        if lower is None:
+            assert _entrywise_equal(q, want_q)
+            assert _entrywise_equal(got.chain, want)
+        else:
+            # an identity phi: the parent lifted into S (x) (phi^v (x) R) and
+            # contracted R afterwards, so q differs and only the class agrees
+            assert got.equals(kn.TwoMorphism(got.source, got.target,
+                                             lower.compose(want)))
         x, y = phi.source, phi.target
         expected = kn.convolve(kn.convolve(y.serre_kernel(), phi),
                                x.serre_kernel())
